@@ -149,7 +149,7 @@ def _lambda_from_args(args, graph, D) -> float:
                          constant_c=args.constant_c)
     rho = None
     if rule.rule == "theorem_general":
-        rho = E.rho_estimate(graph) if graph is not None else \
+        rho = spec.rho_estimate(graph) if graph is not None else \
             spec.spectral_report_from_matrix(D).rho
     return float(tv.lambda_value(rule, graph, rho=rho))
 
@@ -160,6 +160,7 @@ def cmd_denoise(args) -> int:
     if y.shape[0] != D.shape[1]:
         raise UsageError(f"y has {y.shape[0]} entries but the graph has {D.shape[1]} vertices")
     lam = _lambda_from_args(args, gr, D)
+    problem = tv.DenoiseProblem(y, D, lam)  # rejects a non-finite lambda
     out = pathlib.Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
 
@@ -167,7 +168,6 @@ def cmd_denoise(args) -> int:
         if family != "path":
             raise UsageError("--oracle taut-string requires --graph path (not augmented)")
         theta = tv.denoise_path_exact(y, lam)
-        problem = tv.DenoiseProblem(y, D, lam)
         z, resid = tv.kkt_certificate(problem, theta)
         diag = {
             "lambda": lam, "objective": tv.objective_value(y, D, lam, theta),
@@ -176,8 +176,7 @@ def cmd_denoise(args) -> int:
         }
         converged = True
     else:
-        result = tv.denoise(tv.DenoiseProblem(y, D, lam),
-                            tv.SolverOptions(tol=args.tol, max_iter=args.max_iter))
+        result = tv.denoise(problem, tv.SolverOptions(tol=args.tol, max_iter=args.max_iter))
         theta = result.theta_hat
         diag = {
             "lambda": lam, "objective": result.objective,
@@ -280,10 +279,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"graphtv: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:  # UsageError is a ValueError
         print(f"graphtv: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except G.GraphGenerationError as exc:

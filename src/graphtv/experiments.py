@@ -106,13 +106,8 @@ class RateFit:
 # graph construction and cached per-size quantities
 
 
-def _params_key(d: dict) -> tuple:
-    return tuple(sorted(d.items()))
-
-
 @lru_cache(maxsize=64)
-def _fixed_graph(family: str, size: int, params_key: tuple):
-    params = dict(params_key)
+def _fixed_graph(family: str, size: int):
     if family == "complete":
         return G.build_complete(size)
     if family == "grid2d":
@@ -122,7 +117,7 @@ def _fixed_graph(family: str, size: int, params_key: tuple):
 
 def _build_graph(family: str, size: int, family_params: dict, graph_seed: int):
     if family in ("complete", "grid2d"):
-        return _fixed_graph(family, size, _params_key(family_params))
+        return _fixed_graph(family, size)
     if family == "erdos_renyi":
         degree = family_params["expected_degree"]
         return G.build_erdos_renyi(size, min(1.0, degree / size), graph_seed)
@@ -135,31 +130,6 @@ def _build_graph(family: str, size: int, family_params: dict, graph_seed: int):
 def _grid_op_norm(N: int) -> float:
     lam_max_path = 2.0 - 2.0 * np.cos((N - 1) * np.pi / N)
     return 2.0 * lam_max_path
-
-
-def rho_estimate(graph: G.Graph, D=None) -> float:
-    """rho (or a sharp upper bound) for the theorem-general lambda rule.
-
-    Closed forms for complete/star, the structured eigensum for grids and
-    hypercubes, the spectral-gap bound sqrt(2)/lambda_2 for random
-    families, and the dense pseudoinverse otherwise.
-    """
-    n = graph.n
-    if graph.family == "complete":
-        return float(np.sqrt(2.0) / n)
-    if graph.family == "star":
-        return float(np.sqrt((n * n - n)) / n)
-    if graph.family == "grid":
-        return spec.rho_structured_grid(graph.params["d"], graph.params["N"])
-    if graph.family == "hypercube":
-        return spec.rho_structured_grid(graph.params["d"], 2)
-    if n <= spec.DENSE_SIZE_CAP:
-        return spec.rho_dense_gram(graph)
-    if graph.family in ("erdos_renyi", "random_regular"):
-        D = G.incidence(graph) if D is None else D
-        lam2, bound = spec.spectral_gap(D, size_cap=2 * spec.DENSE_SIZE_CAP)
-        return bound
-    raise ValueError(f"no rho route for family {graph.family!r} at n={n}")
 
 
 # ---------------------------------------------------------------------------
@@ -212,33 +182,28 @@ def oracle_lambda_search(y, D, theta_star, lambda_th, beta: float = 0.85,
         def solve(lam, z0):
             r = tv.denoise(tv.DenoiseProblem(y, D, lam),
                            tv.SolverOptions(tol=base_opts.tol, max_iter=base_opts.max_iter,
-                                            check_every=base_opts.check_every,
                                             op_norm=op, z0=z0, check_connected=False))
             return r.theta_hat, r.dual_z, r.converged
 
-    errors = []
-    best_j = None
-    best_err = np.inf
-    best_theta = None
-    best_lam = None
+    errors, thetas = [], []
     all_conv = True
     z_prev = None
     rule_satisfied = False
     for j in range(1, max_steps + 1):
-        lam_j = start_multiplier * lambda_th * beta**j
-        theta, z, conv = solve(lam_j, z_prev)
-        z_prev = z
+        theta, z_prev, conv = solve(start_multiplier * lambda_th * beta**j, z_prev)
         all_conv = all_conv and conv
-        err = float(np.linalg.norm(theta - theta_star))
-        errors.append(err)
-        if best_j is None or err < best_err:
-            best_j, best_err, best_theta, best_lam = j, err, theta, lam_j
-        elif j - best_j >= lookahead:
+        errors.append(float(np.linalg.norm(theta - theta_star)))
+        thetas.append(theta)
+        if stable_min_index(errors, lookahead) is not None:
             rule_satisfied = True
             break
+    # Padding with +inf makes the rule fire at the best-so-far entry, which
+    # is j* when the rule already held and the fallback when the cap was hit.
+    j_star = stable_min_index(errors + [np.inf] * (lookahead + 1), lookahead) + 1
     return OracleSearchResult(
-        lambda_or=float(best_lam), j_star=best_j, errors=np.asarray(errors),
-        theta_hat=best_theta, rule_satisfied=rule_satisfied, all_converged=all_conv,
+        lambda_or=float(start_multiplier * lambda_th * beta**j_star), j_star=j_star,
+        errors=np.asarray(errors), theta_hat=thetas[j_star - 1],
+        rule_satisfied=rule_satisfied, all_converged=all_conv,
     )
 
 
@@ -268,7 +233,7 @@ def _signal_for(cfg: ExperimentConfig, size: int, kl, signal_seed: int) -> np.nd
 
 def _theoretical_lambda(cfg: ExperimentConfig, graph: G.Graph, D) -> float:
     rule = tv.LambdaRule.from_json_dict(cfg.lambda_rule)
-    rho = rho_estimate(graph, D) if rule.rule == "theorem_general" else None
+    rho = spec.rho_estimate(graph, D) if rule.rule == "theorem_general" else None
     return float(tv.lambda_value(rule, graph, rho=rho))
 
 
@@ -384,13 +349,17 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
 # fits and summaries
 
 
-def mean_mse_by(records, key=lambda r: r.n, estimator: str = "tv") -> dict:
+def _mse_groups(records, key, estimator: str) -> dict:
+    """{key(r): [MSE, ...]} over one estimator's records, in sorted key order."""
     groups: dict = {}
     for r in records:
-        if r.estimator != estimator:
-            continue
-        groups.setdefault(key(r), []).append(r.mse)
-    return {k: float(np.mean(v)) for k, v in sorted(groups.items())}
+        if r.estimator == estimator:
+            groups.setdefault(key(r), []).append(r.mse)
+    return dict(sorted(groups.items()))
+
+
+def mean_mse_by(records, key=lambda r: r.n, estimator: str = "tv") -> dict:
+    return {k: float(np.mean(v)) for k, v in _mse_groups(records, key, estimator).items()}
 
 
 def fit_rate(records, model: str, estimator: str = "tv") -> RateFit:
@@ -530,11 +499,8 @@ def write_plot_data(path, xs, ys, yerrs, fit: RateFit | None = None) -> None:
 
 def summarize_for_plot(records, estimator: str = "tv"):
     """(n values, mean MSE, standard error) triples for plotting."""
-    groups: dict = {}
-    for r in records:
-        if r.estimator == estimator:
-            groups.setdefault(r.n, []).append(r.mse)
-    ns = sorted(groups)
+    groups = _mse_groups(records, lambda r: r.n, estimator)
+    ns = list(groups)
     means = [float(np.mean(groups[n])) for n in ns]
     errs = [float(np.std(groups[n], ddof=1) / np.sqrt(len(groups[n])))
             if len(groups[n]) > 1 else 0.0 for n in ns]

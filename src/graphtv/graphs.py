@@ -101,21 +101,11 @@ def build_augmented_path(N: int) -> sp.csr_matrix:
     """
     if N < 1:
         raise ValueError("augmented path needs N >= 1")
-    rows = [0]
-    cols = [0]
-    data = [1.0]
-    for i in range(1, N):
-        rows += [i, i]
-        cols += [i - 1, i]
-        data += [-1.0, 1.0]
+    i = np.arange(1, N)
+    rows = np.concatenate([[0], np.repeat(i, 2)])
+    cols = np.concatenate([[0], np.column_stack([i - 1, i]).ravel()])
+    data = np.concatenate([[1.0], np.tile([-1.0, 1.0], N - 1)])
     return sp.csr_matrix((data, (rows, cols)), shape=(N, N))
-
-
-def grid_linear_index(multi: np.ndarray, N: int) -> np.ndarray:
-    """Column-major linearization: coordinate 0 varies fastest."""
-    multi = np.asarray(multi, dtype=np.int64)
-    strides = N ** np.arange(multi.shape[-1], dtype=np.int64)
-    return multi @ strides
 
 
 def build_grid(d: int, N: int) -> Graph:
@@ -179,13 +169,10 @@ def build_cycle_power(n: int, k: int) -> Graph:
         raise ValueError("cycle power needs n >= 3")
     if k < 1 or 2 * k > n:
         raise ValueError("cycle power requires 1 <= k <= n/2")
-    pairs = []
-    for i in range(n):
-        for step in range(1, k + 1):
-            j = (i + step) % n
-            if i != j:
-                pairs.append((min(i, j), max(i, j)))
-    edges = np.unique(_canonical_edges(pairs), axis=0)
+    i = np.repeat(np.arange(n, dtype=np.int64), k)
+    j = (i + np.tile(np.arange(1, k + 1), n)) % n
+    # for n = 2k the two directions reach the same opposite vertex
+    edges = np.unique(_canonical_edges(np.column_stack([i, j])), axis=0)
     return Graph(n, edges, family="cycle_power", params={"n": n, "k": k})
 
 

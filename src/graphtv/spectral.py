@@ -99,23 +99,40 @@ def _as_sparse(D) -> sp.csr_matrix:
     return sp.csr_matrix(np.asarray(D, dtype=float))
 
 
-def _laplacian_eigh(D: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
-    L = (D.T @ D).toarray()
-    return np.linalg.eigh(L)
+def _dense_laplacian(D: sp.csr_matrix, size_cap: int) -> np.ndarray:
+    """L = D^T D as a dense array; refuses n > size_cap before allocating."""
+    if D.shape[1] > size_cap:
+        raise ValueError(
+            f"dense spectral route capped at n={size_cap}; use a structured method"
+        )
+    return (D.T @ D).toarray()
 
 
-def _scaled_spectral_coords(D: sp.csr_matrix) -> np.ndarray:
-    """Rows k of the result are ``<v_k, d_j> / lam_k`` over columns j of D^T.
+def _dense_spectrum(D, size_cap: int):
+    """The one dense route: ``(lam, V, inv, sq_norms)`` for L = D^T D.
 
-    Eigenvalues below ``RANK_CUTOFF * lam_max`` are dropped from the
-    inversion, which keeps the kernel dimension at exactly one for
-    connected graphs.
+    ``lam, V`` are the eigenpairs of L and ``inv`` holds ``1/lam_k``;
+    eigenvalues below ``RANK_CUTOFF`` times the largest one are dropped
+    from the inversion (which keeps the kernel dimension at exactly one
+    for connected graphs), so ``L^+ = V diag(inv) V^T``.
+
+    ``sq_norms[e]`` is the squared norm of column e of D^+ = L^+ D^T, i.e.
+    ``diag(D (L^+)^2 D^T)[e]``, evaluated as the squared norm of row e of
+    ``D V diag(inv)``.  D is taken n rows at a time, so no array beyond
+    n x n is allocated; this works for any matrix with n columns,
+    incidence or not.
     """
-    lam, V = _laplacian_eigh(D)
-    Gm = V.T @ D.T.toarray()  # (n, m): Gm[k, j] = <v_k, d_j>
+    D = _as_sparse(D)
+    m, n = D.shape
+    lam, V = np.linalg.eigh(_dense_laplacian(D, size_cap))
     cutoff = RANK_CUTOFF * max(lam[-1], 0.0)
     inv = np.where(lam > cutoff, 1.0 / np.where(lam > cutoff, lam, 1.0), 0.0)
-    return inv[:, None] * Gm
+    sq_norms = np.empty(m)
+    for start in range(0, m, n):
+        W = D[start:start + n] @ V
+        W *= inv
+        sq_norms[start:start + n] = np.einsum("ij,ij->i", W, W)
+    return lam, V, inv, sq_norms
 
 
 def pseudoinverse_columns_dense(D, size_cap: int = DENSE_SIZE_CAP) -> np.ndarray:
@@ -124,57 +141,43 @@ def pseudoinverse_columns_dense(D, size_cap: int = DENSE_SIZE_CAP) -> np.ndarray
     Column j of the result is ``s_j``.  Raises for n beyond ``size_cap``;
     use the structured eigensum for large grids instead.
     """
-    D = _as_sparse(D)
-    n = D.shape[1]
-    if n > size_cap:
-        raise ValueError(
-            f"dense pseudoinverse capped at n={size_cap}; use a structured method"
-        )
-    lam, V = _laplacian_eigh(D)
-    Gm = V.T @ D.T.toarray()
-    cutoff = RANK_CUTOFF * max(lam[-1], 0.0)
-    inv = np.where(lam > cutoff, 1.0 / np.where(lam > cutoff, lam, 1.0), 0.0)
-    return V @ (inv[:, None] * Gm)
-
-
-def pseudoinverse_column_norms_dense(D, size_cap: int = DENSE_SIZE_CAP) -> np.ndarray:
-    """Column norms ||s_j||_2 of D^+ without materializing it."""
-    D = _as_sparse(D)
-    if D.shape[1] > size_cap:
-        raise ValueError(
-            f"dense column norms capped at n={size_cap}; use a structured method"
-        )
-    W = _scaled_spectral_coords(D)
-    return np.linalg.norm(W, axis=0)
+    _, V, inv, _ = _dense_spectrum(D, size_cap)
+    return (_as_sparse(D) @ ((V * inv) @ V.T)).T
 
 
 def rho_dense(D, size_cap: int = DENSE_SIZE_CAP) -> float:
     """max_j ||s_j||_2 via dense eigendecomposition."""
-    return float(pseudoinverse_column_norms_dense(D, size_cap).max())
+    _, _, _, sq_norms = _dense_spectrum(D, size_cap)
+    return float(np.sqrt(sq_norms.max()))
 
 
-def rho_dense_gram(graph, size_cap: int = DENSE_SIZE_CAP) -> float:
-    """Exact rho via the Gram matrix of the Laplacian pseudoinverse.
+def rho_dense_gram(graph) -> float:
+    """Alias of :func:`rho_dense` on the graph's incidence matrix."""
+    return rho_dense(G.incidence(graph))
 
-    ``||s_e||^2 = d_e^T (L^+)^2 d_e = Q[a,a] + Q[b,b] - 2 Q[a,b]`` for the
-    edge (a, b) and Q = (L^+)^2, so one n^3 eigendecomposition serves all
-    m edges.  Preferable to :func:`rho_dense` when m >> n.
+
+def rho_estimate(graph: G.Graph, D=None) -> float:
+    """rho (or a sharp upper bound) for the theorem-general lambda rule.
+
+    Closed forms for complete/star, the structured eigensum for grids and
+    hypercubes, the dense pseudoinverse up to ``DENSE_SIZE_CAP``, and the
+    spectral-gap bound sqrt(2)/lambda_2 for larger random families.
     """
     n = graph.n
-    if n > size_cap:
-        raise ValueError(f"dense Gram rho capped at n={size_cap}")
-    L = np.zeros((n, n))
-    a, b = graph.edges[:, 0], graph.edges[:, 1]
-    np.add.at(L, (a, a), 1.0)
-    np.add.at(L, (b, b), 1.0)
-    np.add.at(L, (a, b), -1.0)
-    np.add.at(L, (b, a), -1.0)
-    lam, V = np.linalg.eigh(L)
-    cutoff = RANK_CUTOFF * max(lam[-1], 0.0)
-    inv2 = np.where(lam > cutoff, 1.0 / np.where(lam > cutoff, lam, 1.0) ** 2, 0.0)
-    Q = (V * inv2[None, :]) @ V.T
-    vals = Q[a, a] + Q[b, b] - 2.0 * Q[a, b]
-    return float(np.sqrt(vals.max()))
+    if graph.family == "complete":
+        return float(np.sqrt(2.0) / n)
+    if graph.family == "star":
+        return float(np.sqrt((n * n - n)) / n)
+    if graph.family == "grid":
+        return rho_structured_grid(graph.params["d"], graph.params["N"])
+    if graph.family == "hypercube":
+        return rho_structured_grid(graph.params["d"], 2)
+    D = G.incidence(graph) if D is None else D
+    if n <= DENSE_SIZE_CAP:
+        return rho_dense(D)
+    if graph.family in ("erdos_renyi", "random_regular"):
+        return spectral_gap(D, size_cap=2 * DENSE_SIZE_CAP)[1]
+    raise ValueError(f"no rho route for family {graph.family!r} at n={n}")
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +276,7 @@ def spectral_gap(D, size_cap: int = DENSE_SIZE_CAP) -> tuple[float, float]:
     for any connected graph because every column of D^T has norm sqrt(2)
     and is orthogonal to the constant vector.
     """
-    D = _as_sparse(D)
-    if D.shape[1] > size_cap:
-        raise ValueError(f"dense spectral gap capped at n={size_cap}")
-    L = (D.T @ D).toarray()
-    lam = np.linalg.eigvalsh(L)
+    lam = np.linalg.eigvalsh(_dense_laplacian(_as_sparse(D), size_cap))
     lam2 = float(lam[1])
     bound = float(np.sqrt(2.0) / lam2) if lam2 > 0 else np.inf
     return lam2, bound
@@ -287,33 +286,18 @@ def spectral_gap(D, size_cap: int = DENSE_SIZE_CAP) -> tuple[float, float]:
 # reports
 
 
-def spectral_report(g: G.Graph, method: str = "dense",
-                    with_eigenvalues: bool | None = None) -> SpectralReport:
+def spectral_report(g: G.Graph, method: str = "dense") -> SpectralReport:
     """Compute rho and companion constants for a graph.
 
-    ``method`` is ``"dense"`` (any graph, n-capped) or ``"structured"``
-    (grid and hypercube families only).  The kappa bound is evaluated at
-    |T| = m, the worst case over all edge subsets.
+    ``method`` is ``"dense"`` (any graph, capped at ``DENSE_SIZE_CAP``
+    vertices) or ``"structured"`` (grid and hypercube families only).  The
+    kappa bound is evaluated at |T| = m, the worst case over all edge
+    subsets.
     """
-    D = G.incidence(g)
-    n, m = g.n, g.m
-    if m == 0:
+    if g.m == 0:
         raise ValueError("spectral report needs at least one edge")
-    kappa_lb = kappa_lower_bound(G.max_degree(g), m)
     if method == "dense":
-        if with_eigenvalues is None:
-            with_eigenvalues = n <= DENSE_SIZE_CAP
-        lam, V = _laplacian_eigh(D)
-        Gm = V.T @ D.T.toarray()
-        cutoff = RANK_CUTOFF * max(lam[-1], 0.0)
-        inv = np.where(lam > cutoff, 1.0 / np.where(lam > cutoff, lam, 1.0), 0.0)
-        rho = float(np.linalg.norm(inv[:, None] * Gm, axis=0).max())
-        return SpectralReport(
-            graph_n=n, graph_m=m, rho=rho, rho_method="dense_pseudoinverse",
-            kappa_lower_bound=kappa_lb, family=g.family,
-            eigenvalues=lam if with_eigenvalues else None,
-            spectral_gap=float(lam[1]),
-        )
+        return spectral_report_from_matrix(G.incidence(g), family=g.family)
     if method == "structured":
         if g.family == "grid":
             d, N = g.params["d"], g.params["N"]
@@ -327,25 +311,26 @@ def spectral_report(g: G.Graph, method: str = "dense",
         # smallest positive Kronecker-sum eigenvalue: one axis at lam_1, rest at 0
         lam2 = float(2.0 - 2.0 * np.cos(np.pi / N))
         return SpectralReport(
-            graph_n=n, graph_m=m, rho=rho, rho_method="eigensum_structured",
-            kappa_lower_bound=kappa_lb, family=g.family,
+            graph_n=g.n, graph_m=g.m, rho=rho, rho_method="eigensum_structured",
+            kappa_lower_bound=kappa_lower_bound(G.max_degree(g), g.m), family=g.family,
             eigenvalues=None, spectral_gap=lam2,
         )
     raise ValueError(f"unknown method {method!r}")
 
 
 def spectral_report_from_matrix(D, family: str = "custom") -> SpectralReport:
-    """Dense-route report for a raw difference matrix (e.g. augmented path)."""
+    """Dense-route report for an incidence or any other difference matrix.
+
+    For a graph incidence the largest column count is the maximum degree;
+    the anchored path matrix (:func:`graphs.build_augmented_path`) works too.
+    """
     D = _as_sparse(D)
     m, n = D.shape
+    lam, _, _, sq_norms = _dense_spectrum(D, DENSE_SIZE_CAP)
     col_nnz = np.diff(D.tocsc().indptr)
-    lam, V = _laplacian_eigh(D)
-    Gm = V.T @ D.T.toarray()
-    cutoff = RANK_CUTOFF * max(lam[-1], 0.0)
-    inv = np.where(lam > cutoff, 1.0 / np.where(lam > cutoff, lam, 1.0), 0.0)
-    rho = float(np.linalg.norm(inv[:, None] * Gm, axis=0).max())
     return SpectralReport(
-        graph_n=n, graph_m=m, rho=rho, rho_method="dense_pseudoinverse",
+        graph_n=n, graph_m=m, rho=float(np.sqrt(sq_norms.max())),
+        rho_method="dense_pseudoinverse",
         kappa_lower_bound=kappa_lower_bound(int(col_nnz.max()), m),
         family=family, eigenvalues=lam, spectral_gap=float(lam[1]) if n > 1 else None,
     )

@@ -45,6 +45,9 @@ LAMBDA_RULES = (
     "manual",
 )
 
+# Iterations between the convergence checks of the iterative solvers.
+CHECK_EVERY = 25
+
 
 # ---------------------------------------------------------------------------
 # problem / result containers
@@ -69,6 +72,8 @@ class DenoiseProblem:
             self.D = self.D.tocsr()
         if self.y.ndim != 1 or self.y.shape[0] != self.D.shape[1]:
             raise ValueError("y must be a vector of length D.shape[1]")
+        if not np.isfinite(self.lam):
+            raise ValueError("lam must be finite")
         if self.lam < 0:
             raise ValueError("lam must be nonnegative")
         if not np.all(np.isfinite(self.y)):
@@ -79,7 +84,6 @@ class DenoiseProblem:
 class SolverOptions:
     tol: float = 1e-6
     max_iter: int = 50000
-    check_every: int = 25
     op_norm: float | None = None  # largest eigenvalue of D^T D, if precomputed
     z0: np.ndarray | None = None  # warm start for the scaled dual, in [-1, 1]^m
     check_connected: bool = True
@@ -138,6 +142,31 @@ def _count_components(D) -> int:
 # general solver: FISTA on the box-constrained dual
 
 
+def _apg_box(grad, u0: np.ndarray, step: float, bound: float, max_iter: int):
+    """Accelerated projected gradient on the box ``||u||_inf <= bound``.
+
+    Yields ``(it, u_prev, u)`` after each of at most ``max_iter``
+    iterations; the consumer tests convergence and stops iterating.
+    Momentum restarts whenever the step opposes the last move (gradient
+    restart).  The yielded arrays are fresh each iteration and never
+    modified afterwards.
+    """
+    u = u0
+    v = u.copy()
+    t = 1.0
+    for it in range(1, max_iter + 1):
+        u_new = np.clip(v - step * grad(v), -bound, bound)
+        if np.dot(v - u_new, u_new - u) > 0.0:  # gradient-based restart
+            t_new = 1.0
+            v = u_new.copy()
+        else:
+            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            v = u_new + ((t - 1.0) / t_new) * (u_new - u)
+        u_prev, u = u, u_new
+        t = t_new
+        yield it, u_prev, u
+
+
 def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> DenoiseResult:
     """Solve the TV denoising problem and return a certified result.
 
@@ -175,11 +204,9 @@ def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> Denoi
     jump_tol = 1e-8 * scale
 
     if opts.z0 is not None:
-        u = mu * np.clip(np.asarray(opts.z0, dtype=float), -1.0, 1.0)
+        u0 = mu * np.clip(np.asarray(opts.z0, dtype=float), -1.0, 1.0)
     else:
-        u = np.zeros(m)
-    v = u.copy()
-    t = 1.0
+        u0 = np.zeros(m)
     best_score = np.inf
     best_resid = np.inf
     best_theta = None
@@ -187,20 +214,9 @@ def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> Denoi
     iterations = 0
     converged = False
 
-    for it in range(1, opts.max_iter + 1):
+    for it, _, u in _apg_box(lambda v: -(D @ (y - D.T @ v)), u0, step, mu, opts.max_iter):
         iterations = it
-        grad = -(D @ (y - D.T @ v))
-        u_new = np.clip(v - step * grad, -mu, mu)
-        if np.dot(v - u_new, u_new - u) > 0.0:  # gradient-based restart
-            t_new = 1.0
-            v = u_new.copy()
-        else:
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            v = u_new + ((t - 1.0) / t_new) * (u_new - u)
-        u = u_new
-        t = t_new
-
-        if it % opts.check_every == 0 or it == opts.max_iter:
+        if it % CHECK_EVERY == 0 or it == opts.max_iter:
             theta = y - D.T @ u
             Dtheta = D @ theta
             z = u / mu
@@ -277,28 +293,16 @@ def kkt_certificate(problem: DenoiseProblem, theta: np.ndarray,
     if op <= 0.0:
         return z, float(np.max(np.abs(r0)))
     step = 1.0 / (1.05 * lam * lam * op)
-    w = np.zeros(DF.shape[0])
-    v = w.copy()
-    t = 1.0
-    best_w = w
-    best_resid = float(np.max(np.abs(r0 + lam * (DF.T @ w))))
-    for it in range(1, max_iter + 1):
-        grad = lam * (DF @ (r0 + lam * (DF.T @ v)))
-        w_new = np.clip(v - step * grad, -1.0, 1.0)
-        if np.dot(v - w_new, w_new - w) > 0.0:
-            t_new = 1.0
-            v = w_new.copy()
-        else:
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            v = w_new + ((t - 1.0) / t_new) * (w_new - w)
-        delta = float(np.max(np.abs(w_new - w)))
-        w = w_new
-        t = t_new
-        if it % 25 == 0 or delta <= 1e-14:
+    best_w = np.zeros(DF.shape[0])
+    best_resid = float(np.max(np.abs(r0 + lam * (DF.T @ best_w))))
+    for it, w_prev, w in _apg_box(lambda v: lam * (DF @ (r0 + lam * (DF.T @ v))),
+                                  best_w, step, 1.0, max_iter):
+        delta = float(np.max(np.abs(w - w_prev)))
+        if it % CHECK_EVERY == 0 or delta <= 1e-14:
             resid = float(np.max(np.abs(r0 + lam * (DF.T @ w))))
             if resid < best_resid:
                 best_resid = resid
-                best_w = w.copy()
+                best_w = w
             if delta <= 1e-14:
                 break
     z[free] = best_w
@@ -454,6 +458,10 @@ class LambdaRule:
     def __post_init__(self):
         if self.rule not in LAMBDA_RULES:
             raise ValueError(f"unknown lambda rule {self.rule!r}")
+        for name in ("sigma", "delta", "constant_c", "value", "degree"):
+            x = getattr(self, name)
+            if x is not None and not np.isfinite(x):
+                raise ValueError(f"{name} must be finite")
         if self.rule != "manual":
             # sigma = 0 is allowed and yields lambda = 0 (noiseless passthrough)
             if self.sigma < 0:

@@ -5,6 +5,7 @@ import pytest
 
 from graphtv import cli
 from graphtv import graphs as G
+from graphtv import spectral as spec
 from graphtv import tvsolver as T
 
 
@@ -62,6 +63,15 @@ class TestSpectralCommand:
     def test_missing_flag_is_usage_error(self, tmp_path):
         assert run(["spectral", "--graph", "star", "--out",
                     str(tmp_path / "x.json")]) == 2
+
+    @pytest.mark.parametrize("extra", [[], ["--augmented"]])
+    def test_dense_size_cap_is_usage_error(self, tmp_path, monkeypatch, extra):
+        # a small cap stands in for a size whose dense Laplacian cannot fit
+        monkeypatch.setattr(spec, "DENSE_SIZE_CAP", 8)
+        out = tmp_path / "x.json"
+        assert run(["spectral", "--graph", "path", "--n", "9", "--method", "dense",
+                    "--out", str(out)] + extra) == 2
+        assert not out.exists()
 
     def test_generation_failure_is_numerical_error(self, tmp_path):
         # p far below the connectivity threshold exhausts the retry budget
@@ -124,6 +134,22 @@ class TestDenoiseCommand:
                     "--y", str(yp), "--lambda-value", "0.05",
                     "--tol", "1e-13", "--max-iter", "10", "--out", str(out)])
         assert code == 3
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    @pytest.mark.parametrize("oracle", [[], ["--oracle", "taut-string"]])
+    def test_non_finite_lambda_is_usage_error(self, tmp_path, lam, oracle):
+        yp = self._write_y(tmp_path, np.array([1.0, 2.0, 3.0, 4.0]))
+        out = tmp_path / "theta.txt"
+        assert run(["denoise", "--graph", "path", "--n", "4", "--y", str(yp),
+                    "--lambda-value", lam, "--out", str(out)] + oracle) == 2
+        assert not out.exists()
+        assert not (tmp_path / "theta.txt.report.json").exists()
+
+    def test_non_finite_sigma_is_usage_error(self, tmp_path):
+        yp = self._write_y(tmp_path, np.zeros(4))
+        assert run(["denoise", "--graph", "path", "--n", "4", "--y", str(yp),
+                    "--lambda-rule", "star", "--sigma", "nan",
+                    "--out", str(tmp_path / "t.txt")]) == 2
 
     def test_length_mismatch(self, tmp_path):
         yp = self._write_y(tmp_path, np.array([1.0, 2.0]))

@@ -7,6 +7,7 @@ import pytest
 
 from graphtv import experiments as E
 from graphtv import graphs as G
+from graphtv import spectral as S
 from graphtv import tvsolver as T
 
 
@@ -228,14 +229,12 @@ class TestOutputs:
 class TestRhoEstimate:
     def test_complete_closed_form(self):
         g = G.build_complete(40)
-        assert E.rho_estimate(g) == pytest.approx(np.sqrt(2) / 40, abs=1e-12)
+        assert S.rho_estimate(g) == pytest.approx(np.sqrt(2) / 40, abs=1e-12)
 
     def test_er_uses_exact_dense_rho(self):
-        from graphtv import spectral as S
         g = G.build_erdos_renyi(30, 0.4, seed=1)
-        assert E.rho_estimate(g) == pytest.approx(S.rho_dense(G.incidence(g)), abs=1e-10)
+        assert S.rho_estimate(g) == pytest.approx(S.rho_dense(G.incidence(g)), abs=1e-10)
 
     def test_grid_structured(self):
-        from graphtv import spectral as S
         g = G.build_grid(2, 6)
-        assert E.rho_estimate(g) == pytest.approx(S.rho_structured_grid(2, 6), abs=1e-12)
+        assert S.rho_estimate(g) == pytest.approx(S.rho_structured_grid(2, 6), abs=1e-12)

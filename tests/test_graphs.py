@@ -39,6 +39,18 @@ class TestAugmentedPath:
             inv = np.linalg.inv(Dt)
             assert np.allclose(inv, np.tril(np.ones((N, N))), atol=1e-12)
 
+    def test_matches_loop_construction(self):
+        for N in (1, 2, 3, 7, 64, 257):
+            rows, cols, data = [0], [0], [1.0]
+            for i in range(1, N):
+                rows += [i, i]
+                cols += [i - 1, i]
+                data += [-1.0, 1.0]
+            ref = sp.csr_matrix((data, (rows, cols)), shape=(N, N))
+            Dt = G.build_augmented_path(N)
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(Dt, attr), getattr(ref, attr)), (N, attr)
+
     def test_cumsum_action(self):
         Dt = G.build_augmented_path(3).toarray()
         assert np.allclose(np.linalg.solve(Dt, [1.0, 0.0, 0.0]), [1.0, 1.0, 1.0])
@@ -125,6 +137,12 @@ class TestCyclePower:
         g = G.build_cycle_power(4, 2)
         assert g.m == 6
         assert np.array_equal(g.edges, G.build_complete(4).edges)
+
+    def test_matches_loop_construction(self):
+        for n, k in [(3, 1), (4, 2), (7, 3), (10, 5), (11, 4), (40, 20), (41, 7)]:
+            pairs = {(min(i, (i + s) % n), max(i, (i + s) % n))
+                     for i in range(n) for s in range(1, k + 1)}
+            assert np.array_equal(G.build_cycle_power(n, k).edges, sorted(pairs)), (n, k)
 
     def test_k_too_large(self):
         with pytest.raises(ValueError):

@@ -86,14 +86,15 @@ class TestPseudoinverse:
 
 
 def _rho_independent(g):
-    """Independent route: per-column minimum-norm normal-equations solve."""
+    """Independent route: minimum-norm normal-equations solve of every column.
+
+    One lstsq call takes all m columns of D^T as right-hand sides; a loop
+    of per-column calls is too slow for the m = 2350 case below.
+    """
     D = G.incidence(g).toarray()
     L = D.T @ D
-    best = 0.0
-    for j in range(D.shape[0]):
-        s, *_ = np.linalg.lstsq(L, D[j], rcond=None)
-        best = max(best, float(np.linalg.norm(s)))
-    return best
+    s, *_ = np.linalg.lstsq(L, D.T, rcond=None)
+    return float(np.linalg.norm(s, axis=0).max())
 
 
 class TestRho:
@@ -115,6 +116,8 @@ class TestRho:
     @pytest.mark.parametrize("g", [
         G.build_path(9), G.build_grid(2, 4), G.build_star(12),
         G.build_cycle_power(10, 3), G.build_erdos_renyi(16, 0.3, seed=1),
+        # m >> n: the dense route takes D in several row blocks
+        pytest.param(G.build_erdos_renyi(300, 0.05, seed=3), id="erdos_renyi_300"),
     ], ids=lambda g: g.family)
     def test_dense_matches_independent_route(self, g):
         assert abs(S.rho_dense(G.incidence(g)) - _rho_independent(g)) <= 1e-7

@@ -64,6 +64,12 @@ class TestDenoiseBasics:
         with pytest.raises(ValueError):
             path_problem([1.0, 2.0], -0.5)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_lambda(self, lam):
+        # nan once gave converged=True with an all-NaN estimate, inf a TypeError
+        with pytest.raises(ValueError, match="finite"):
+            path_problem([1.0, 2.0, 4.0], lam)
+
     def test_disconnected_warns_and_preserves_component_means(self):
         g = G.Graph(4, np.array([[0, 1], [2, 3]]))
         y = np.array([0.0, 2.0, 10.0, 20.0])
@@ -343,3 +349,14 @@ class TestLambdaRules:
             T.LambdaRule("grid2d", sigma=-1.0)
         with pytest.raises(ValueError):
             T.LambdaRule("grid2d", delta=1.5)
+
+    @pytest.mark.parametrize("field", ["sigma", "delta", "constant_c"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_parameters(self, field, bad):
+        with pytest.raises(ValueError, match="finite"):
+            T.LambdaRule("grid2d", **{field: bad})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_manual_value(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            T.LambdaRule("manual", value=bad)
