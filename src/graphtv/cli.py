@@ -285,6 +285,9 @@ def main(argv=None) -> int:
     except G.GraphGenerationError as exc:
         print(f"graphtv: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError:
+        print("graphtv: out of memory", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

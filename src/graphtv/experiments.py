@@ -103,7 +103,7 @@ class RateFit:
 
 
 # ---------------------------------------------------------------------------
-# graph construction and cached per-size quantities
+# graph construction
 
 
 @lru_cache(maxsize=64)
@@ -124,12 +124,6 @@ def _build_graph(family: str, size: int, family_params: dict, graph_seed: int):
     if family == "random_regular":
         return G.build_random_regular(size, family_params["degree"], graph_seed)
     raise ValueError(f"unknown family {family!r}")
-
-
-@lru_cache(maxsize=64)
-def _grid_op_norm(N: int) -> float:
-    lam_max_path = 2.0 - 2.0 * np.cos((N - 1) * np.pi / N)
-    return 2.0 * lam_max_path
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +255,8 @@ def _run_cell_trial(cfg: ExperimentConfig, si: int, ki: int, trial: int) -> list
     noise = sig.gaussian_noise(n, sig.NoiseModel(cfg.sigma, cfg.master_seed, stream))
     y = theta_star + noise
 
-    if cfg.family == "grid2d":
-        op_norm = _grid_op_norm(size)
-    elif cfg.family == "complete":
-        op_norm = float(n)
-    else:
-        op_norm = tv.operator_norm(D)
+    # the complete graph is solved exactly, without a step size
+    op_norm = None if cfg.family == "complete" else tv.operator_norm(D)
 
     if kl is not None:
         k_val, l_val = int(kl[0]), int(kl[1])

@@ -16,8 +16,9 @@ box-constrained dual: with mu = n*lam/2, the dual is
 
 and the primal iterate theta = y - D^T u preserves the per-component
 mean of y exactly.  Any algorithm achieving the certificate above is a
-valid replacement.  Step sizes come from the operator norm of D
-(deterministic power iteration).
+valid replacement.  The step size is 1/L for a certified upper bound L
+on the largest eigenvalue of D^T D (``operator_norm``), which is all
+the accelerated gradient method needs.
 
 Two exact special-purpose solvers are provided as independent
 cross-checks and fast paths: a taut-string solver for path graphs and a
@@ -84,9 +85,17 @@ class DenoiseProblem:
 class SolverOptions:
     tol: float = 1e-6
     max_iter: int = 50000
-    op_norm: float | None = None  # largest eigenvalue of D^T D, if precomputed
+    op_norm: float | None = None  # upper bound on lambda_max(D^T D), if precomputed
     z0: np.ndarray | None = None  # warm start for the scaled dual, in [-1, 1]^m
     check_connected: bool = True
+
+    def __post_init__(self):
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be finite and positive")
+        if not self.max_iter >= 1:
+            raise ValueError("max_iter must be >= 1")
+        if self.op_norm is not None and not (np.isfinite(self.op_norm) and self.op_norm > 0):
+            raise ValueError("op_norm must be None or finite and positive")
 
 
 @dataclass
@@ -108,25 +117,30 @@ def objective_value(y: np.ndarray, D, lam: float, theta: np.ndarray) -> float:
     return fit + lam * float(np.abs(D @ theta).sum())
 
 
-def operator_norm(D, tol: float = 1e-6, max_iter: int = 500) -> float:
-    """Largest eigenvalue of D^T D by deterministic power iteration."""
+def operator_norm(D) -> float:
+    """Certified upper bound on the largest eigenvalue of D^T D.
+
+    ``||D x|| <= || |D| |x| ||``, so the spectral radius of Q = |D|^T |D|
+    bounds it, and so does every quotient ``max_i (Q x)_i / x_i`` with
+    x > 0 (Collatz-Wielandt).  From x = Q 1 (twice the degrees of a
+    graph) the first quotient is at most the Anderson-Morley bound
+    max over edges of d_i + d_j; each of eight power steps on Q + I
+    (positive even at isolated vertices) can only lower it.  Exact on stars.
+    """
     n = D.shape[1]
     if D.shape[0] == 0 or n == 0:
         return 0.0
-    v = np.cos(1.7 * np.arange(n)) + 0.5
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = D.T @ (D @ v)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(nw - lam) <= tol * nw:
-            lam = nw
-            break
-        lam = nw
-    return lam
+    A = sp.csr_matrix(abs(D))
+    At = A.T.tocsr()
+    x = At @ (A @ np.ones(n))
+    x[x == 0.0] = 1.0
+    bound = np.inf
+    for _ in range(8):
+        Qx = At @ (A @ x)
+        bound = np.minimum(bound, np.max(Qx / x))  # NaN in D propagates
+        x = Qx + x
+        x /= np.max(x)
+    return float(bound)
 
 
 def _count_components(D) -> int:
@@ -179,8 +193,6 @@ def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> Denoi
     connectivity; the solver itself is still exact per component).
     """
     opts = opts or SolverOptions()
-    if opts.max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     y, D, lam = problem.y, problem.D, problem.lam
     m, n = D.shape
     scale = 1.0 + (float(np.max(np.abs(y))) if y.size else 0.0)
@@ -200,24 +212,19 @@ def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> Denoi
     op = opts.op_norm if opts.op_norm is not None else operator_norm(D)
     if op <= 0.0:
         raise ValueError("operator norm of D must be positive")
-    step = 1.0 / (1.05 * op)
+    step = 1.0 / op
     jump_tol = 1e-8 * scale
+    Dt = D.T.tocsr()
 
     if opts.z0 is not None:
         u0 = mu * np.clip(np.asarray(opts.z0, dtype=float), -1.0, 1.0)
     else:
         u0 = np.zeros(m)
-    best_score = np.inf
-    best_resid = np.inf
-    best_theta = None
-    best_z = None
-    iterations = 0
+    best = None  # (score, residual, theta, z) of the best check so far
     converged = False
-
-    for it, _, u in _apg_box(lambda v: -(D @ (y - D.T @ v)), u0, step, mu, opts.max_iter):
-        iterations = it
+    for it, _, u in _apg_box(lambda v: -(D @ (y - Dt @ v)), u0, step, mu, opts.max_iter):
         if it % CHECK_EVERY == 0 or it == opts.max_iter:
-            theta = y - D.T @ u
+            theta = y - Dt @ u
             Dtheta = D @ theta
             z = u / mu
             jumps = np.abs(Dtheta) > jump_tol
@@ -225,31 +232,28 @@ def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> Denoi
             zq[jumps] = np.sign(Dtheta[jumps])
             # theta = y - mu D^T z makes (2/n)(theta - y) = -lam D^T z exactly,
             # so the certificate residual reduces to lam ||D^T (zq - z)||_inf.
-            resid = lam * float(np.max(np.abs(D.T @ (zq - z)))) if jumps.any() else 0.0
+            resid = lam * float(np.max(np.abs(Dt @ (zq - z)))) if jumps.any() else 0.0
             # exact duality gap of the dual iterate: bounds the objective
             # suboptimality, catching near-zero edge differences that the
             # jump-tolerance classification treats as flat
-            gap = max(0.0, lam * float(np.abs(Dtheta).sum())
-                      - (2.0 / n) * float(Dtheta @ u))
+            gap = np.maximum(0.0, lam * float(np.abs(Dtheta).sum())
+                             - (2.0 / n) * float(Dtheta @ u))
             fit_term = float(np.mean((theta - y) ** 2))
-            score = max(resid / scale, gap / (1.0 + fit_term))
-            if score < best_score:
-                best_score = score
-                best_resid = resid
-                best_theta = theta
-                best_z = zq
-            if score <= opts.tol:
+            # np.max and np.maximum propagate NaN, which never passes the test
+            score = float(np.max([resid / scale, gap / (1.0 + fit_term)]))
+            if best is None or score < best[0]:
+                best = (score, resid, theta, zq)
+            if score <= opts.tol and np.all(np.isfinite(theta)):
                 converged = True
                 break
 
-    theta = best_theta
-    zq = best_z
+    _, resid, theta, zq = best
     return DenoiseResult(
         theta_hat=theta,
         dual_z=zq,
-        iterations=iterations,
-        stationarity_residual=best_resid,
-        dual_feasibility=float(np.max(np.abs(zq))) if m else 0.0,
+        iterations=it,
+        stationarity_residual=resid,
+        dual_feasibility=float(np.max(np.abs(zq))),
         objective=objective_value(y, D, lam, theta),
         converged=converged,
     )
@@ -292,14 +296,15 @@ def kkt_certificate(problem: DenoiseProblem, theta: np.ndarray,
     op = operator_norm(DF)
     if op <= 0.0:
         return z, float(np.max(np.abs(r0)))
-    step = 1.0 / (1.05 * lam * lam * op)
+    step = 1.0 / (lam * lam * op)
+    DFt = DF.T.tocsr()
     best_w = np.zeros(DF.shape[0])
-    best_resid = float(np.max(np.abs(r0 + lam * (DF.T @ best_w))))
-    for it, w_prev, w in _apg_box(lambda v: lam * (DF @ (r0 + lam * (DF.T @ v))),
+    best_resid = float(np.max(np.abs(r0)))
+    for it, w_prev, w in _apg_box(lambda v: lam * (DF @ (r0 + lam * (DFt @ v))),
                                   best_w, step, 1.0, max_iter):
         delta = float(np.max(np.abs(w - w_prev)))
         if it % CHECK_EVERY == 0 or delta <= 1e-14:
-            resid = float(np.max(np.abs(r0 + lam * (DF.T @ w))))
+            resid = float(np.max(np.abs(r0 + lam * (DFt @ w))))
             if resid < best_resid:
                 best_resid = resid
                 best_w = w

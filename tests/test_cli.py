@@ -80,6 +80,15 @@ class TestSpectralCommand:
                     "--out", str(tmp_path / "x.json")]) == 3
 
 
+    def test_memory_error_is_numerical_error(self, tmp_path, monkeypatch, capsys):
+        def out_of_memory(n):
+            raise MemoryError
+        monkeypatch.setattr(G, "build_path", out_of_memory)
+        assert run(["spectral", "--graph", "path", "--n", "10",
+                    "--out", str(tmp_path / "x.json")]) == 3
+        assert capsys.readouterr().err == "graphtv: out of memory\n"
+
+
 class TestDenoiseCommand:
     def _write_y(self, tmp_path, y):
         p = tmp_path / "y.txt"

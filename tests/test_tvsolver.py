@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import lsq_linear
 
 from graphtv import graphs as G
@@ -272,13 +275,99 @@ class TestSolverProperties:
         assert warm.iterations <= cold.iterations
 
 
+def _lambda_max(D) -> float:
+    return float(np.linalg.eigvalsh((D.T @ D).toarray())[-1])
+
+
+def _anderson_morley(g) -> float:
+    deg = np.bincount(g.edges.ravel(), minlength=g.n)
+    return float(np.max(deg[g.edges[:, 0]] + deg[g.edges[:, 1]]))
+
+
+@st.composite
+def small_graphs(draw):
+    """Any simple graph on 1..12 vertices: disconnected ones and isolated vertices included."""
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return G.Graph(n, [pq for pq, k in zip(pairs, keep) if k])
+
+
 class TestOperatorNorm:
-    def test_matches_dense_eigenvalue(self):
-        for g in (G.build_path(20), G.build_grid(2, 5), G.build_complete(10)):
-            D = G.incidence(g)
-            exact = np.linalg.eigvalsh((D.T @ D).toarray())[-1]
-            est = T.operator_norm(D)
-            assert est == pytest.approx(exact, rel=1e-4)
+    """``operator_norm`` is a certified upper bound on lambda_max(D^T D)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs())
+    def test_bounds_eigenvalue_on_graphs(self, g):
+        D = G.incidence(g)
+        bound = T.operator_norm(D)
+        assert _lambda_max(D) <= bound * (1 + 1e-12)
+        if g.m:
+            assert bound <= _anderson_morley(g) * (1 + 1e-12)
+        else:
+            assert bound == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 15), st.integers(1, 15), st.floats(0.05, 1.0),
+           st.integers(0, 2**32 - 1))
+    def test_bounds_eigenvalue_on_signed_matrices(self, m, n, density, seed):
+        rng = np.random.default_rng(seed)
+        mask = rng.random((m, n)) < density
+        D = sp.csr_matrix(mask * rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3, 3, (m, n)))
+        assert _lambda_max(D) <= T.operator_norm(D) * (1 + 1e-12)
+
+    def test_isolated_vertices_and_components(self):
+        # a star on 0..4, an edge 5-6 and the isolated vertices 7 and 8
+        g = G.Graph(9, [(0, 1), (0, 2), (0, 3), (0, 4), (5, 6)])
+        assert T.operator_norm(G.incidence(g)) == pytest.approx(5.0, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 50, 400])
+    def test_exact_on_stars(self, n):
+        assert T.operator_norm(G.incidence(G.build_star(n))) == pytest.approx(n, rel=1e-12)
+
+    @pytest.mark.parametrize("N", [32, 100, 1000])
+    def test_within_one_percent_on_paths(self, N):
+        exact = 2.0 + 2.0 * np.cos(np.pi / N)
+        assert exact <= T.operator_norm(G.incidence(G.build_path(N))) <= 1.01 * exact
+
+    @pytest.mark.parametrize("N", [32, 64, 128])
+    def test_within_one_percent_on_grids(self, N):
+        exact = 2.0 * (2.0 + 2.0 * np.cos(np.pi / N))
+        assert exact <= T.operator_norm(G.incidence(G.build_grid(2, N))) <= 1.01 * exact
+
+    def test_tight_bound_solves_star(self):
+        # the bound equals lambda_max here, so the step 1/bound has no slack
+        g = G.build_star(50)
+        D = G.incidence(g)
+        assert T.operator_norm(D) == pytest.approx(_lambda_max(D), rel=1e-12)
+        y = np.random.default_rng(38).normal(size=g.n) * 2 + 1
+        scale = 1 + np.max(np.abs(y))
+        for lam in (0.001, 0.02, 0.2):
+            problem = T.DenoiseProblem(y, D, lam)
+            res = T.denoise(problem)
+            assert res.converged
+            _, resid = T.kkt_certificate(problem, res.theta_hat)
+            assert resid <= 1e-6 * scale
+
+
+class TestSolverOptions:
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": np.inf}, {"tol": np.nan}, {"tol": -1.0}, {"tol": 0.0},
+        {"max_iter": 0}, {"max_iter": -5},
+        {"op_norm": np.nan}, {"op_norm": np.inf}, {"op_norm": 0.0}, {"op_norm": -1.0},
+    ], ids=repr)
+    def test_rejects_invalid_options(self, kwargs):
+        with pytest.raises(ValueError):
+            T.SolverOptions(**kwargs)
+
+    def test_non_finite_estimate_never_converges(self):
+        # a NaN entry in D makes every iterate NaN; it must not certify
+        D = G.incidence(G.build_path(5)).copy()
+        D.data[0] = np.nan
+        res = T.denoise(T.DenoiseProblem(np.arange(5.0), D, 0.5),
+                        T.SolverOptions(max_iter=60))
+        assert not res.converged
+        assert res.iterations == 60
 
 
 class TestLambdaRules:
