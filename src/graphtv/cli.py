@@ -183,6 +183,7 @@ def cmd_denoise(args) -> int:
             "stationarity_residual": result.stationarity_residual,
             "dual_feasibility": result.dual_feasibility,
             "iterations": result.iterations, "converged": result.converged,
+            "duality_gap": result.duality_gap, "fused": result.fused,
             "solver": "dual_fista",
         }
         converged = result.converged

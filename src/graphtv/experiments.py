@@ -249,14 +249,14 @@ def _run_cell_trial(cfg: ExperimentConfig, si: int, ki: int, trial: int) -> list
     signal_seed = _substream(cfg.master_seed, si, ki, 2)
 
     graph = _build_graph(cfg.family, size, cfg.family_params, graph_seed)
-    D = G.incidence(graph)
+    # the complete graph is solved exactly with a closed-form rho: no D, no step size
+    D = None if cfg.family == "complete" else G.incidence(graph)
     n = graph.n
     theta_star = _signal_for(cfg, size, kl, signal_seed)
     noise = sig.gaussian_noise(n, sig.NoiseModel(cfg.sigma, cfg.master_seed, stream))
     y = theta_star + noise
 
-    # the complete graph is solved exactly, without a step size
-    op_norm = None if cfg.family == "complete" else tv.operator_norm(D)
+    op_norm = None if D is None else tv.operator_norm(D)
 
     if kl is not None:
         k_val, l_val = int(kl[0]), int(kl[1])

@@ -64,10 +64,12 @@ def _validate_edges(n: int, edges: np.ndarray) -> None:
         raise ValueError("edge endpoint out of range")
     if np.any(edges[:, 0] >= edges[:, 1]):
         raise ValueError("edges must satisfy i < j (no self-loops)")
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    if not np.array_equal(order, np.arange(len(edges))):
+    # sorted and duplicate-free iff consecutive rows strictly increase
+    a, b = edges[:-1], edges[1:]
+    same_first = a[:, 0] == b[:, 0]
+    if np.any((a[:, 0] > b[:, 0]) | (same_first & (a[:, 1] > b[:, 1]))):
         raise ValueError("edges must be sorted lexicographically")
-    if len(np.unique(edges, axis=0)) != len(edges):
+    if np.any(same_first & (a[:, 1] == b[:, 1])):
         raise ValueError("duplicate edges are not allowed")
 
 

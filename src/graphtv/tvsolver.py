@@ -20,6 +20,16 @@ valid replacement.  The step size is 1/L for a certified upper bound L
 on the largest eigenvalue of D^T D (``operator_norm``), which is all
 the accelerated gradient method needs.
 
+The estimates are piecewise constant, and by complementary slackness
+every edge whose dual entry is strictly inside the box (|u_e| < mu) is
+flat at the optimum.  So each convergence check that theta fails also
+tests the dual-fused candidate: theta averaged over the connected
+components of those edges, with z = u/mu on its flat edges and
+sign(D theta) on its jumps.  Its residual is computed directly and its
+duality gap against u is the gap of theta plus the change in the primal
+objective.  It passes as soon as the flat pieces are found, long before
+every near-flat edge of theta falls below the jump tolerance.
+
 Two exact special-purpose solvers are provided as independent
 cross-checks and fast paths: a taut-string solver for path graphs and a
 sort-plus-isotonic reduction for complete graphs.
@@ -79,6 +89,8 @@ class DenoiseProblem:
             raise ValueError("lam must be nonnegative")
         if not np.all(np.isfinite(self.y)):
             raise ValueError("y contains NaN or Inf")
+        if not np.all(np.isfinite(self.D.data)):
+            raise ValueError("D contains NaN or Inf")
 
 
 @dataclass
@@ -107,6 +119,8 @@ class DenoiseResult:
     dual_feasibility: float
     objective: float
     converged: bool
+    duality_gap: float  # P(theta_hat) minus the dual value of the iterate it was checked with
+    fused: bool  # theta_hat is the dual-fused candidate (see ``denoise``)
 
 
 def objective_value(y: np.ndarray, D, lam: float, theta: np.ndarray) -> float:
@@ -143,6 +157,21 @@ def operator_norm(D) -> float:
     return float(bound)
 
 
+def _fusion_graph(D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of D that read ``a (theta_i - theta_j)``, with their endpoints.
+
+    Returns ``(rows, i, j)``: every row with exactly two nonzero entries
+    of opposite sign and equal size.  Other rows, such as the anchor row
+    of the augmented path, never link vertices.
+    """
+    nnz = np.diff(D.indptr)
+    rows = np.flatnonzero(nnz == 2)
+    first = D.indptr[rows]
+    a, b = D.data[first], D.data[first + 1]
+    keep = (a == -b) & (a != 0.0)
+    return rows[keep], D.indices[first[keep]], D.indices[first[keep] + 1]
+
+
 def _count_components(D) -> int:
     m, n = D.shape
     if m == 0:
@@ -162,20 +191,30 @@ def _apg_box(grad, u0: np.ndarray, step: float, bound: float, max_iter: int):
     Yields ``(it, u_prev, u)`` after each of at most ``max_iter``
     iterations; the consumer tests convergence and stops iterating.
     Momentum restarts whenever the step opposes the last move (gradient
-    restart).  The yielded arrays are fresh each iteration and never
-    modified afterwards.
+    restart).  The iterates live in three rotating buffers plus one
+    scratch buffer, so the yielded arrays are valid until the next step
+    only; ``u0`` itself is never modified.
     """
-    u = u0
+    u = np.array(u0, dtype=float)
+    u_prev = np.empty_like(u)
     v = u.copy()
+    s = np.empty_like(u)
     t = 1.0
     for it in range(1, max_iter + 1):
-        u_new = np.clip(v - step * grad(v), -bound, bound)
-        if np.dot(v - u_new, u_new - u) > 0.0:  # gradient-based restart
+        u_new = u_prev  # the oldest buffer is free
+        np.multiply(grad(v), step, out=s)
+        np.subtract(v, s, out=s)
+        np.maximum(s, -bound, out=u_new)  # clip to the box
+        np.minimum(u_new, bound, out=u_new)
+        np.subtract(v, u_new, out=s)
+        np.subtract(u_new, u, out=v)  # v now holds the move u_new - u
+        if np.dot(s, v) > 0.0:  # gradient-based restart
             t_new = 1.0
-            v = u_new.copy()
+            np.copyto(v, u_new)
         else:
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            v = u_new + ((t - 1.0) / t_new) * (u_new - u)
+            np.multiply(v, (t - 1.0) / t_new, out=v)
+            np.add(u_new, v, out=v)
         u_prev, u = u, u_new
         t = t_new
         yield it, u_prev, u
@@ -184,13 +223,19 @@ def _apg_box(grad, u0: np.ndarray, step: float, bound: float, max_iter: int):
 def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> DenoiseResult:
     """Solve the TV denoising problem and return a certified result.
 
-    Terminates once the stationarity certificate passes at
-    ``opts.tol * (1 + ||y||_inf)`` and the dual iterate's duality gap
-    passes at ``opts.tol * (1 + fit)``, or when ``opts.max_iter`` is
-    reached; in the latter case the result carries ``converged=False``
-    and the best certificate found.  A warning is attached when the
-    graph is disconnected (the oracle-inequality theory assumes
-    connectivity; the solver itself is still exact per component).
+    Every ``CHECK_EVERY`` iterations the primal iterate theta = y - D^T u
+    is tested: the stationarity certificate must pass at
+    ``opts.tol * (1 + ||y||_inf)`` and its duality gap against u at
+    ``opts.tol * (1 + fit)``.  When it fails, the dual-fused candidate
+    is tested the same way: theta averaged over the connected components
+    of the edges whose dual entry is strictly inside the box, which are
+    flat at the optimum by complementary slackness.  Its gap is
+    ``gap + P(fused) - P(theta)``.  The solve stops at the first
+    candidate that passes, or at ``opts.max_iter`` with
+    ``converged=False`` and the best candidate found.  A warning is
+    attached when the graph is disconnected (the oracle-inequality
+    theory assumes connectivity; the solver itself is still exact per
+    component, and fusion never crosses components).
     """
     opts = opts or SolverOptions()
     y, D, lam = problem.y, problem.D, problem.lam
@@ -203,51 +248,68 @@ def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> Denoi
             UserWarning,
             stacklevel=2,
         )
+    jump_tol = 1e-8 * scale
     if m == 0 or lam == 0.0:
         theta = y.copy()
-        return DenoiseResult(theta, np.zeros(m), 0, 0.0, 0.0,
-                             objective_value(y, D, lam, theta), True)
+        Dtheta = D @ theta  # z = sign(D theta) on jumps, as for any result
+        z = np.where(np.abs(Dtheta) > jump_tol, np.sign(Dtheta), 0.0)
+        return DenoiseResult(theta, z, 0, 0.0, float(np.max(np.abs(z), initial=0.0)),
+                             objective_value(y, D, lam, theta), True, 0.0, False)
 
     mu = 0.5 * n * lam
     op = opts.op_norm if opts.op_norm is not None else operator_norm(D)
     if op <= 0.0:
         raise ValueError("operator norm of D must be positive")
     step = 1.0 / op
-    jump_tol = 1e-8 * scale
     Dt = D.T.tocsr()
+    fuse_rows, fuse_i, fuse_j = _fusion_graph(D)
 
     if opts.z0 is not None:
         u0 = mu * np.clip(np.asarray(opts.z0, dtype=float), -1.0, 1.0)
     else:
         u0 = np.zeros(m)
-    best = None  # (score, residual, theta, z) of the best check so far
+    best = None  # (score, residual, gap, theta, z, fused) of the best candidate so far
     converged = False
-    for it, _, u in _apg_box(lambda v: -(D @ (y - Dt @ v)), u0, step, mu, opts.max_iter):
-        if it % CHECK_EVERY == 0 or it == opts.max_iter:
-            theta = y - Dt @ u
-            Dtheta = D @ theta
-            z = u / mu
+    for it, _, u in _apg_box(lambda v: D @ (Dt @ v - y), u0, step, mu, opts.max_iter):
+        if it % CHECK_EVERY != 0 and it != opts.max_iter:
+            continue
+        theta = y - Dt @ u
+        Dtheta = D @ theta
+        z = u / mu
+        fit = float(np.mean((theta - y) ** 2))
+        tv = float(np.abs(Dtheta).sum())
+        # exact duality gap of the dual iterate: bounds the objective
+        # suboptimality, catching near-zero edge differences that the
+        # jump-tolerance classification treats as flat
+        gap = np.maximum(0.0, lam * tv - (2.0 / n) * float(Dtheta @ u))
+        for fused in (False, True):
+            if fused:
+                flat = np.abs(u[fuse_rows]) < mu
+                links = sp.coo_matrix((np.ones(np.count_nonzero(flat)),
+                                       (fuse_i[flat], fuse_j[flat])), shape=(n, n))
+                _, piece = connected_components(links, directed=False)
+                theta_f = (np.bincount(piece, weights=theta) / np.bincount(piece))[piece]
+                Dtheta = D @ theta_f
+                fit_f = float(np.mean((theta_f - y) ** 2))
+                tv_f = float(np.abs(Dtheta).sum())
+                # P(theta_f) minus the dual value of u, without a ||y||^2 cancellation
+                gap = np.maximum(0.0, gap + (fit_f - fit) + lam * (tv_f - tv))
+                theta, fit = theta_f, fit_f
             jumps = np.abs(Dtheta) > jump_tol
             zq = z.copy()
             zq[jumps] = np.sign(Dtheta[jumps])
-            # theta = y - mu D^T z makes (2/n)(theta - y) = -lam D^T z exactly,
-            # so the certificate residual reduces to lam ||D^T (zq - z)||_inf.
-            resid = lam * float(np.max(np.abs(Dt @ (zq - z)))) if jumps.any() else 0.0
-            # exact duality gap of the dual iterate: bounds the objective
-            # suboptimality, catching near-zero edge differences that the
-            # jump-tolerance classification treats as flat
-            gap = np.maximum(0.0, lam * float(np.abs(Dtheta).sum())
-                             - (2.0 / n) * float(Dtheta @ u))
-            fit_term = float(np.mean((theta - y) ** 2))
+            resid = float(np.max(np.abs((2.0 / n) * (theta - y) + lam * (Dt @ zq))))
             # np.max and np.maximum propagate NaN, which never passes the test
-            score = float(np.max([resid / scale, gap / (1.0 + fit_term)]))
+            score = float(np.max([resid / scale, gap / (1.0 + fit)]))
             if best is None or score < best[0]:
-                best = (score, resid, theta, zq)
+                best = (score, resid, float(gap), theta, zq, fused)
             if score <= opts.tol and np.all(np.isfinite(theta)):
                 converged = True
                 break
+        if converged:
+            break
 
-    _, resid, theta, zq = best
+    _, resid, gap, theta, zq, fused = best
     return DenoiseResult(
         theta_hat=theta,
         dual_z=zq,
@@ -256,6 +318,8 @@ def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> Denoi
         dual_feasibility=float(np.max(np.abs(zq))),
         objective=objective_value(y, D, lam, theta),
         converged=converged,
+        duality_gap=gap,
+        fused=fused,
     )
 
 
@@ -307,7 +371,7 @@ def kkt_certificate(problem: DenoiseProblem, theta: np.ndarray,
             resid = float(np.max(np.abs(r0 + lam * (DFt @ w))))
             if resid < best_resid:
                 best_resid = resid
-                best_w = w
+                best_w = w.copy()
             if delta <= 1e-14:
                 break
     z[free] = best_w

@@ -135,6 +135,18 @@ class TestDenoiseCommand:
         assert rep["converged"] is True
         assert rep["dual_feasibility"] <= 1 + 1e-9
 
+    def test_report_carries_gap_and_fusion(self, tmp_path):
+        # a noisy two-level image: the dual-fused candidate certifies it
+        y = np.repeat([0.0, 3.0], 72) + np.random.default_rng(6).normal(size=144) * 0.3
+        yp = self._write_y(tmp_path, y)
+        out = tmp_path / "theta.txt"
+        assert run(["denoise", "--graph", "grid", "--d", "2", "--N", "12", "--y", str(yp),
+                    "--lambda-value", "0.05", "--tol", "1e-6", "--out", str(out)]) == 0
+        rep = json.loads((tmp_path / "theta.txt.report.json").read_text())
+        fit = float(np.mean((cli.read_vector(out) - y) ** 2))
+        assert 0.0 <= rep["duality_gap"] <= 1e-6 * (1 + fit)
+        assert rep["fused"] is True
+
     def test_nonconvergence_exit_code(self, tmp_path):
         rng = np.random.default_rng(5)
         yp = self._write_y(tmp_path, rng.normal(size=36))

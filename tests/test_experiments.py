@@ -99,6 +99,15 @@ class TestRunExperiment:
         b = E.run_experiment(tiny_config(), threads=2)
         assert a == b
 
+    @pytest.mark.parametrize("policy", ["theoretical", "oracle"])
+    def test_complete_family_builds_no_incidence(self, policy, monkeypatch):
+        # the exact solver and the closed-form rho never read D
+        calls = []
+        monkeypatch.setattr(E.G, "incidence", lambda g: calls.append(g.family))
+        rec = E.run_experiment(tiny_config(lambda_policy=policy, trials=2))
+        assert all(r.converged for r in rec)
+        assert calls == []
+
     def test_sigma_zero_lambda_zero_gives_zero_mse(self):
         cfg = tiny_config(sigma=0.0, estimators=("tv",),
                           lambda_rule={"rule": "manual", "value": 0.0})

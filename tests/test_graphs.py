@@ -214,6 +214,43 @@ class TestIncidenceInvariants:
         with pytest.raises(ValueError):
             G.Graph(3, np.array([[0, 1], [0, 1]]))  # duplicate
 
+    @pytest.mark.parametrize("edges, message", [
+        ([[1, 2], [0, 1]], "sorted"),
+        ([[0, 2], [0, 1]], "sorted"),
+        ([[0, 1], [1, 2], [0, 2]], "sorted"),
+        ([[0, 2], [0, 1], [0, 1]], "sorted"),  # unsorted wins over duplicate
+        ([[0, 1], [0, 1]], "duplicate"),
+        ([[0, 1], [1, 2], [1, 2], [2, 3]], "duplicate"),
+    ])
+    def test_validation_messages(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            G.Graph(4, np.array(edges))
+
+    def test_validation_matches_sort_based_check(self):
+        # reference: the lexsort + unique test the O(m) pass replaced
+        def reference(edges):
+            order = np.lexsort((edges[:, 1], edges[:, 0]))
+            if not np.array_equal(order, np.arange(len(edges))):
+                return "sorted"
+            if len(np.unique(edges, axis=0)) != len(edges):
+                return "duplicate"
+            return None
+
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            m = int(rng.integers(1, 8))
+            i = rng.integers(0, 4, size=m)
+            edges = np.column_stack([i, i + rng.integers(1, 3, size=m)])
+            if rng.random() < 0.5:
+                edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+            expected = reference(edges)
+            try:
+                G.Graph(6, edges)
+                got = None
+            except ValueError as exc:
+                got = "sorted" if "sorted" in str(exc) else "duplicate"
+            assert got == expected, edges
+
 
 class TestConnectivity:
     def test_path_connected(self):

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import lsq_linear
+from scipy.sparse.csgraph import connected_components
 
 from graphtv import graphs as G
 from graphtv import tvsolver as T
@@ -275,6 +276,72 @@ class TestSolverProperties:
         assert warm.iterations <= cold.iterations
 
 
+def _apg_box_reference(grad, u0, step, bound, max_iter):
+    """The allocating form of ``T._apg_box``: fresh arrays every iteration."""
+    u = u0
+    v = u.copy()
+    t = 1.0
+    for it in range(1, max_iter + 1):
+        u_new = np.clip(v - step * grad(v), -bound, bound)
+        if np.dot(v - u_new, u_new - u) > 0.0:
+            t_new = 1.0
+            v = u_new.copy()
+        else:
+            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            v = u_new + ((t - 1.0) / t_new) * (u_new - u)
+        u_prev, u = u, u_new
+        t = t_new
+        yield it, u_prev, u
+
+
+class TestApgBox:
+    """The in-place loop reproduces the allocating reference bit for bit."""
+
+    @staticmethod
+    def _compare(grad_ref, grad_new, u0, step, bound, iters=400):
+        u0_before = u0.copy()
+        ref = _apg_box_reference(grad_ref, u0.copy(), step, bound, iters)
+        new = T._apg_box(grad_new, u0, step, bound, iters)
+        count = 0
+        for (it_r, p_r, u_r), (it_n, p_n, u_n) in zip(ref, new):
+            assert it_r == it_n
+            assert np.array_equal(p_r, p_n)
+            assert np.array_equal(u_r, u_n)
+            count += 1
+        assert count == iters
+        assert np.array_equal(u0, u0_before)  # the start is never written
+
+    @pytest.mark.parametrize("g", [G.build_grid(2, 12), G.build_erdos_renyi(100, 0.16, 4)],
+                             ids=lambda g: g.family)
+    def test_denoise_gradient(self, g):
+        D = G.incidence(g)
+        Dt = D.T.tocsr()
+        rng = np.random.default_rng(g.n)
+        y = rng.normal(size=g.n) * 2
+        mu = 0.5 * g.n * 0.02
+        step = 1.0 / T.operator_norm(D)
+        u0 = mu * rng.uniform(-1, 1, size=g.m)
+        self._compare(lambda v: -(D @ (y - Dt @ v)), lambda v: D @ (Dt @ v - y),
+                      u0, step, mu)
+
+    def test_certificate_gradient(self):
+        # the free-edge least-squares gradient kkt_certificate runs
+        g = G.build_grid(2, 10)
+        D = G.incidence(g)
+        rng = np.random.default_rng(5)
+        free = rng.random(g.m) < 0.7
+        DF = D[free].tocsr()
+        DFt = DF.T.tocsr()
+        lam = 0.03
+        r0 = rng.normal(size=g.n) * 0.01
+
+        def grad(v):
+            return lam * (DF @ (r0 + lam * (DFt @ v)))
+
+        step = 1.0 / (lam * lam * T.operator_norm(DF))
+        self._compare(grad, grad, np.zeros(DF.shape[0]), step, 1.0)
+
+
 def _lambda_max(D) -> float:
     return float(np.linalg.eigvalsh((D.T @ D).toarray())[-1])
 
@@ -361,13 +428,22 @@ class TestSolverOptions:
             T.SolverOptions(**kwargs)
 
     def test_non_finite_estimate_never_converges(self):
-        # a NaN entry in D makes every iterate NaN; it must not certify
-        D = G.incidence(G.build_path(5)).copy()
-        D.data[0] = np.nan
-        res = T.denoise(T.DenoiseProblem(np.arange(5.0), D, 0.5),
-                        T.SolverOptions(max_iter=60))
+        # a NaN entry in D makes every iterate NaN; it must not certify.
+        # DenoiseProblem rejects such a D, so the NaN goes in afterwards.
+        problem = T.DenoiseProblem(np.arange(5.0), G.incidence(G.build_path(5)).copy(), 0.5)
+        problem.D.data[0] = np.nan
+        res = T.denoise(problem, T.SolverOptions(max_iter=60))
         assert not res.converged
         assert res.iterations == 60
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_problem_rejects_non_finite_D(self, bad):
+        D = G.incidence(G.build_path(5)).copy()
+        D.data[3] = bad
+        with pytest.raises(ValueError, match="D contains"):
+            T.DenoiseProblem(np.arange(5.0), D, 0.5)
+        with pytest.raises(ValueError, match="D contains"):
+            T.DenoiseProblem(np.arange(5.0), D.toarray(), 0.5)
 
 
 class TestLambdaRules:
@@ -449,3 +525,152 @@ class TestLambdaRules:
     def test_rejects_non_finite_manual_value(self, bad):
         with pytest.raises(ValueError, match="finite"):
             T.LambdaRule("manual", value=bad)
+
+
+def _certificate_holds(problem, res, tol):
+    """The converged contract, checked from the returned pair alone."""
+    y, D, lam = problem.y, problem.D, problem.lam
+    n = len(y)
+    scale = 1 + np.max(np.abs(y))
+    theta, z = res.theta_hat, res.dual_z
+    Dtheta = D @ theta
+    jumps = np.abs(Dtheta) > 1e-8 * scale
+    fit = float(np.mean((theta - y) ** 2))
+    resid = np.max(np.abs((2 / n) * (theta - y) + lam * (D.T @ z)))
+    assert np.all(np.isfinite(theta))
+    assert resid <= tol * scale
+    assert np.array_equal(z[jumps], np.sign(Dtheta[jumps]))
+    assert np.all(np.abs(z) <= 1.0)
+    assert 0.0 <= res.duality_gap <= tol * (1 + fit)
+
+
+def _constant_threshold(g, y) -> float:
+    """A lambda above which the estimate is constant on every component.
+
+    (2/n) ||u||_inf for the minimum-norm u with D^T u = y - (component means):
+    that u is dual feasible at every larger lambda, so it bounds the smallest
+    such lambda from above (and equals it on a path).
+    """
+    _, comp = connected_components(G.adjacency(g), directed=False)
+    centered = y - (np.bincount(comp, weights=y) / np.bincount(comp))[comp]
+    u = np.linalg.lstsq(G.incidence(g).T.toarray(), centered, rcond=None)[0]
+    return 2.0 / g.n * float(np.max(np.abs(u)))
+
+
+@st.composite
+def denoise_instances(draw, graphs=None):
+    """(graph, y, lam) with lam from 0 to past the constant-solution threshold."""
+    g = draw(graphs if graphs is not None else small_graphs())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = rng.normal(size=3) * draw(st.sampled_from([0.0, 1.0, 10.0]))
+    y = levels[rng.integers(0, 3, size=g.n)] + rng.normal(size=g.n) * draw(
+        st.sampled_from([0.01, 0.3, 2.0]))
+    threshold = _constant_threshold(g, y) if g.m else 1.0
+    lam = threshold * draw(st.sampled_from([0.0, 0.01, 0.1, 0.3, 0.6, 0.9, 1.1, 2.0]))
+    return g, y, lam
+
+
+def _path_graphs():
+    return st.integers(2, 14).map(G.build_path)
+
+
+class TestFusedCandidateAgainstOracles:
+    """The early-stopping certificate, checked against the exact solvers."""
+
+    tol = 1e-6
+
+    def _solve(self, g, y, lam):
+        problem = T.DenoiseProblem(y, G.incidence(g), lam)
+        res = T.denoise(problem, T.SolverOptions(tol=self.tol, check_connected=False))
+        return problem, res
+
+    @settings(max_examples=150, deadline=None)
+    @given(denoise_instances())
+    def test_converged_passes_kkt_and_preserves_component_means(self, inst):
+        g, y, lam = inst
+        problem, res = self._solve(g, y, lam)
+        assert res.converged
+        scale = 1 + np.max(np.abs(y))
+        _certificate_holds(problem, res, self.tol)
+        _, resid = T.kkt_certificate(problem, res.theta_hat)
+        assert resid <= self.tol * scale
+        # fusion never crosses components: each keeps the mean of its data
+        _, comp = connected_components(G.adjacency(g), directed=False)
+        for c in np.unique(comp):
+            assert abs(res.theta_hat[comp == c].mean() - y[comp == c].mean()) <= 1e-12 * scale
+
+    @settings(max_examples=150, deadline=None)
+    @given(denoise_instances(_path_graphs()))
+    def test_path_objective_within_gap_and_constant_above_threshold(self, inst):
+        g, y, lam = inst
+        problem, res = self._solve(g, y, lam)
+        assert res.converged
+        D = problem.D
+        exact = T.objective_value(y, D, lam, T.denoise_path_exact(y, lam))
+        got = T.objective_value(y, D, lam, res.theta_hat)
+        slack = 1e-12 * (1 + abs(exact))
+        assert exact - slack <= got <= exact + res.duality_gap + slack
+        # (2/n) max_k |sum_{i<=k} (y_i - mean y)| on the path
+        threshold = 2.0 / g.n * np.max(np.abs(np.cumsum(y - y.mean())))
+        if lam > threshold:
+            scale = 1 + np.max(np.abs(y))
+            assert np.ptp(res.theta_hat) <= g.n * 1e-8 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(denoise_instances(st.integers(2, 9).map(G.build_complete)))
+    def test_complete_objective_within_gap(self, inst):
+        g, y, lam = inst
+        problem, res = self._solve(g, y, lam)
+        assert res.converged
+        D = problem.D
+        exact = T.objective_value(y, D, lam, T.denoise_complete_exact(y, lam))
+        got = T.objective_value(y, D, lam, res.theta_hat)
+        slack = 1e-12 * (1 + abs(exact))
+        assert exact - slack <= got <= exact + res.duality_gap + slack
+
+
+class TestCertificateMeaning:
+    """``converged=True`` means the returned pair certifies, fused or not."""
+
+    @pytest.mark.parametrize("g", [
+        G.build_path(200), G.build_grid(2, 24), G.build_erdos_renyi(150, 0.08, 2),
+    ], ids=lambda g: g.family)
+    @pytest.mark.parametrize("tol", [1e-5, 1e-7])
+    def test_returned_pair_certifies(self, g, tol):
+        rng = np.random.default_rng(g.n)
+        D = G.incidence(g)
+        y = np.where(np.arange(g.n) < g.n // 3, 2.0, -1.0) + rng.normal(size=g.n) * 0.5
+        fused = []
+        for lam in (0.002, 0.01, 0.05):
+            problem = T.DenoiseProblem(y, D, lam)
+            res = T.denoise(problem, T.SolverOptions(tol=tol))
+            assert res.converged
+            _certificate_holds(problem, res, tol)
+            fused.append(res.fused)
+        assert any(fused)  # the fused candidate is exercised on every family
+
+    def test_fused_estimate_is_piecewise_constant(self):
+        # fusion stops the solve with exact flat pieces, not near-flat edges
+        g = G.build_grid(2, 32)
+        D = G.incidence(g)
+        y = np.repeat([0.0, 2.0], 512) + np.random.default_rng(7).normal(size=g.n) * 0.5
+        res = T.denoise(T.DenoiseProblem(y, D, 0.01), T.SolverOptions(tol=1e-5))
+        assert res.converged and res.fused
+        Dtheta = D @ res.theta_hat
+        assert np.count_nonzero(Dtheta) < g.m // 2
+        assert np.all((Dtheta == 0) | (np.abs(Dtheta) > 1e-8 * (1 + np.max(np.abs(y)))))
+
+    def test_fusion_graph_skips_non_difference_rows(self):
+        # the anchor row of the augmented path has one entry; a sum row two
+        D = sp.vstack([G.build_augmented_path(4),
+                       sp.csr_matrix(np.array([[1.0, 1.0, 0.0, 0.0]]))]).tocsr()
+        rows, i, j = T._fusion_graph(D)
+        assert rows.tolist() == [1, 2, 3]
+        assert sorted(zip(i.tolist(), j.tolist())) == [(0, 1), (1, 2), (2, 3)]
+
+    def test_augmented_path_certifies(self):
+        y = np.random.default_rng(8).normal(size=40)
+        problem = T.DenoiseProblem(y, G.build_augmented_path(40), 0.05)
+        res = T.denoise(problem, T.SolverOptions(tol=1e-7))
+        assert res.converged
+        _certificate_holds(problem, res, 1e-7)
