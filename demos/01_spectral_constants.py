@@ -22,7 +22,7 @@ for label, g in [
     ("cycle power C_64^4", gtv.build_cycle_power(64, 4)),
     ("Erdos-Renyi(64, 0.25)", gtv.build_erdos_renyi(64, 0.25, seed=1)),
 ]:
-    rep = gtv.spectral_report(g, method="structured" if g.family in ("grid", "hypercube") else "dense")
+    rep = gtv.spectral_report(g, method="auto")
     rows.append((label, g.n, g.m, rep.rho, rep.spectral_gap, rep.kappa_lower_bound))
     print(f"{label:24s} n={g.n:5d} m={g.m:5d} rho={rep.rho:8.4f} "
           f"lambda2={rep.spectral_gap:8.4f} kappa_lb={rep.kappa_lower_bound:.4f}")

@@ -59,8 +59,7 @@ def _write_manifest(directory, payload: dict) -> None:
 
 def _add_graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", required=True,
-                   choices=["path", "grid", "hypercube", "complete", "star",
-                            "cycle-power", "erdos-renyi", "random-regular", "custom"])
+                   choices=[f.replace("_", "-") for f in G.FAMILIES] + ["custom"])
     p.add_argument("--n", type=int, help="vertex count (path/complete/star/cycle-power/random)")
     p.add_argument("--d", type=int, help="dimension (grid/hypercube) or degree (random-regular)")
     p.add_argument("--N", type=int, dest="side", help="grid side length")
@@ -74,50 +73,20 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
 
 def _graph_from_args(args):
     """Returns (graph_or_None, D, family_label)."""
-    g = args.graph
-    if g == "path":
-        _req(args.n, "--n")
-        if args.augmented:
-            return None, G.build_augmented_path(args.n), "augmented_path"
-        gr = G.build_path(args.n)
-    elif g == "grid":
-        _req(args.d, "--d")
-        _req(args.side, "--N")
-        gr = G.build_grid(args.d, args.side)
-    elif g == "hypercube":
-        _req(args.d, "--d")
-        gr = G.build_hypercube(args.d)
-    elif g == "complete":
-        _req(args.n, "--n")
-        gr = G.build_complete(args.n)
-    elif g == "star":
-        _req(args.n, "--n")
-        gr = G.build_star(args.n)
-    elif g == "cycle-power":
-        _req(args.n, "--n")
-        _req(args.k, "--k")
-        gr = G.build_cycle_power(args.n, args.k)
-    elif g == "erdos-renyi":
-        _req(args.n, "--n")
-        _req(args.p, "--p")
-        gr = G.build_erdos_renyi(args.n, args.p, args.seed)
-    elif g == "random-regular":
-        _req(args.n, "--n")
-        _req(args.d, "--d")
-        gr = G.build_random_regular(args.n, args.d, args.seed)
-    else:  # custom
-        _req(args.edges, "--edges")
+    if args.graph == "custom":
+        if args.edges is None:
+            raise UsageError("missing required flag --edges")
         gr = G.read_edge_list(args.edges, n=args.n)
+    elif args.graph == "path" and args.augmented and args.n is not None:
+        return None, G.build_augmented_path(args.n), "augmented_path"
+    else:  # also reports a missing --n for --augmented
+        gr = G.build_family(args.graph.replace("-", "_"), n=args.n, d=args.d, N=args.side,
+                            k=args.k, p=args.p, seed=args.seed)
     return gr, G.incidence(gr), gr.family
 
 
 class UsageError(ValueError):
     pass
-
-
-def _req(value, flag: str) -> None:
-    if value is None:
-        raise UsageError(f"missing required flag {flag}")
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +98,7 @@ def cmd_spectral(args) -> int:
     if gr is None:
         report = spec.spectral_report_from_matrix(D, family=family)
     else:
-        method = args.method
-        if method == "auto":
-            method = "structured" if gr.family in ("grid", "hypercube") else "dense"
-        report = spec.spectral_report(gr, method=method)
+        report = spec.spectral_report(gr, method=args.method)
     out = pathlib.Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report.to_json_dict(), indent=1, sort_keys=True),

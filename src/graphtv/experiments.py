@@ -25,6 +25,10 @@ from . import tvsolver as tv
 
 CSV_HEADER = ["family", "n", "k", "l", "estimator", "lambda_policy",
               "lambda_value", "trial", "seed", "mse", "converged"]
+# harness family -> the family_params keys it needs
+FAMILY_PARAMS = {"complete": (), "grid2d": (), "erdos_renyi": ("expected_degree",),
+                 "random_regular": ("degree",)}
+ESTIMATORS = ("tv", "identity", "haar")
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +71,21 @@ class ExperimentConfig:
             raise ValueError("oracle beta must lie in (0, 1)")
         if self.lambda_policy not in ("theoretical", "oracle"):
             raise ValueError(f"unknown lambda policy {self.lambda_policy!r}")
+        if self.family not in FAMILY_PARAMS:
+            raise ValueError(f"unknown family {self.family!r}; have {', '.join(FAMILY_PARAMS)}")
+        for key in FAMILY_PARAMS[self.family]:
+            if key not in self.family_params:
+                raise ValueError(f"family {self.family!r} needs family_params[{key!r}]")
+        kind = self.signal.get("kind") if isinstance(self.signal, dict) else None
+        if kind not in sig.SIGNAL_KINDS:
+            raise ValueError(f"signal needs a kind from {', '.join(sig.SIGNAL_KINDS)}, "
+                             f"got {kind!r}")
         self.estimators = tuple(self.estimators)
+        for estimator in self.estimators:
+            if estimator not in ESTIMATORS:
+                raise ValueError(f"unknown estimator {estimator!r}")
+        if "haar" in self.estimators and self.family != "grid2d":
+            raise ValueError("haar estimator needs the grid2d family")
 
     def to_json_dict(self) -> dict:
         d = asdict(self)
@@ -108,22 +126,19 @@ class RateFit:
 
 @lru_cache(maxsize=64)
 def _fixed_graph(family: str, size: int):
-    if family == "complete":
-        return G.build_complete(size)
+    """The families without a seed, built once per process and size."""
     if family == "grid2d":
-        return G.build_grid(2, size)
-    raise ValueError(f"family {family!r} is not deterministic")
+        return G.build_family("grid", d=2, N=size)
+    return G.build_family(family, n=size)
 
 
 def _build_graph(family: str, size: int, family_params: dict, graph_seed: int):
-    if family in ("complete", "grid2d"):
-        return _fixed_graph(family, size)
     if family == "erdos_renyi":
-        degree = family_params["expected_degree"]
-        return G.build_erdos_renyi(size, min(1.0, degree / size), graph_seed)
+        p = min(1.0, family_params["expected_degree"] / size)
+        return G.build_family(family, n=size, p=p, seed=graph_seed)
     if family == "random_regular":
-        return G.build_random_regular(size, family_params["degree"], graph_seed)
-    raise ValueError(f"unknown family {family!r}")
+        return G.build_family(family, n=size, d=family_params["degree"], seed=graph_seed)
+    return _fixed_graph(family, size)
 
 
 # ---------------------------------------------------------------------------
@@ -155,30 +170,18 @@ class OracleSearchResult:
     all_converged: bool
 
 
-def oracle_lambda_search(y, D, theta_star, lambda_th, beta: float = 0.85,
+def oracle_lambda_search(solve, theta_star, lambda_th, beta: float = 0.85,
                          start_multiplier: float = 10.0, lookahead: int = 3,
-                         max_steps: int = 200, solve=None,
-                         opts: tv.SolverOptions | None = None) -> OracleSearchResult:
+                         max_steps: int = 200) -> OracleSearchResult:
     """Pick lambda on the geometric grid start_multiplier * lambda_th * beta^j.
 
     Stops at the first j* whose next ``lookahead`` error values
     ``||theta_hat(lambda_j) - theta*||_2`` are all >= the value at j*;
     returns best-so-far with ``rule_satisfied=False`` if ``max_steps`` is
-    exhausted first.  ``solve(lam, z0)`` may be supplied to override the
-    default solver (it must return ``(theta, z_or_None, converged)``).
+    exhausted first.  ``solve(lam, z0)`` returns ``(theta, z_or_None,
+    converged)``; each step passes the previous step's z as ``z0``.
     """
-    y = np.asarray(y, dtype=float)
     theta_star = np.asarray(theta_star, dtype=float)
-    if solve is None:
-        base_opts = opts or tv.SolverOptions()
-        op = base_opts.op_norm if base_opts.op_norm is not None else tv.operator_norm(D)
-
-        def solve(lam, z0):
-            r = tv.denoise(tv.DenoiseProblem(y, D, lam),
-                           tv.SolverOptions(tol=base_opts.tol, max_iter=base_opts.max_iter,
-                                            op_norm=op, z0=z0, check_connected=False))
-            return r.theta_hat, r.dual_z, r.converged
-
     errors, thetas = [], []
     all_conv = True
     z_prev = None
@@ -210,7 +213,7 @@ def _substream(master_seed: int, *key: int) -> int:
                .generate_state(1, np.uint64)[0])
 
 
-def _signal_for(cfg: ExperimentConfig, size: int, kl, signal_seed: int) -> np.ndarray:
+def _signal_for(cfg: ExperimentConfig, size: int, n: int, kl, signal_seed: int) -> np.ndarray:
     spec_dict = dict(cfg.signal)
     params = dict(spec_dict.get("params", {}))
     kind = spec_dict["kind"]
@@ -221,7 +224,6 @@ def _signal_for(cfg: ExperimentConfig, size: int, kl, signal_seed: int) -> np.nd
     if kind == "grid_function" and "d" not in params:
         params["d"] = 2
     s = sig.SignalSpec(kind, params)
-    n = size * size if cfg.family == "grid2d" else size
     return sig.realize_signal(s, n=n, seed=signal_seed)
 
 
@@ -252,7 +254,7 @@ def _run_cell_trial(cfg: ExperimentConfig, si: int, ki: int, trial: int) -> list
     # the complete graph is solved exactly with a closed-form rho: no D, no step size
     D = None if cfg.family == "complete" else G.incidence(graph)
     n = graph.n
-    theta_star = _signal_for(cfg, size, kl, signal_seed)
+    theta_star = _signal_for(cfg, size, n, kl, signal_seed)
     noise = sig.gaussian_noise(n, sig.NoiseModel(cfg.sigma, cfg.master_seed, stream))
     y = theta_star + noise
 
@@ -271,32 +273,23 @@ def _run_cell_trial(cfg: ExperimentConfig, si: int, ki: int, trial: int) -> list
         if estimator == "identity":
             theta_hat, lam_used, converged = y.copy(), 0.0, True
         elif estimator == "haar":
-            if cfg.family != "grid2d":
-                raise ValueError("haar estimator needs the grid2d family")
             theta_hat = H.haar_denoise_2d(y.reshape(size, size, order="F"),
                                           cfg.sigma).reshape(-1, order="F")
             lam_used, converged = 0.0, True
-        elif estimator == "tv":
+        else:  # tv
             lam_th = _theoretical_lambda(cfg, graph, D)
             if cfg.lambda_policy == "theoretical":
                 theta_hat, _, converged = _solve_tv(cfg, graph, D, y, lam_th, op_norm)
                 lam_used = lam_th
             else:
-                if graph.family == "complete":
-                    def solve(lam, z0):
-                        return tv.denoise_complete_exact(y, lam), None, True
-                else:
-                    def solve(lam, z0):
-                        return _solve_tv(cfg, graph, D, y, lam, op_norm, z0)
                 search = oracle_lambda_search(
-                    y, D, theta_star, lam_th, beta=cfg.oracle_beta,
+                    lambda lam, z0: _solve_tv(cfg, graph, D, y, lam, op_norm, z0),
+                    theta_star, lam_th, beta=cfg.oracle_beta,
                     start_multiplier=cfg.oracle_start_multiplier,
-                    max_steps=cfg.oracle_max_steps, solve=solve)
+                    max_steps=cfg.oracle_max_steps)
                 theta_hat = search.theta_hat
                 lam_used = search.lambda_or
                 converged = search.all_converged and search.rule_satisfied
-        else:
-            raise ValueError(f"unknown estimator {estimator!r}")
         mse = float(np.mean((theta_hat - theta_star) ** 2))
         records.append(ExperimentRecord(cfg.family, n, k_val, l_val, estimator,
                                         cfg.lambda_policy, float(lam_used), trial,

@@ -33,9 +33,7 @@ class Graph:
         Integer array of shape ``(m, 2)``; each row ``(i, j)`` with
         ``i < j``, rows sorted lexicographically, no duplicates.
     family : str
-        Family tag (``path``, ``grid``, ``hypercube``, ``complete``,
-        ``star``, ``cycle_power``, ``erdos_renyi``, ``random_regular``,
-        ``custom``).
+        Family tag: a key of :data:`FAMILIES`, or ``custom``.
     params : dict
         Family parameters (e.g. ``{"d": 2, "N": 8}`` for a grid).
     """
@@ -234,6 +232,40 @@ def build_random_regular(n: int, d: int, seed: int, max_retries: int = 1000) -> 
     raise GraphGenerationError(
         f"no simple connected {d}-regular pairing with n={n} in {max_retries} attempts"
     )
+
+
+# ---------------------------------------------------------------------------
+# the family table
+
+
+# family (= Graph.family) -> (builder name, required parameters in argument
+# order).  The parameter names are the CLI flags; the CLI hyphenates the keys.
+FAMILIES = {
+    "path": ("build_path", ("n",)),
+    "grid": ("build_grid", ("d", "N")),
+    "hypercube": ("build_hypercube", ("d",)),
+    "complete": ("build_complete", ("n",)),
+    "star": ("build_star", ("n",)),
+    "cycle_power": ("build_cycle_power", ("n", "k")),
+    "erdos_renyi": ("build_erdos_renyi", ("n", "p", "seed")),
+    "random_regular": ("build_random_regular", ("n", "d", "seed")),
+}
+
+
+def build_family(family: str, **params) -> Graph:
+    """Build ``family`` from the parameters it requires; others are ignored.
+
+    Raises ``ValueError`` for an unknown family or a required parameter
+    that is missing or None.  The builder is looked up by name at call
+    time, so a replaced module attribute is the one that runs.
+    """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown graph family {family!r}; have {', '.join(FAMILIES)}")
+    builder, required = FAMILIES[family]
+    for name in required:
+        if params.get(name) is None:
+            raise ValueError(f"missing required flag --{name}")
+    return globals()[builder](*(params[name] for name in required))
 
 
 # ---------------------------------------------------------------------------

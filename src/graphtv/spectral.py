@@ -168,10 +168,9 @@ def rho_estimate(graph: G.Graph, D=None) -> float:
         return float(np.sqrt(2.0) / n)
     if graph.family == "star":
         return float(np.sqrt((n * n - n)) / n)
-    if graph.family == "grid":
-        return rho_structured_grid(graph.params["d"], graph.params["N"])
-    if graph.family == "hypercube":
-        return rho_structured_grid(graph.params["d"], 2)
+    shape = _structured_shape(graph)
+    if shape is not None:
+        return rho_structured_grid(*shape)
     D = G.incidence(graph) if D is None else D
     if n <= DENSE_SIZE_CAP:
         return rho_dense(D)
@@ -182,6 +181,15 @@ def rho_estimate(graph: G.Graph, D=None) -> float:
 
 # ---------------------------------------------------------------------------
 # structured eigensum for grids and hypercubes
+
+
+def _structured_shape(g: G.Graph) -> tuple[int, int] | None:
+    """(d, N) of the grid eigensum for grids and hypercubes, else None."""
+    if g.family == "grid":
+        return g.params["d"], g.params["N"]
+    if g.family == "hypercube":
+        return g.params["d"], 2
+    return None
 
 
 def rho_structured_grid(d: int, N: int) -> float:
@@ -290,23 +298,24 @@ def spectral_report(g: G.Graph, method: str = "dense") -> SpectralReport:
     """Compute rho and companion constants for a graph.
 
     ``method`` is ``"dense"`` (any graph, capped at ``DENSE_SIZE_CAP``
-    vertices) or ``"structured"`` (grid and hypercube families only).  The
+    vertices), ``"structured"`` (grid and hypercube families only) or
+    ``"auto"`` (structured where it is defined, dense otherwise).  The
     kappa bound is evaluated at |T| = m, the worst case over all edge
     subsets.
     """
     if g.m == 0:
         raise ValueError("spectral report needs at least one edge")
+    shape = _structured_shape(g)
+    if method == "auto":
+        method = "dense" if shape is None else "structured"
     if method == "dense":
         return spectral_report_from_matrix(G.incidence(g), family=g.family)
     if method == "structured":
-        if g.family == "grid":
-            d, N = g.params["d"], g.params["N"]
-        elif g.family == "hypercube":
-            d, N = g.params["d"], 2
-        else:
+        if shape is None:
             raise ValueError(
                 f"structured eigensum is only defined for grid/hypercube, not {g.family!r}"
             )
+        d, N = shape
         rho = rho_structured_grid(d, N)
         # smallest positive Kronecker-sum eigenvalue: one axis at lam_1, rest at 0
         lam2 = float(2.0 - 2.0 * np.cos(np.pi / N))

@@ -172,13 +172,10 @@ def _fusion_graph(D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows[keep], D.indices[first[keep]], D.indices[first[keep] + 1]
 
 
-def _count_components(D) -> int:
-    m, n = D.shape
-    if m == 0:
-        return n
-    A = (abs(D.T) @ abs(D)).tocsr()
-    ncomp, _ = connected_components(A, directed=False)
-    return ncomp
+def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Component label of each of n vertices joined by the edges (i, j)."""
+    links = sp.coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
+    return connected_components(links, directed=False)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +230,8 @@ def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> Denoi
     ``gap + P(fused) - P(theta)``.  The solve stops at the first
     candidate that passes, or at ``opts.max_iter`` with
     ``converged=False`` and the best candidate found.  A warning is
-    attached when the graph is disconnected (the oracle-inequality
+    attached when the edges of D (its rows ``a (theta_i - theta_j)``)
+    leave the graph disconnected (the oracle-inequality
     theory assumes connectivity; the solver itself is still exact per
     component, and fusion never crosses components).
     """
@@ -241,7 +239,8 @@ def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> Denoi
     y, D, lam = problem.y, problem.D, problem.lam
     m, n = D.shape
     scale = 1.0 + (float(np.max(np.abs(y))) if y.size else 0.0)
-    if opts.check_connected and m > 0 and _count_components(D) > 1:
+    fuse_rows, fuse_i, fuse_j = _fusion_graph(D)
+    if opts.check_connected and m > 0 and _components(n, fuse_i, fuse_j).max() > 0:
         warnings.warn(
             "graph is disconnected: theoretical lambda rules assume a connected "
             "graph; the solution preserves the mean per component",
@@ -262,7 +261,6 @@ def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> Denoi
         raise ValueError("operator norm of D must be positive")
     step = 1.0 / op
     Dt = D.T.tocsr()
-    fuse_rows, fuse_i, fuse_j = _fusion_graph(D)
 
     if opts.z0 is not None:
         u0 = mu * np.clip(np.asarray(opts.z0, dtype=float), -1.0, 1.0)
@@ -285,9 +283,7 @@ def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> Denoi
         for fused in (False, True):
             if fused:
                 flat = np.abs(u[fuse_rows]) < mu
-                links = sp.coo_matrix((np.ones(np.count_nonzero(flat)),
-                                       (fuse_i[flat], fuse_j[flat])), shape=(n, n))
-                _, piece = connected_components(links, directed=False)
+                piece = _components(n, fuse_i[flat], fuse_j[flat])
                 theta_f = (np.bincount(piece, weights=theta) / np.bincount(piece))[piece]
                 Dtheta = D @ theta_f
                 fit_f = float(np.mean((theta_f - y) ** 2))

@@ -89,6 +89,36 @@ class TestSpectralCommand:
         assert capsys.readouterr().err == "graphtv: out of memory\n"
 
 
+class TestFamilyFlags:
+    def test_graph_choices_are_the_family_table(self):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        for command in ("spectral", "denoise"):
+            graph = next(a for a in sub.choices[command]._actions if a.dest == "graph")
+            assert graph.choices == [f.replace("_", "-") for f in G.FAMILIES] + ["custom"]
+
+    # every required flag but --seed, which defaults to 0
+    FLAGS = {"n": "12", "d": "3", "N": "4", "k": "2", "p": "0.5"}
+
+    @pytest.mark.parametrize("family, name", [(f, name) for f, (_, req) in G.FAMILIES.items()
+                                              for name in req if name != "seed"])
+    def test_missing_flag_is_usage_error(self, tmp_path, capsys, family, name):
+        _, required = G.FAMILIES[family]
+        flags = [x for r in required if r in self.FLAGS and r != name
+                 for x in (f"--{r}", self.FLAGS[r])]
+        out = tmp_path / "out" / "x.json"
+        assert run(["spectral", "--graph", family.replace("_", "-"), *flags,
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"graphtv: missing required flag --{name}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["--graph", "custom"],
+                                      ["--graph", "path", "--augmented"]])
+    def test_missing_flag_outside_the_table(self, tmp_path, capsys, argv):
+        assert run(["spectral", *argv, "--out", str(tmp_path / "out" / "x.json")]) == 2
+        assert capsys.readouterr().err.startswith("graphtv: missing required flag --")
+        assert not (tmp_path / "out").exists()
+
+
 class TestDenoiseCommand:
     def _write_y(self, tmp_path, y):
         p = tmp_path / "y.txt"
@@ -242,3 +272,22 @@ class TestExperimentCommand:
 
     def test_needs_config_or_preset(self, tmp_path):
         assert run(["experiment", "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("change", [
+        {"family": "hexagonal"},
+        {"family": "erdos_renyi"},  # no family_params["expected_degree"]
+        {"family": "random_regular", "family_params": {"expected_degree": 4}},
+        {"signal": {"params": {"k": 2, "l": 2}}},
+        {"signal": {"kind": "wave"}},
+        {"estimators": ["tv", "lasso"]},
+        {"estimators": ["haar"]},  # haar needs grid2d
+    ], ids=["unknown-family", "er-no-degree", "rr-no-degree", "signal-no-kind",
+            "unknown-kind", "unknown-estimator", "haar-off-grid"])
+    def test_bad_config_fails_before_running(self, tmp_path, capsys, change):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**self.CFG, **change}))
+        out = tmp_path / "run"
+        assert run(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("graphtv: ") and err.count("\n") == 1
+        assert not out.exists()

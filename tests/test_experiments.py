@@ -37,7 +37,6 @@ class TestOracleSearch:
         # island model (K_100, k = l = 3, sigma = 0.5, fixed seed)
         n = 100
         g = G.build_complete(n)
-        D = G.incidence(g)
         theta = np.full(n, 50.0)
         theta[:9] = [60, 60, 60, 70, 70, 70, 80, 80, 80]
         noise = np.random.default_rng(99).normal(size=n) * 0.5
@@ -48,7 +47,7 @@ class TestOracleSearch:
         def solve(lam, z0):
             return T.denoise_complete_exact(y, lam), None, True
 
-        res = E.oracle_lambda_search(y, D, theta, lam_th, solve=solve)
+        res = E.oracle_lambda_search(solve, theta, lam_th)
         assert res.rule_satisfied
         assert lam_th / 4 <= res.lambda_or <= lam_th * 4
         # the picked lambda must be at least as good as its three successors
@@ -60,7 +59,12 @@ class TestOracleSearch:
         # decreasing, so no candidate ever survives the lookahead
         y = np.array([0.0, 4.0])
         D = G.incidence(G.build_path(2))
-        res = E.oracle_lambda_search(y, D, y, 0.05, max_steps=5)
+
+        def solve(lam, z0):
+            r = T.denoise(T.DenoiseProblem(y, D, lam), T.SolverOptions(z0=z0))
+            return r.theta_hat, r.dual_z, r.converged
+
+        res = E.oracle_lambda_search(solve, y, 0.05, max_steps=5)
         assert not res.rule_satisfied
         assert len(res.errors) == 5
         assert res.j_star == 5  # best-so-far is the last (smallest) lambda

@@ -286,3 +286,48 @@ class TestEdgeListFormat:
             G.parse_edge_list("1 1\n")
         with pytest.raises(ValueError):
             G.parse_edge_list("# nothing\n")
+
+
+# one small instance of each family, built directly and through the table
+FAMILY_PARAMS = {"n": 12, "d": 3, "N": 4, "k": 2, "p": 0.5, "seed": 3}
+DIRECT = {
+    "path": lambda: G.build_path(12),
+    "grid": lambda: G.build_grid(3, 4),
+    "hypercube": lambda: G.build_hypercube(3),
+    "complete": lambda: G.build_complete(12),
+    "star": lambda: G.build_star(12),
+    "cycle_power": lambda: G.build_cycle_power(12, 2),
+    "erdos_renyi": lambda: G.build_erdos_renyi(12, 0.5, 3),
+    "random_regular": lambda: G.build_random_regular(12, 3, 3),
+}
+
+
+class TestFamilyTable:
+    def test_table_covers_the_builders(self):
+        assert list(G.FAMILIES) == list(DIRECT)
+
+    @pytest.mark.parametrize("family", list(G.FAMILIES))
+    def test_matches_direct_builder(self, family):
+        g, ref = G.build_family(family, **FAMILY_PARAMS), DIRECT[family]()
+        assert g.n == ref.n
+        assert np.array_equal(g.edges, ref.edges)
+        assert g.family == ref.family == family
+        assert g.params == ref.params
+
+    @pytest.mark.parametrize("family, name", [(f, name) for f, (_, req) in G.FAMILIES.items()
+                                              for name in req])
+    def test_missing_parameter(self, family, name):
+        params = {**FAMILY_PARAMS, name: None}
+        with pytest.raises(ValueError, match=f"^missing required flag --{name}$"):
+            G.build_family(family, **params)
+        del params[name]
+        with pytest.raises(ValueError, match=f"^missing required flag --{name}$"):
+            G.build_family(family, **params)
+
+    def test_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown graph family 'custom'"):
+            G.build_family("custom", n=3)
+
+    def test_builder_looked_up_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(G, "build_path", lambda N: ("replaced", N))
+        assert G.build_family("path", n=5) == ("replaced", 5)

@@ -240,3 +240,13 @@ class TestReports:
     def test_structured_rejects_other_families(self):
         with pytest.raises(ValueError, match="structured"):
             S.spectral_report(G.build_star(5), method="structured")
+
+
+class TestAutoMethod:
+    @pytest.mark.parametrize("family", list(G.FAMILIES))
+    def test_structured_exactly_for_grids_and_hypercubes(self, family):
+        g = G.build_family(family, n=12, d=3, N=4, k=2, p=0.5, seed=3)
+        rep = S.spectral_report(g, "auto")
+        structured = family in ("grid", "hypercube")
+        assert rep.rho_method == ("eigensum_structured" if structured else "dense_pseudoinverse")
+        assert rep.rho == S.spectral_report(g, "structured" if structured else "dense").rho

@@ -668,6 +668,18 @@ class TestCertificateMeaning:
         assert rows.tolist() == [1, 2, 3]
         assert sorted(zip(i.tolist(), j.tolist())) == [(0, 1), (1, 2), (2, 3)]
 
+    @pytest.mark.parametrize("D", [
+        G.incidence(G.build_path(7)), G.incidence(G.build_grid(2, 5)),
+        G.incidence(G.Graph(6, np.array([[0, 1], [1, 2], [4, 5]]))),  # isolated vertex 3
+        G.incidence(G.Graph(3, np.zeros((0, 2)))), G.build_augmented_path(9),
+    ], ids=["path", "grid", "isolated", "no-edges", "augmented"])
+    def test_component_count_matches_gram(self, D):
+        # the connectivity warning counts components of the fusion graph;
+        # on these inputs that is the component count of |D|^T |D|
+        _, i, j = T._fusion_graph(D)
+        ncomp, _ = connected_components(abs(D.T) @ abs(D), directed=False)
+        assert T._components(D.shape[1], i, j).max() + 1 == ncomp
+
     def test_augmented_path_certifies(self):
         y = np.random.default_rng(8).normal(size=40)
         problem = T.DenoiseProblem(y, G.build_augmented_path(40), 0.05)
