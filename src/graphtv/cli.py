@@ -135,12 +135,13 @@ def cmd_denoise(args) -> int:
             raise UsageError("--oracle taut-string requires --graph path (not augmented)")
         theta = tv.denoise_path_exact(y, lam)
         z, resid = tv.kkt_certificate(problem, theta)
+        # the bound of the iterative solver's stationarity test
+        converged = resid <= args.tol * (1.0 + float(np.max(np.abs(y))))
         diag = {
             "lambda": lam, "objective": tv.objective_value(y, D, lam, theta),
             "stationarity_residual": resid, "dual_feasibility": float(np.max(np.abs(z))) if len(z) else 0.0,
-            "iterations": 0, "converged": True, "solver": "taut_string",
+            "iterations": 0, "converged": converged, "solver": "taut_string",
         }
-        converged = True
     else:
         result = tv.denoise(problem, tv.SolverOptions(tol=args.tol, max_iter=args.max_iter))
         theta = result.theta_hat

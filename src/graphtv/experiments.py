@@ -8,6 +8,7 @@ worker count.
 """
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
@@ -29,6 +30,16 @@ CSV_HEADER = ["family", "n", "k", "l", "estimator", "lambda_policy",
 FAMILY_PARAMS = {"complete": (), "grid2d": (), "erdos_renyi": ("expected_degree",),
                  "random_regular": ("degree",)}
 ESTIMATORS = ("tv", "identity", "haar")
+# The oracle search of the island-model study: the grid
+# ORACLE_START * lambda_th * ORACLE_BETA^j for j = 1, 2, ..., stopped
+# ORACLE_LOOKAHEAD steps past its minimum or after ORACLE_MAX_STEPS steps.
+ORACLE_BETA = 0.85
+ORACLE_START = 10.0
+ORACLE_LOOKAHEAD = 3
+ORACLE_MAX_STEPS = 200
+# Tolerance and iteration cap of every iterative TV solve in the harness.
+SOLVER_TOL = 1e-5
+SOLVER_MAX_ITER = 200000
 
 
 # ---------------------------------------------------------------------------
@@ -57,18 +68,15 @@ class ExperimentConfig:
     lambda_policy: str = "theoretical"  # "theoretical" | "oracle"
     lambda_rule: dict = field(default_factory=lambda: {"rule": "theorem_general",
                                                        "sigma": 0.5, "delta": 0.1})
-    oracle_beta: float = 0.85
-    oracle_start_multiplier: float = 10.0
-    oracle_max_steps: int = 200
     master_seed: int = 20170301
-    solver_tol: float = 1e-5
-    solver_max_iter: int = 200000
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not 0 < self.oracle_beta < 1:
-            raise ValueError("oracle beta must lie in (0, 1)")
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError("sigma must be finite and nonnegative")
+        if not self.sizes or min(self.sizes) < 2:
+            raise ValueError("sizes must be a nonempty list of values >= 2")
         if self.lambda_policy not in ("theoretical", "oracle"):
             raise ValueError(f"unknown lambda policy {self.lambda_policy!r}")
         if self.family not in FAMILY_PARAMS:
@@ -76,6 +84,16 @@ class ExperimentConfig:
         for key in FAMILY_PARAMS[self.family]:
             if key not in self.family_params:
                 raise ValueError(f"family {self.family!r} needs family_params[{key!r}]")
+        if self.family == "erdos_renyi":
+            degree = self.family_params["expected_degree"]
+            if not (np.isfinite(degree) and degree > 0):
+                raise ValueError("expected_degree must be finite and positive")
+        if self.family == "random_regular":
+            d = self.family_params["degree"]
+            for n in self.sizes:
+                if not 1 <= d < n or n * d % 2:
+                    raise ValueError(f"random_regular degree {d} needs 1 <= d < n and "
+                                     f"n * d even, not at n = {n}")
         kind = self.signal.get("kind") if isinstance(self.signal, dict) else None
         if kind not in sig.SIGNAL_KINDS:
             raise ValueError(f"signal needs a kind from {', '.join(sig.SIGNAL_KINDS)}, "
@@ -86,6 +104,7 @@ class ExperimentConfig:
                 raise ValueError(f"unknown estimator {estimator!r}")
         if "haar" in self.estimators and self.family != "grid2d":
             raise ValueError("haar estimator needs the grid2d family")
+        self.rule = tv.LambdaRule.from_json_dict(self.lambda_rule)
 
     def to_json_dict(self) -> dict:
         d = asdict(self)
@@ -94,8 +113,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in known})
+        for key in d:
+            if key not in cls.__dataclass_fields__:
+                raise ValueError(f"unknown config key {key!r}")
+        return cls(**d)
 
 
 @dataclass
@@ -145,8 +166,8 @@ def _build_graph(family: str, size: int, family_params: dict, graph_seed: int):
 # the oracle lambda search
 
 
-def stable_min_index(errors, lookahead: int = 3) -> int | None:
-    """Index of the first entry followed by ``lookahead`` entries all >= it.
+def stable_min_index(errors) -> int | None:
+    """Index of the first entry followed by ``ORACLE_LOOKAHEAD`` entries all >= it.
 
     Scanning rule for the geometric-grid oracle search; returns None when
     the sequence ends before any entry qualifies.
@@ -155,7 +176,7 @@ def stable_min_index(errors, lookahead: int = 3) -> int | None:
     for j, err in enumerate(errors):
         if c is None or err < errors[c]:
             c = j
-        elif j - c >= lookahead:
+        elif j - c >= ORACLE_LOOKAHEAD:
             return c
     return None
 
@@ -170,15 +191,13 @@ class OracleSearchResult:
     all_converged: bool
 
 
-def oracle_lambda_search(solve, theta_star, lambda_th, beta: float = 0.85,
-                         start_multiplier: float = 10.0, lookahead: int = 3,
-                         max_steps: int = 200) -> OracleSearchResult:
-    """Pick lambda on the geometric grid start_multiplier * lambda_th * beta^j.
+def oracle_lambda_search(solve, theta_star, lambda_th) -> OracleSearchResult:
+    """Pick lambda on the geometric grid ORACLE_START * lambda_th * ORACLE_BETA^j.
 
-    Stops at the first j* whose next ``lookahead`` error values
+    Stops at the first j* whose next ``ORACLE_LOOKAHEAD`` error values
     ``||theta_hat(lambda_j) - theta*||_2`` are all >= the value at j*;
-    returns best-so-far with ``rule_satisfied=False`` if ``max_steps`` is
-    exhausted first.  ``solve(lam, z0)`` returns ``(theta, z_or_None,
+    returns best-so-far with ``rule_satisfied=False`` if ``ORACLE_MAX_STEPS``
+    is exhausted first.  ``solve(lam, z0)`` returns ``(theta, z_or_None,
     converged)``; each step passes the previous step's z as ``z0``.
     """
     theta_star = np.asarray(theta_star, dtype=float)
@@ -186,19 +205,19 @@ def oracle_lambda_search(solve, theta_star, lambda_th, beta: float = 0.85,
     all_conv = True
     z_prev = None
     rule_satisfied = False
-    for j in range(1, max_steps + 1):
-        theta, z_prev, conv = solve(start_multiplier * lambda_th * beta**j, z_prev)
+    for j in range(1, ORACLE_MAX_STEPS + 1):
+        theta, z_prev, conv = solve(ORACLE_START * lambda_th * ORACLE_BETA**j, z_prev)
         all_conv = all_conv and conv
         errors.append(float(np.linalg.norm(theta - theta_star)))
         thetas.append(theta)
-        if stable_min_index(errors, lookahead) is not None:
+        if stable_min_index(errors) is not None:
             rule_satisfied = True
             break
     # Padding with +inf makes the rule fire at the best-so-far entry, which
     # is j* when the rule already held and the fallback when the cap was hit.
-    j_star = stable_min_index(errors + [np.inf] * (lookahead + 1), lookahead) + 1
+    j_star = stable_min_index(errors + [np.inf] * (ORACLE_LOOKAHEAD + 1)) + 1
     return OracleSearchResult(
-        lambda_or=float(start_multiplier * lambda_th * beta**j_star), j_star=j_star,
+        lambda_or=float(ORACLE_START * lambda_th * ORACLE_BETA**j_star), j_star=j_star,
         errors=np.asarray(errors), theta_hat=thetas[j_star - 1],
         rule_satisfied=rule_satisfied, all_converged=all_conv,
     )
@@ -228,16 +247,15 @@ def _signal_for(cfg: ExperimentConfig, size: int, n: int, kl, signal_seed: int) 
 
 
 def _theoretical_lambda(cfg: ExperimentConfig, graph: G.Graph, D) -> float:
-    rule = tv.LambdaRule.from_json_dict(cfg.lambda_rule)
-    rho = spec.rho_estimate(graph, D) if rule.rule == "theorem_general" else None
-    return float(tv.lambda_value(rule, graph, rho=rho))
+    rho = spec.rho_estimate(graph, D) if cfg.rule.rule == "theorem_general" else None
+    return float(tv.lambda_value(cfg.rule, graph, rho=rho))
 
 
-def _solve_tv(cfg: ExperimentConfig, graph: G.Graph, D, y, lam, op_norm, z0=None):
+def _solve_tv(graph: G.Graph, D, y, lam, op_norm, z0=None):
     if graph.family == "complete":
         return tv.denoise_complete_exact(y, lam), None, True
     r = tv.denoise(tv.DenoiseProblem(y, D, lam),
-                   tv.SolverOptions(tol=cfg.solver_tol, max_iter=cfg.solver_max_iter,
+                   tv.SolverOptions(tol=SOLVER_TOL, max_iter=SOLVER_MAX_ITER,
                                     op_norm=op_norm, z0=z0, check_connected=False))
     return r.theta_hat, r.dual_z, r.converged
 
@@ -279,14 +297,12 @@ def _run_cell_trial(cfg: ExperimentConfig, si: int, ki: int, trial: int) -> list
         else:  # tv
             lam_th = _theoretical_lambda(cfg, graph, D)
             if cfg.lambda_policy == "theoretical":
-                theta_hat, _, converged = _solve_tv(cfg, graph, D, y, lam_th, op_norm)
+                theta_hat, _, converged = _solve_tv(graph, D, y, lam_th, op_norm)
                 lam_used = lam_th
             else:
                 search = oracle_lambda_search(
-                    lambda lam, z0: _solve_tv(cfg, graph, D, y, lam, op_norm, z0),
-                    theta_star, lam_th, beta=cfg.oracle_beta,
-                    start_multiplier=cfg.oracle_start_multiplier,
-                    max_steps=cfg.oracle_max_steps)
+                    lambda lam, z0: _solve_tv(graph, D, y, lam, op_norm, z0),
+                    theta_star, lam_th)
                 theta_hat = search.theta_hat
                 lam_used = search.lambda_or
                 converged = search.all_converged and search.rule_satisfied
@@ -394,40 +410,39 @@ def kl_linearity_check(records, estimator: str = "tv") -> KlLinearityResult:
     return KlLinearityResult(corr, True)
 
 
+# The signals of the grid rate studies, by rate-study kind.
+GRID_SIGNALS = {
+    "holder": {"kind": "grid_function",
+               "params": {"name": "holder_cone", "alpha": 1.0, "L": 10.0}},
+    "cartoon": {"kind": "grid_function",
+                "params": {"name": "cartoon_disk", "height": 10.0, "radius": 0.3,
+                           "alpha": 1.0, "L": 5.0}},
+    "pc": {"kind": "grid_function", "params": {"name": "pc_halfplane", "height": 10.0}},
+    "bi_isotonic": {"kind": "bi_isotonic", "params": {"variation_sqrt": 10.0}},
+}
+
+
+def _grid_study(name: str, kind: str, sides, trials: int, sigma: float,
+                master_seed: int) -> ExperimentConfig:
+    """Grid-graph TV denoising of a GRID_SIGNALS kind with the 2D lambda rule."""
+    if kind not in GRID_SIGNALS:
+        raise ValueError(f"unknown rate-study kind {kind!r}")
+    return ExperimentConfig(
+        name=name, family="grid2d", sizes=list(sides),
+        signal=copy.deepcopy(GRID_SIGNALS[kind]), sigma=sigma, trials=trials,
+        lambda_policy="theoretical",
+        lambda_rule={"rule": "grid2d", "sigma": sigma, "delta": 0.1},
+        master_seed=master_seed)
+
+
 def rate_study_nonparametric(kind: str, sides, trials: int = 10, sigma: float = 0.5,
-                             master_seed: int = 513, threads: int = 1,
-                             signal_params: dict | None = None,
-                             solver_tol: float = 1e-5) -> tuple[list, RateFit]:
+                             master_seed: int = 513, threads: int = 1) -> tuple[list, RateFit]:
     """Grid-graph TV denoising across side lengths with the 2D lambda rule.
 
     ``kind`` is one of holder / cartoon / pc / bi_isotonic; returns the
     records and the fitted power law of mean MSE against n.
     """
-    presets = {
-        "holder": ("grid_function", {"name": "holder_cone", "alpha": 1.0, "L": 10.0}),
-        "cartoon": ("grid_function", {"name": "cartoon_disk", "height": 10.0,
-                                      "radius": 0.3, "alpha": 1.0, "L": 5.0}),
-        "pc": ("grid_function", {"name": "pc_halfplane", "height": 10.0}),
-        "bi_isotonic": ("bi_isotonic", {"variation_sqrt": 10.0}),
-    }
-    if kind not in presets:
-        raise ValueError(f"unknown rate-study kind {kind!r}")
-    sig_kind, params = presets[kind]
-    if signal_params:
-        params = {**params, **signal_params}
-    cfg = ExperimentConfig(
-        name=f"rate-{kind}",
-        family="grid2d",
-        sizes=list(sides),
-        signal={"kind": sig_kind, "params": params},
-        sigma=sigma,
-        trials=trials,
-        estimators=("tv",),
-        lambda_policy="theoretical",
-        lambda_rule={"rule": "grid2d", "sigma": sigma, "delta": 0.1},
-        master_seed=master_seed,
-        solver_tol=solver_tol,
-    )
+    cfg = _grid_study(f"rate-{kind}", kind, sides, trials, sigma, master_seed)
     records = run_experiment(cfg, threads=threads)
     return records, fit_rate(records, "power_law")
 
@@ -456,13 +471,13 @@ def records_to_json(records) -> str:
     return json.dumps([asdict(r) for r in records], indent=1)
 
 
-def write_records(out_dir, records, stem: str = "records") -> None:
+def write_records(out_dir, records) -> None:
     import pathlib
 
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / f"{stem}.csv").write_text(records_to_csv(records), encoding="utf-8")
-    (out / f"{stem}.json").write_text(records_to_json(records), encoding="utf-8")
+    (out / "records.csv").write_text(records_to_csv(records), encoding="utf-8")
+    (out / "records.json").write_text(records_to_json(records), encoding="utf-8")
 
 
 def write_plot_data(path, xs, ys, yerrs, fit: RateFit | None = None) -> None:
@@ -492,6 +507,14 @@ def summarize_for_plot(records, estimator: str = "tv"):
 
 # ---------------------------------------------------------------------------
 # presets (paper-style experiment bundles at desk scale)
+
+
+# grid preset -> (GRID_SIGNALS kind, side lengths, master seed)
+GRID_PRESETS = {
+    "holder-2d": ("holder", [16, 32, 64, 128], 20170304),
+    "cartoon-2d": ("cartoon", [16, 32, 64, 128], 20170305),
+    "isotonic-2d": ("bi_isotonic", [32, 64, 128], 20170306),
+}
 
 
 def preset_configs(name: str) -> list[ExperimentConfig]:
@@ -528,29 +551,9 @@ def preset_configs(name: str) -> list[ExperimentConfig]:
             kl_values=kls, sigma=0.5, trials=50,
             lambda_policy="theoretical", lambda_rule=dict(er_rule),
             master_seed=20170303)]
-    if name == "holder-2d":
-        return [ExperimentConfig(
-            name="holder-2d", family="grid2d", sizes=[16, 32, 64, 128],
-            signal={"kind": "grid_function",
-                    "params": {"name": "holder_cone", "alpha": 1.0, "L": 10.0}},
-            sigma=0.5, trials=10, lambda_policy="theoretical",
-            lambda_rule={"rule": "grid2d", "sigma": 0.5, "delta": 0.1},
-            master_seed=20170304)]
-    if name == "cartoon-2d":
-        return [ExperimentConfig(
-            name="cartoon-2d", family="grid2d", sizes=[16, 32, 64, 128],
-            signal={"kind": "grid_function",
-                    "params": {"name": "cartoon_disk", "height": 10.0, "radius": 0.3,
-                               "alpha": 1.0, "L": 5.0}},
-            sigma=0.5, trials=10, lambda_policy="theoretical",
-            lambda_rule={"rule": "grid2d", "sigma": 0.5, "delta": 0.1},
-            master_seed=20170305)]
-    if name == "isotonic-2d":
-        return [ExperimentConfig(
-            name="isotonic-2d", family="grid2d", sizes=[32, 64, 128],
-            signal={"kind": "bi_isotonic", "params": {"variation_sqrt": 10.0}},
-            sigma=0.5, trials=10, lambda_policy="theoretical",
-            lambda_rule={"rule": "grid2d", "sigma": 0.5, "delta": 0.1},
-            master_seed=20170306)]
+    if name in GRID_PRESETS:
+        kind, sides, master_seed = GRID_PRESETS[name]
+        return [_grid_study(name, kind, sides, trials=10, sigma=0.5,
+                            master_seed=master_seed)]
     raise ValueError(f"unknown preset {name!r}; have island-fig2, island-fig3, "
                      f"holder-2d, cartoon-2d, isotonic-2d")

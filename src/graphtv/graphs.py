@@ -17,6 +17,11 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 
+# Draws each randomized builder makes before it gives up.
+ER_MAX_RETRIES = 100
+RR_MAX_RETRIES = 1000
+
+
 class GraphGenerationError(RuntimeError):
     """Raised when a randomized builder exhausts its retry budget."""
 
@@ -180,10 +185,10 @@ def build_cycle_power(n: int, k: int) -> Graph:
 # random families
 
 
-def build_erdos_renyi(n: int, p: float, seed: int, max_retries: int = 100) -> Graph:
+def build_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """Connected Erdos-Renyi draw G(n, p).
 
-    Disconnected draws are resampled (up to ``max_retries``) because the
+    Disconnected draws are resampled (up to ``ER_MAX_RETRIES``) because the
     denoising theory assumes a connected graph.  Deterministic given
     ``seed``.
     """
@@ -193,22 +198,23 @@ def build_erdos_renyi(n: int, p: float, seed: int, max_retries: int = 100) -> Gr
         raise ValueError("need 0 < p <= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     iu, ju = np.triu_indices(n, k=1)
-    for _ in range(max_retries):
+    for _ in range(ER_MAX_RETRIES):
         mask = rng.random(len(iu)) < p
         edges = _canonical_edges(np.column_stack([iu[mask], ju[mask]]))
         g = Graph(n, edges, family="erdos_renyi", params={"p": p, "seed": seed})
         if is_connected(g):
             return g
     raise GraphGenerationError(
-        f"no connected Erdos-Renyi draw with n={n}, p={p} in {max_retries} attempts"
+        f"no connected Erdos-Renyi draw with n={n}, p={p} in {ER_MAX_RETRIES} attempts"
     )
 
 
-def build_random_regular(n: int, d: int, seed: int, max_retries: int = 1000) -> Graph:
+def build_random_regular(n: int, d: int, seed: int) -> Graph:
     """Random d-regular graph via the pairing (configuration) model.
 
     The full pairing is restarted whenever it produces a self-loop, a
-    multi-edge, or a disconnected graph.  Deterministic given ``seed``.
+    multi-edge, or a disconnected graph, up to ``RR_MAX_RETRIES`` times.
+    Deterministic given ``seed``.
     """
     if n < 2 or d < 1 or d >= n:
         raise ValueError("need 1 <= d < n")
@@ -216,7 +222,7 @@ def build_random_regular(n: int, d: int, seed: int, max_retries: int = 1000) -> 
         raise ValueError("n * d must be even")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
-    for _ in range(max_retries):
+    for _ in range(RR_MAX_RETRIES):
         perm = rng.permutation(stubs)
         a, b = perm[0::2], perm[1::2]
         if np.any(a == b):
@@ -230,7 +236,7 @@ def build_random_regular(n: int, d: int, seed: int, max_retries: int = 1000) -> 
         if is_connected(g):
             return g
     raise GraphGenerationError(
-        f"no simple connected {d}-regular pairing with n={n} in {max_retries} attempts"
+        f"no simple connected {d}-regular pairing with n={n} in {RR_MAX_RETRIES} attempts"
     )
 
 

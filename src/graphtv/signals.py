@@ -35,17 +35,6 @@ class SignalSpec:
         if self.kind not in SIGNAL_KINDS:
             raise ValueError(f"unknown signal kind {self.kind!r}")
 
-    def to_json_dict(self) -> dict:
-        params = {
-            k: (v.tolist() if isinstance(v, np.ndarray) else v)
-            for k, v in self.params.items()
-        }
-        return {"kind": self.kind, "params": params}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SignalSpec":
-        return cls(kind=d["kind"], params=dict(d.get("params", {})))
-
 
 @dataclass
 class NoiseModel:

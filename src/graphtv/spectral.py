@@ -108,7 +108,7 @@ def _dense_laplacian(D: sp.csr_matrix, size_cap: int) -> np.ndarray:
     return (D.T @ D).toarray()
 
 
-def _dense_spectrum(D, size_cap: int):
+def _dense_spectrum(D):
     """The one dense route: ``(lam, V, inv, sq_norms)`` for L = D^T D.
 
     ``lam, V`` are the eigenpairs of L and ``inv`` holds ``1/lam_k``;
@@ -124,7 +124,7 @@ def _dense_spectrum(D, size_cap: int):
     """
     D = _as_sparse(D)
     m, n = D.shape
-    lam, V = np.linalg.eigh(_dense_laplacian(D, size_cap))
+    lam, V = np.linalg.eigh(_dense_laplacian(D, DENSE_SIZE_CAP))
     cutoff = RANK_CUTOFF * max(lam[-1], 0.0)
     inv = np.where(lam > cutoff, 1.0 / np.where(lam > cutoff, lam, 1.0), 0.0)
     sq_norms = np.empty(m)
@@ -135,19 +135,19 @@ def _dense_spectrum(D, size_cap: int):
     return lam, V, inv, sq_norms
 
 
-def pseudoinverse_columns_dense(D, size_cap: int = DENSE_SIZE_CAP) -> np.ndarray:
+def pseudoinverse_columns_dense(D) -> np.ndarray:
     """Moore-Penrose pseudoinverse S = (D^T D)^+ D^T, shape (n, m).
 
-    Column j of the result is ``s_j``.  Raises for n beyond ``size_cap``;
-    use the structured eigensum for large grids instead.
+    Column j of the result is ``s_j``.  Raises for n beyond
+    ``DENSE_SIZE_CAP``; use the structured eigensum for large grids instead.
     """
-    _, V, inv, _ = _dense_spectrum(D, size_cap)
+    _, V, inv, _ = _dense_spectrum(D)
     return (_as_sparse(D) @ ((V * inv) @ V.T)).T
 
 
-def rho_dense(D, size_cap: int = DENSE_SIZE_CAP) -> float:
-    """max_j ||s_j||_2 via dense eigendecomposition."""
-    _, _, _, sq_norms = _dense_spectrum(D, size_cap)
+def rho_dense(D) -> float:
+    """max_j ||s_j||_2 via dense eigendecomposition, up to ``DENSE_SIZE_CAP`` vertices."""
+    _, _, _, sq_norms = _dense_spectrum(D)
     return float(np.sqrt(sq_norms.max()))
 
 
@@ -250,19 +250,20 @@ def kappa_lower_bound(max_degree: int, t_size: int) -> float:
     return 1.0 / (2.0 * min(np.sqrt(max_degree), np.sqrt(t_size)))
 
 
-def kappa_exact_bruteforce(D, T, max_size: int = KAPPA_BRUTEFORCE_CAP) -> float:
+def kappa_exact_bruteforce(D, T) -> float:
     """Exact kappa_T by enumerating the 2^|T| dual sign patterns.
 
     Uses ``sup_{||theta||=1} ||(D theta)_T||_1 = max_s ||D_T^T s||_2``
     over sign vectors s, so ``kappa_T = sqrt(|T|) / max_s ||D_T^T s||_2``.
-    Only half the patterns are enumerated (s and -s give the same norm).
+    Only half the patterns are enumerated (s and -s give the same norm);
+    |T| is capped at ``KAPPA_BRUTEFORCE_CAP``.
     """
     T = np.unique(np.asarray(list(T), dtype=np.int64))
     t = len(T)
     if t == 0:
         return 1.0
-    if t > max_size:
-        raise ValueError(f"brute-force kappa capped at |T| <= {max_size}")
+    if t > KAPPA_BRUTEFORCE_CAP:
+        raise ValueError(f"brute-force kappa capped at |T| <= {KAPPA_BRUTEFORCE_CAP}")
     DT = _as_sparse(D)[T].toarray()  # (t, n)
     best = 0.0
     total = 1 << (t - 1)  # fix the sign of the last edge
@@ -335,7 +336,7 @@ def spectral_report_from_matrix(D, family: str = "custom") -> SpectralReport:
     """
     D = _as_sparse(D)
     m, n = D.shape
-    lam, _, _, sq_norms = _dense_spectrum(D, DENSE_SIZE_CAP)
+    lam, _, _, sq_norms = _dense_spectrum(D)
     col_nnz = np.diff(D.tocsc().indptr)
     return SpectralReport(
         graph_n=n, graph_m=m, rho=float(np.sqrt(sq_norms.max())),

@@ -457,15 +457,25 @@ def tv1d_prox(y: np.ndarray, mu: float) -> np.ndarray:
             return x
 
 
+def _check_exact_input(y, lam: float) -> np.ndarray:
+    """y as a float vector; rejects a non-finite y, a non-finite lam or lam < 0."""
+    y = np.asarray(y, dtype=float)
+    if not np.isfinite(lam):
+        raise ValueError("lam must be finite")
+    if lam < 0:
+        raise ValueError("lam must be nonnegative")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y contains NaN or Inf")
+    return y
+
+
 def denoise_path_exact(y: np.ndarray, lam: float) -> np.ndarray:
     """Exact minimizer of (1/n)||theta - y||^2 + lam ||D_1 theta||_1.
 
     The taut string solves the (1/2, mu) normalization, so the weight is
     rescaled as mu = lam * n / 2.
     """
-    y = np.asarray(y, dtype=float)
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    y = _check_exact_input(y, lam)
     return tv1d_prox(y, 0.5 * lam * len(y))
 
 
@@ -482,10 +492,8 @@ def denoise_complete_exact(y: np.ndarray, lam: float) -> np.ndarray:
     problem into the isotonic regression of
     ``y_(r) - mu (2r - 1 - n)`` (mu = lam * n / 2).
     """
-    y = np.asarray(y, dtype=float)
+    y = _check_exact_input(y, lam)
     n = len(y)
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
     if lam == 0.0 or n <= 1:
         return y.copy()
     mu = 0.5 * lam * n
@@ -518,12 +526,11 @@ class LambdaRule:
     delta: float = 0.1
     constant_c: float = 1.0
     value: float | None = None  # for rule == "manual"
-    degree: float | None = None  # expected degree override for "random_gap"
 
     def __post_init__(self):
         if self.rule not in LAMBDA_RULES:
             raise ValueError(f"unknown lambda rule {self.rule!r}")
-        for name in ("sigma", "delta", "constant_c", "value", "degree"):
+        for name in ("sigma", "delta", "constant_c", "value"):
             x = getattr(self, name)
             if x is not None and not np.isfinite(x):
                 raise ValueError(f"{name} must be finite")
@@ -536,21 +543,12 @@ class LambdaRule:
             if self.constant_c <= 0:
                 raise ValueError("constant_c must be positive")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "sigma": self.sigma,
-            "delta": self.delta,
-            "constant_c": self.constant_c,
-            "value": self.value,
-            "degree": self.degree,
-        }
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "LambdaRule":
-        return cls(**{k: d[k] for k in
-                      ("rule", "sigma", "delta", "constant_c", "value", "degree")
-                      if k in d})
+        for key in d:
+            if key not in cls.__dataclass_fields__:
+                raise ValueError(f"unknown lambda_rule key {key!r}")
+        return cls(**d)
 
 
 def _expected_degree(graph) -> float:
@@ -558,10 +556,7 @@ def _expected_degree(graph) -> float:
         return float(graph.params["p"] * graph.n)
     if graph.family == "random_regular":
         return float(graph.params["d"])
-    raise ValueError(
-        "random_gap rule needs an erdos_renyi/random_regular graph or an "
-        "explicit degree on the rule"
-    )
+    raise ValueError("random_gap rule needs an erdos_renyi or random_regular graph")
 
 
 def lambda_value(rule: LambdaRule, graph=None, rho: float | None = None) -> float:
@@ -585,7 +580,7 @@ def lambda_value(rule: LambdaRule, graph=None, rho: float | None = None) -> floa
     if rule.rule == "complete":
         return c * s * np.sqrt(np.log(np.e * n / dl)) / (n * n)
     if rule.rule == "random_gap":
-        dn = rule.degree if rule.degree is not None else _expected_degree(graph)
+        dn = _expected_degree(graph)
         return c * s * np.sqrt(np.log(np.e * dn * n / dl)) / (dn * n)
     if rule.rule == "cycle_power":
         k = graph.params["k"]

@@ -156,6 +156,17 @@ class TestDenoiseCommand:
         obj2 = T.objective_value(y, D, 0.08, cli.read_vector(o2))
         assert abs(obj1 - obj2) <= 1e-6 * (1 + abs(obj2))
 
+    def test_taut_string_certificate_sets_converged(self, tmp_path, monkeypatch):
+        yp = self._write_y(tmp_path, np.array([0.0, 4.0, 1.0]))
+        out = tmp_path / "theta.txt"
+        args = ["denoise", "--graph", "path", "--n", "3", "--y", str(yp),
+                "--lambda-value", "0.5", "--oracle", "taut-string", "--out", str(out)]
+        assert run(args) == 0
+        monkeypatch.setattr(T, "kkt_certificate", lambda problem, theta: (np.zeros(2), 1.0))
+        assert run(args) == 3
+        rep = json.loads((tmp_path / "theta.txt.report.json").read_text())
+        assert rep["converged"] is False and rep["stationarity_residual"] == 1.0
+
     def test_report_sidecar(self, tmp_path):
         yp = self._write_y(tmp_path, np.array([0.0, 4.0]))
         out = tmp_path / "theta.txt"
@@ -235,8 +246,8 @@ class TestExperimentCommand:
         assert (out / "tiny.fit.json").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["configs"][0]["master_seed"] == 5
-        assert manifest["configs"][0]["trials"] == 3  # defaults materialized
-        assert manifest["configs"][0]["oracle_beta"] == 0.85
+        assert manifest["configs"][0]["trials"] == 3
+        assert manifest["configs"][0]["estimators"] == ["tv"]  # defaults materialized
 
     def test_byte_identical_across_thread_counts(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -281,8 +292,21 @@ class TestExperimentCommand:
         {"signal": {"kind": "wave"}},
         {"estimators": ["tv", "lasso"]},
         {"estimators": ["haar"]},  # haar needs grid2d
+        {"trails": 1},
+        {"oracle_beta": 0.7},
+        {"lambda_rule": {"rule": "theorem_general", "sigma": 0.5, "delat": 0.5}},
+        {"lambda_rule": {"rule": "nope"}},
+        {"sizes": [1]},
+        {"sigma": float("nan")},
+        {"sigma": -1.0},
+        {"family": "erdos_renyi", "family_params": {"expected_degree": -4}},
+        {"family": "random_regular", "family_params": {"degree": 3}, "sizes": [20, 21]},
+        {"family": "random_regular", "family_params": {"degree": 20}, "sizes": [20]},
     ], ids=["unknown-family", "er-no-degree", "rr-no-degree", "signal-no-kind",
-            "unknown-kind", "unknown-estimator", "haar-off-grid"])
+            "unknown-kind", "unknown-estimator", "haar-off-grid", "unknown-key",
+            "retired-key", "unknown-rule-key", "unknown-rule", "size-below-2", "nan-sigma",
+            "negative-sigma", "negative-expected-degree", "rr-odd-degree-sum",
+            "rr-degree-not-below-n"])
     def test_bad_config_fails_before_running(self, tmp_path, capsys, change):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**self.CFG, **change}))

@@ -1,5 +1,5 @@
-"""The demos run end to end: 01 builds every family through the ``auto``
-spectral route, 03 runs the harness families."""
+"""Every demo runs end to end: 01 builds every family through the ``auto``
+spectral route, 03 runs the harness families, 05 the grid rate studies."""
 import os
 import pathlib
 import subprocess
@@ -10,7 +10,9 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["01_spectral_constants.py", "03_island_model.py"])
+@pytest.mark.parametrize("demo", ["01_spectral_constants.py", "02_denoise_cartoon.py",
+                                  "03_island_model.py", "04_haar_thresholding.py",
+                                  "05_rate_studies.py"])
 def test_demo_exits_zero(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),

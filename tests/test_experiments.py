@@ -54,9 +54,10 @@ class TestOracleSearch:
         j = res.j_star
         assert all(res.errors[j - 1] <= res.errors[j - 1 + i] for i in (1, 2, 3))
 
-    def test_cap_returns_best_so_far(self):
+    def test_cap_returns_best_so_far(self, monkeypatch):
         # theta* = y and sub-fusion lambdas make the error strictly
         # decreasing, so no candidate ever survives the lookahead
+        monkeypatch.setattr(E, "ORACLE_MAX_STEPS", 5)
         y = np.array([0.0, 4.0])
         D = G.incidence(G.build_path(2))
 
@@ -64,7 +65,7 @@ class TestOracleSearch:
             r = T.denoise(T.DenoiseProblem(y, D, lam), T.SolverOptions(z0=z0))
             return r.theta_hat, r.dual_z, r.converged
 
-        res = E.oracle_lambda_search(solve, y, 0.05, max_steps=5)
+        res = E.oracle_lambda_search(solve, y, 0.05)
         assert not res.rule_satisfied
         assert len(res.errors) == 5
         assert res.j_star == 5  # best-so-far is the last (smallest) lambda
@@ -150,6 +151,17 @@ class TestRunExperiment:
         rec = E.run_experiment(cfg)
         assert len(rec) == 6
         assert all(r.n == 64 for r in rec)
+
+    @pytest.mark.parametrize("change, key", [
+        ({"trails": 1, "zzz": 2}, "trails"),
+        ({"oracle_beta": 0.7}, "oracle_beta"),  # retired: the grid ratio is ORACLE_BETA
+        ({"lambda_rule": {"rule": "theorem_general", "sigma": 0.5, "delat": 0.5}}, "delat"),
+        ({"lambda_rule": {"rule": "random_gap", "degree": 8.0}}, "degree"),
+    ])
+    def test_unknown_key_is_an_error(self, change, key):
+        d = {**tiny_config().to_json_dict(), **change}
+        with pytest.raises(ValueError, match=f"unknown .*key '{key}'"):
+            E.ExperimentConfig.from_json_dict(d)
 
     def test_config_json_roundtrip(self):
         cfg = tiny_config()

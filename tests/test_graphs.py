@@ -165,9 +165,10 @@ class TestRandomFamilies:
         for seed in range(5):
             assert G.is_connected(G.build_erdos_renyi(40, 0.15, seed=seed))
 
-    def test_er_retry_exhaustion(self):
-        with pytest.raises(G.GraphGenerationError, match="p=0.001"):
-            G.build_erdos_renyi(50, 0.001, seed=0, max_retries=3)
+    def test_er_retry_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(G, "ER_MAX_RETRIES", 3)
+        with pytest.raises(G.GraphGenerationError, match="p=0.001 in 3 attempts"):
+            G.build_erdos_renyi(50, 0.001, seed=0)
 
     def test_regular_unique_cubic_on_four(self):
         g = G.build_random_regular(4, 3, seed=1)

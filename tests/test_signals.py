@@ -140,11 +140,6 @@ class TestNoise:
 
 
 class TestSignalSpec:
-    def test_json_roundtrip(self):
-        s = sig.SignalSpec("island", {"k": 3, "l": 4})
-        back = sig.SignalSpec.from_json_dict(s.to_json_dict())
-        assert back == s
-
     def test_realize_island(self):
         s = sig.SignalSpec("island", {"k": 2, "l": 2})
         v = sig.realize_signal(s, n=10)

@@ -80,9 +80,10 @@ class TestPseudoinverse:
             Sm = S.pseudoinverse_columns_dense(G.incidence(g))
             assert np.max(np.abs(Sm.T @ np.ones(g.n))) <= 1e-9
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setattr(S, "DENSE_SIZE_CAP", 5)
         with pytest.raises(ValueError, match="structured"):
-            S.pseudoinverse_columns_dense(G.incidence(G.build_path(10)), size_cap=5)
+            S.pseudoinverse_columns_dense(G.incidence(G.build_path(10)))
 
 
 def _rho_independent(g):

@@ -168,6 +168,15 @@ class TestSolverAgainstOracles:
         order = np.argsort(y, kind="stable")
         assert np.all(np.diff(theta[order]) >= -1e-12)
 
+    @pytest.mark.parametrize("solver", [T.denoise_path_exact, T.denoise_complete_exact])
+    @pytest.mark.parametrize("y, lam", [([1.0, np.nan, 3.0], 0.1), ([1.0, np.inf, 3.0], 0.1),
+                                        ([1.0, 2.0, 3.0], np.nan), ([1.0, 2.0, 3.0], np.inf)],
+                             ids=["nan-y", "inf-y", "nan-lam", "inf-lam"])
+    def test_exact_solvers_reject_non_finite_input(self, solver, y, lam):
+        # a NaN sigma once reached denoise_complete_exact and gave mse=nan records
+        with pytest.raises(ValueError, match="finite|NaN"):
+            solver(np.array(y), lam)
+
     def test_complete_exact_edge_cases(self):
         y = np.array([3.0, 1.0, 2.0])
         assert np.array_equal(T.denoise_complete_exact(y, 0.0), y)
