@@ -72,17 +72,16 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
 
 
 def _graph_from_args(args):
-    """Returns (graph_or_None, D, family_label)."""
+    """The graph the flags name, or the anchored path matrix for ``--augmented``."""
     if args.graph == "custom":
         if args.edges is None:
             raise UsageError("missing required flag --edges")
-        gr = G.read_edge_list(args.edges, n=args.n)
-    elif args.graph == "path" and args.augmented and args.n is not None:
-        return None, G.build_augmented_path(args.n), "augmented_path"
-    else:  # also reports a missing --n for --augmented
-        gr = G.build_family(args.graph.replace("-", "_"), n=args.n, d=args.d, N=args.side,
-                            k=args.k, p=args.p, seed=args.seed)
-    return gr, G.incidence(gr), gr.family
+        return G.read_edge_list(args.edges, n=args.n)
+    if args.graph == "path" and args.augmented and args.n is not None:
+        return G.build_augmented_path(args.n)
+    # also reports a missing --n for --augmented
+    return G.build_family(args.graph.replace("-", "_"), n=args.n, d=args.d, N=args.side,
+                          k=args.k, p=args.p, seed=args.seed)
 
 
 class UsageError(ValueError):
@@ -94,11 +93,10 @@ class UsageError(ValueError):
 
 
 def cmd_spectral(args) -> int:
-    gr, D, family = _graph_from_args(args)
-    if gr is None:
-        report = spec.spectral_report_from_matrix(D, family=family)
-    else:
-        report = spec.spectral_report(gr, method=args.method)
+    g = _graph_from_args(args)
+    report = spec.spectral_report(g, method=args.method)
+    if not isinstance(g, G.Graph):  # only --augmented gives a bare matrix
+        report.family = "augmented_path"
     out = pathlib.Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report.to_json_dict(), indent=1, sort_keys=True),
@@ -108,30 +106,24 @@ def cmd_spectral(args) -> int:
     return EXIT_OK
 
 
-def _lambda_from_args(args, graph, D) -> float:
-    if args.lambda_value is not None:
-        return float(args.lambda_value)
-    rule = tv.LambdaRule(args.lambda_rule, sigma=args.sigma, delta=args.delta,
-                         constant_c=args.constant_c)
-    rho = None
-    if rule.rule == "theorem_general":
-        rho = spec.rho_estimate(graph) if graph is not None else \
-            spec.spectral_report_from_matrix(D).rho
-    return float(tv.lambda_value(rule, graph, rho=rho))
-
-
 def cmd_denoise(args) -> int:
-    gr, D, family = _graph_from_args(args)
+    g = _graph_from_args(args)
+    graph = g if isinstance(g, G.Graph) else None  # None for --augmented
+    D = g if graph is None else G.incidence(graph)
     y = read_vector(args.y)
     if y.shape[0] != D.shape[1]:
         raise UsageError(f"y has {y.shape[0]} entries but the graph has {D.shape[1]} vertices")
-    lam = _lambda_from_args(args, gr, D)
+    lam = args.lambda_value
+    if lam is None:  # a rule needs a graph, so --augmented fails here, before any spectral work
+        rule = tv.LambdaRule(args.lambda_rule, sigma=args.sigma, delta=args.delta,
+                             constant_c=args.constant_c)
+        lam = float(tv.lambda_value(rule, graph))
     problem = tv.DenoiseProblem(y, D, lam)  # rejects a non-finite lambda
     out = pathlib.Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
 
     if args.oracle == "taut-string":
-        if family != "path":
+        if graph is None or graph.family != "path":
             raise UsageError("--oracle taut-string requires --graph path (not augmented)")
         theta = tv.denoise_path_exact(y, lam)
         z, resid = tv.kkt_certificate(problem, theta)

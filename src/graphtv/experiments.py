@@ -12,6 +12,7 @@ import copy
 import csv
 import io
 import json
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
@@ -21,7 +22,6 @@ import numpy as np
 from . import graphs as G
 from . import haar as H
 from . import signals as sig
-from . import spectral as spec
 from . import tvsolver as tv
 
 CSV_HEADER = ["family", "n", "k", "l", "estimator", "lambda_policy",
@@ -75,8 +75,9 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError("sigma must be finite and nonnegative")
-        if not self.sizes or min(self.sizes) < 2:
-            raise ValueError("sizes must be a nonempty list of values >= 2")
+        if not self.sizes or not all(isinstance(size, numbers.Integral) and size >= 2
+                                     for size in self.sizes):
+            raise ValueError("sizes must be a nonempty list of integers >= 2")
         if self.lambda_policy not in ("theoretical", "oracle"):
             raise ValueError(f"unknown lambda policy {self.lambda_policy!r}")
         if self.family not in FAMILY_PARAMS:
@@ -86,12 +87,12 @@ class ExperimentConfig:
                 raise ValueError(f"family {self.family!r} needs family_params[{key!r}]")
         if self.family == "erdos_renyi":
             degree = self.family_params["expected_degree"]
-            if not (np.isfinite(degree) and degree > 0):
+            if not (isinstance(degree, numbers.Real) and np.isfinite(degree) and degree > 0):
                 raise ValueError("expected_degree must be finite and positive")
         if self.family == "random_regular":
             d = self.family_params["degree"]
             for n in self.sizes:
-                if not 1 <= d < n or n * d % 2:
+                if not (isinstance(d, numbers.Integral) and 1 <= d < n) or n * d % 2:
                     raise ValueError(f"random_regular degree {d} needs 1 <= d < n and "
                                      f"n * d even, not at n = {n}")
         kind = self.signal.get("kind") if isinstance(self.signal, dict) else None
@@ -105,6 +106,24 @@ class ExperimentConfig:
         if "haar" in self.estimators and self.family != "grid2d":
             raise ValueError("haar estimator needs the grid2d family")
         self.rule = tv.LambdaRule.from_json_dict(self.lambda_rule)
+        self._shapes = self._island_shapes()
+
+    def _island_shapes(self) -> list:
+        """(k, l) per island-shape index: ``kl_values``, the island signal's, or (None, None)."""
+        if self.kl_values is None and self.signal["kind"] != "island":
+            return [(None, None)]
+        params = self.signal.get("params", {})
+        pairs = [[params.get("k"), params.get("l")]] if self.kl_values is None else self.kl_values
+        if not pairs:
+            raise ValueError("kl_values must be nonempty when given")
+        n = min(self.sizes) ** (2 if self.family == "grid2d" else 1)
+        for pair in pairs:
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(isinstance(x, numbers.Integral) for x in pair)
+                    and pair[0] >= 0 and pair[1] >= 1 and pair[0] * pair[1] <= n):
+                raise ValueError(f"island shape (k, l) = {pair!r} needs integers k >= 0 and "
+                                 f"l >= 1 with k*l <= n = {n} at every size")
+        return [(int(k), int(l)) for k, l in pairs]
 
     def to_json_dict(self) -> dict:
         d = asdict(self)
@@ -113,9 +132,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
-        for key in d:
-            if key not in cls.__dataclass_fields__:
-                raise ValueError(f"unknown config key {key!r}")
+        tv.check_json_fields(cls, d, "config")
         return cls(**d)
 
 
@@ -232,23 +249,17 @@ def _substream(master_seed: int, *key: int) -> int:
                .generate_state(1, np.uint64)[0])
 
 
-def _signal_for(cfg: ExperimentConfig, size: int, n: int, kl, signal_seed: int) -> np.ndarray:
-    spec_dict = dict(cfg.signal)
-    params = dict(spec_dict.get("params", {}))
-    kind = spec_dict["kind"]
-    if kind == "island" and kl is not None:
-        params["k"], params["l"] = int(kl[0]), int(kl[1])
+def _signal_for(cfg: ExperimentConfig, size: int, n: int, shape, signal_seed: int) -> np.ndarray:
+    params = dict(cfg.signal.get("params", {}))
+    kind = cfg.signal["kind"]
+    if kind == "island":
+        params["k"], params["l"] = shape
     if kind in ("grid_function", "bi_isotonic") and "N" not in params:
         params["N"] = size
     if kind == "grid_function" and "d" not in params:
         params["d"] = 2
     s = sig.SignalSpec(kind, params)
     return sig.realize_signal(s, n=n, seed=signal_seed)
-
-
-def _theoretical_lambda(cfg: ExperimentConfig, graph: G.Graph, D) -> float:
-    rho = spec.rho_estimate(graph, D) if cfg.rule.rule == "theorem_general" else None
-    return float(tv.lambda_value(cfg.rule, graph, rho=rho))
 
 
 def _solve_tv(graph: G.Graph, D, y, lam, op_norm, z0=None):
@@ -263,8 +274,8 @@ def _solve_tv(graph: G.Graph, D, y, lam, op_norm, z0=None):
 def _run_cell_trial(cfg: ExperimentConfig, si: int, ki: int, trial: int) -> list:
     """All estimator records for one (size, island shape, trial) cell."""
     size = int(cfg.sizes[si])
-    kl = cfg.kl_values[ki] if cfg.kl_values is not None else None
-    stream = (si * (len(cfg.kl_values) if cfg.kl_values else 1) + ki) * cfg.trials + trial
+    shape = cfg._shapes[ki]  # (k, l) of the island signal, or (None, None)
+    stream = (si * len(cfg._shapes) + ki) * cfg.trials + trial
     graph_seed = _substream(cfg.master_seed, si, ki, trial, 1)
     signal_seed = _substream(cfg.master_seed, si, ki, 2)
 
@@ -272,19 +283,11 @@ def _run_cell_trial(cfg: ExperimentConfig, si: int, ki: int, trial: int) -> list
     # the complete graph is solved exactly with a closed-form rho: no D, no step size
     D = None if cfg.family == "complete" else G.incidence(graph)
     n = graph.n
-    theta_star = _signal_for(cfg, size, n, kl, signal_seed)
+    theta_star = _signal_for(cfg, size, n, shape, signal_seed)
     noise = sig.gaussian_noise(n, sig.NoiseModel(cfg.sigma, cfg.master_seed, stream))
     y = theta_star + noise
 
     op_norm = None if D is None else tv.operator_norm(D)
-
-    if kl is not None:
-        k_val, l_val = int(kl[0]), int(kl[1])
-    elif cfg.signal.get("kind") == "island":
-        k_val = int(cfg.signal["params"]["k"])
-        l_val = int(cfg.signal["params"]["l"])
-    else:
-        k_val = l_val = None
 
     records = []
     for estimator in cfg.estimators:
@@ -295,7 +298,7 @@ def _run_cell_trial(cfg: ExperimentConfig, si: int, ki: int, trial: int) -> list
                                           cfg.sigma).reshape(-1, order="F")
             lam_used, converged = 0.0, True
         else:  # tv
-            lam_th = _theoretical_lambda(cfg, graph, D)
+            lam_th = float(tv.lambda_value(cfg.rule, graph))
             if cfg.lambda_policy == "theoretical":
                 theta_hat, _, converged = _solve_tv(graph, D, y, lam_th, op_norm)
                 lam_used = lam_th
@@ -307,7 +310,7 @@ def _run_cell_trial(cfg: ExperimentConfig, si: int, ki: int, trial: int) -> list
                 lam_used = search.lambda_or
                 converged = search.all_converged and search.rule_satisfied
         mse = float(np.mean((theta_hat - theta_star) ** 2))
-        records.append(ExperimentRecord(cfg.family, n, k_val, l_val, estimator,
+        records.append(ExperimentRecord(cfg.family, n, *shape, estimator,
                                         cfg.lambda_policy, float(lam_used), trial,
                                         stream, mse, bool(converged)))
     return records
@@ -325,10 +328,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
     Records are sorted by (size index, shape index, trial, estimator), so
     the output is independent of ``threads``.
     """
-    n_kl = len(cfg.kl_values) if cfg.kl_values is not None else 1
     tasks = [(si, ki, trial)
              for si in range(len(cfg.sizes))
-             for ki in range(n_kl)
+             for ki in range(len(cfg._shapes))
              for trial in range(cfg.trials)]
     if threads > 1:
         cfg_dict = cfg.to_json_dict()

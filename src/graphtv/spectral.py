@@ -8,9 +8,9 @@ the error rates of the graph TV denoiser:
 * the *compatibility factor* ``kappa_T``: the infimum over signals of
   ``sqrt(|T|) * ||theta||_2 / ||(D theta)_T||_1`` for an edge subset T.
 
-``rho`` is computed either densely (eigendecomposition of the Laplacian)
-or, for grid/hypercube families, through a closed-form eigensum in the
-DCT-2 basis of the path graph.  ``kappa_T`` is exposed as an exact
+``_route`` alone picks how ``rho`` is computed: a closed form, an eigensum
+in the DCT-2 basis of the path graph, the dense eigendecomposition of the
+Laplacian, or a spectral-gap bound.  ``kappa_T`` is exposed as an exact
 brute-force oracle (sign enumeration) plus the closed-form degree bound.
 """
 from __future__ import annotations
@@ -24,6 +24,7 @@ import scipy.sparse as sp
 from . import graphs as G
 
 DENSE_SIZE_CAP = 4096
+GAP_SIZE_CAP = 2 * DENSE_SIZE_CAP
 STRUCTURED_SIZE_CAP = 4_200_000
 RANK_CUTOFF = 1e-10
 KAPPA_BRUTEFORCE_CAP = 20
@@ -36,7 +37,7 @@ class SpectralReport:
     graph_n: int
     graph_m: int
     rho: float
-    rho_method: str  # "dense_pseudoinverse" | "eigensum_structured"
+    rho_method: str  # the route taken, see _route
     kappa_lower_bound: float
     family: str = "custom"
     eigenvalues: np.ndarray | None = None
@@ -156,40 +157,13 @@ def rho_dense_gram(graph) -> float:
     return rho_dense(G.incidence(graph))
 
 
-def rho_estimate(graph: G.Graph, D=None) -> float:
-    """rho (or a sharp upper bound) for the theorem-general lambda rule.
-
-    Closed forms for complete/star, the structured eigensum for grids and
-    hypercubes, the dense pseudoinverse up to ``DENSE_SIZE_CAP``, and the
-    spectral-gap bound sqrt(2)/lambda_2 for larger random families.
-    """
-    n = graph.n
-    if graph.family == "complete":
-        return float(np.sqrt(2.0) / n)
-    if graph.family == "star":
-        return float(np.sqrt((n * n - n)) / n)
-    shape = _structured_shape(graph)
-    if shape is not None:
-        return rho_structured_grid(*shape)
-    D = G.incidence(graph) if D is None else D
-    if n <= DENSE_SIZE_CAP:
-        return rho_dense(D)
-    if graph.family in ("erdos_renyi", "random_regular"):
-        return spectral_gap(D, size_cap=2 * DENSE_SIZE_CAP)[1]
-    raise ValueError(f"no rho route for family {graph.family!r} at n={n}")
+def rho_estimate(graph: G.Graph) -> float:
+    """rho (or a sharp upper bound) for the theorem-general lambda rule: the ``auto`` route."""
+    return _route(graph, "auto")[0]
 
 
 # ---------------------------------------------------------------------------
 # structured eigensum for grids and hypercubes
-
-
-def _structured_shape(g: G.Graph) -> tuple[int, int] | None:
-    """(d, N) of the grid eigensum for grids and hypercubes, else None."""
-    if g.family == "grid":
-        return g.params["d"], g.params["N"]
-    if g.family == "hypercube":
-        return g.params["d"], 2
-    return None
 
 
 def rho_structured_grid(d: int, N: int) -> float:
@@ -278,69 +252,80 @@ def kappa_exact_bruteforce(D, T) -> float:
     return float(np.sqrt(t) / best)
 
 
-def spectral_gap(D, size_cap: int = DENSE_SIZE_CAP) -> tuple[float, float]:
+def spectral_gap(D) -> tuple[float, float]:
     """Second-smallest Laplacian eigenvalue and the induced bound on rho.
 
     Returns ``(lambda_2, sqrt(2)/lambda_2)``; the second value bounds rho
     for any connected graph because every column of D^T has norm sqrt(2)
-    and is orthogonal to the constant vector.
+    and is orthogonal to the constant vector.  Eigenvalues alone fit up to
+    ``GAP_SIZE_CAP`` vertices, twice the dense cap.
     """
-    lam = np.linalg.eigvalsh(_dense_laplacian(_as_sparse(D), size_cap))
+    lam = np.linalg.eigvalsh(_dense_laplacian(_as_sparse(D), GAP_SIZE_CAP))
     lam2 = float(lam[1])
     bound = float(np.sqrt(2.0) / lam2) if lam2 > 0 else np.inf
     return lam2, bound
 
 
 # ---------------------------------------------------------------------------
-# reports
+# the route to rho and lambda_2, and the report
 
 
-def spectral_report(g: G.Graph, method: str = "dense") -> SpectralReport:
-    """Compute rho and companion constants for a graph.
+def _route(g, method: str):
+    """The one choice of how rho and lambda_2 are computed.
 
-    ``method`` is ``"dense"`` (any graph, capped at ``DENSE_SIZE_CAP``
-    vertices), ``"structured"`` (grid and hypercube families only) or
-    ``"auto"`` (structured where it is defined, dense otherwise).  The
-    kappa bound is evaluated at |T| = m, the worst case over all edge
-    subsets.
+    ``g`` is a Graph or a difference matrix; returns ``(rho, lambda_2,
+    rho_method, eigenvalues)``, the last only on the dense route.  ``"auto"``
+    takes the closed form for complete and star graphs, the structured
+    eigensum for grids and hypercubes, the spectral-gap bound for
+    Erdos-Renyi and random regular graphs past ``DENSE_SIZE_CAP`` vertices
+    and the dense pseudoinverse otherwise (always for a matrix).
     """
-    if g.m == 0:
-        raise ValueError("spectral report needs at least one edge")
-    shape = _structured_shape(g)
-    if method == "auto":
-        method = "dense" if shape is None else "structured"
-    if method == "dense":
-        return spectral_report_from_matrix(G.incidence(g), family=g.family)
-    if method == "structured":
-        if shape is None:
-            raise ValueError(
-                f"structured eigensum is only defined for grid/hypercube, not {g.family!r}"
-            )
-        d, N = shape
-        rho = rho_structured_grid(d, N)
+    if method not in ("auto", "dense", "structured"):
+        raise ValueError(f"unknown method {method!r}")
+    graph = g if isinstance(g, G.Graph) else None
+    structured = graph is not None and graph.family in ("grid", "hypercube")
+    if graph is not None and method == "auto":
+        n = graph.n
+        if graph.family == "complete":
+            return float(np.sqrt(2.0) / n), float(n), "closed_form", None
+        if graph.family == "star":  # S_2 is a single edge, with lambda_2 = 2
+            return float(np.sqrt((n * n - n)) / n), 1.0 if n >= 3 else 2.0, "closed_form", None
+        if n > DENSE_SIZE_CAP and graph.family in ("erdos_renyi", "random_regular"):
+            lam2, bound = spectral_gap(G.incidence(graph))
+            return bound, lam2, "spectral_gap_bound", None
+        method = "structured" if structured else "dense"
+    if graph is not None and method == "structured":
+        if not structured:
+            raise ValueError("structured eigensum is only defined for grid/hypercube, "
+                             f"not {graph.family!r}")
+        N = graph.params.get("N", 2)  # a hypercube is the grid of side 2
         # smallest positive Kronecker-sum eigenvalue: one axis at lam_1, rest at 0
         lam2 = float(2.0 - 2.0 * np.cos(np.pi / N))
-        return SpectralReport(
-            graph_n=g.n, graph_m=g.m, rho=rho, rho_method="eigensum_structured",
-            kappa_lower_bound=kappa_lower_bound(G.max_degree(g), g.m), family=g.family,
-            eigenvalues=None, spectral_gap=lam2,
-        )
-    raise ValueError(f"unknown method {method!r}")
+        return rho_structured_grid(graph.params["d"], N), lam2, "eigensum_structured", None
+    lam, _, _, sq_norms = _dense_spectrum(g if graph is None else G.incidence(graph))
+    lam2 = float(lam[1]) if len(lam) > 1 else None
+    return float(np.sqrt(sq_norms.max())), lam2, "dense_pseudoinverse", lam
 
 
-def spectral_report_from_matrix(D, family: str = "custom") -> SpectralReport:
-    """Dense-route report for an incidence or any other difference matrix.
+def spectral_report(g, method: str = "auto") -> SpectralReport:
+    """rho, lambda_2 and the kappa bound at |T| = m of a Graph or a difference matrix.
 
-    For a graph incidence the largest column count is the maximum degree;
-    the anchored path matrix (:func:`graphs.build_augmented_path`) works too.
+    ``method`` is ``"auto"`` (the route of :func:`rho_estimate`),
+    ``"dense"`` (capped at ``DENSE_SIZE_CAP`` vertices) or ``"structured"``
+    (grids and hypercubes only); a matrix, such as the anchored path of
+    :func:`graphs.build_augmented_path`, always takes the dense route.
     """
-    D = _as_sparse(D)
-    m, n = D.shape
-    lam, _, _, sq_norms = _dense_spectrum(D)
-    col_nnz = np.diff(D.tocsc().indptr)
+    if isinstance(g, G.Graph):
+        if g.m == 0:
+            raise ValueError("spectral report needs at least one edge")
+        n, m, max_degree, family = g.n, g.m, G.max_degree(g), g.family
+    else:
+        D = _as_sparse(g)
+        m, n = D.shape
+        max_degree, family = int(np.diff(D.tocsc().indptr).max()), "custom"
+    rho, lam2, rho_method, eigenvalues = _route(g, method)
     return SpectralReport(
-        graph_n=n, graph_m=m, rho=float(np.sqrt(sq_norms.max())),
-        rho_method="dense_pseudoinverse",
-        kappa_lower_bound=kappa_lower_bound(int(col_nnz.max()), m),
-        family=family, eigenvalues=lam, spectral_gap=float(lam[1]) if n > 1 else None,
+        graph_n=n, graph_m=m, rho=rho, rho_method=rho_method,
+        kappa_lower_bound=kappa_lower_bound(max_degree, m), family=family,
+        eigenvalues=eigenvalues, spectral_gap=lam2,
     )

@@ -36,13 +36,16 @@ sort-plus-isotonic reduction for complete graphs.
 """
 from __future__ import annotations
 
+import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import isotonic_regression
 from scipy.sparse.csgraph import connected_components
+
+from . import spectral as spec
 
 LAMBDA_RULES = (
     "theorem_general",
@@ -545,10 +548,29 @@ class LambdaRule:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LambdaRule":
-        for key in d:
-            if key not in cls.__dataclass_fields__:
-                raise ValueError(f"unknown lambda_rule key {key!r}")
+        check_json_fields(cls, d, "lambda_rule")
         return cls(**d)
+
+
+# The JSON values accepted for each field annotation of a config dataclass.
+JSON_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real, "dict": dict,
+              "list": list, "tuple": (list, tuple), "list | None": (list, type(None)),
+              "float | None": (numbers.Real, type(None))}
+
+
+def check_json_fields(cls, d, what: str) -> None:
+    """Reject a JSON object with unknown, missing or mistyped fields of dataclass ``cls``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    for key in d:
+        if key not in cls.__dataclass_fields__:
+            raise ValueError(f"unknown {what} key {key!r}")
+    for f in fields(cls):
+        if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"missing {what} key {f.name!r}")
+        if f.name in d and (isinstance(d[f.name], bool)
+                            or not isinstance(d[f.name], JSON_TYPES[f.type])):
+            raise ValueError(f"{what} key {f.name!r} must be {f.type}, got {d[f.name]!r}")
 
 
 def _expected_degree(graph) -> float:
@@ -559,8 +581,8 @@ def _expected_degree(graph) -> float:
     raise ValueError("random_gap rule needs an erdos_renyi or random_regular graph")
 
 
-def lambda_value(rule: LambdaRule, graph=None, rho: float | None = None) -> float:
-    """Evaluate a LambdaRule for a graph (and rho, for the generic rule)."""
+def lambda_value(rule: LambdaRule, graph=None) -> float:
+    """Evaluate a LambdaRule for a graph; the generic rule reads ``spectral.rho_estimate``."""
     if rule.rule == "manual":
         if rule.value is None:
             raise ValueError("manual rule needs a value")
@@ -570,9 +592,7 @@ def lambda_value(rule: LambdaRule, graph=None, rho: float | None = None) -> floa
     n, m = graph.n, graph.m
     c, s, dl = rule.constant_c, rule.sigma, rule.delta
     if rule.rule == "theorem_general":
-        if rho is None:
-            raise ValueError("theorem_general rule needs rho")
-        return c * s * rho * np.sqrt(2.0 * np.log(np.e * m / dl)) / n
+        return c * s * spec.rho_estimate(graph) * np.sqrt(2.0 * np.log(np.e * m / dl)) / n
     if rule.rule == "grid2d":
         return c * s * np.sqrt(np.log(n) * np.log(np.e * n / dl)) / n
     if rule.rule in ("grid_high_dim", "hypercube", "star"):

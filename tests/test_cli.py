@@ -50,6 +50,7 @@ class TestSpectralCommand:
                     "--out", str(out)]) == 0
         rep = json.loads(out.read_text())
         assert rep["rho"] == pytest.approx(np.sqrt(5), abs=1e-9)
+        assert rep["family"] == "augmented_path"
 
     def test_custom_graph(self, tmp_path):
         edges = tmp_path / "g.txt"
@@ -72,6 +73,13 @@ class TestSpectralCommand:
         assert run(["spectral", "--graph", "path", "--n", "9", "--method", "dense",
                     "--out", str(out)] + extra) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("family", ["complete", "star"])
+    def test_closed_form_past_the_dense_cap(self, tmp_path, monkeypatch, family):
+        monkeypatch.setattr(spec, "DENSE_SIZE_CAP", 8)
+        out = tmp_path / "x.json"
+        assert run(["spectral", "--graph", family, "--n", "9", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["rho_method"] == "closed_form"
 
     def test_generation_failure_is_numerical_error(self, tmp_path):
         # p far below the connectivity threshold exhausts the retry budget
@@ -218,6 +226,15 @@ class TestDenoiseCommand:
         assert run(["denoise", "--graph", "path", "--n", "3", "--y", str(yp),
                     "--lambda-value", "1", "--out", str(tmp_path / "t.txt")]) == 2
 
+    def test_augmented_rule_fails_before_spectral_work(self, tmp_path, monkeypatch, capsys):
+        def no_spectrum(D):
+            raise RuntimeError("dense spectrum computed")
+        monkeypatch.setattr(spec, "_dense_spectrum", no_spectrum)
+        yp = self._write_y(tmp_path, np.zeros(4))
+        assert run(["denoise", "--graph", "path", "--n", "4", "--augmented", "--y", str(yp),
+                    "--out", str(tmp_path / "t.txt")]) == 2
+        assert "needs a graph" in capsys.readouterr().err
+
     def test_oracle_requires_path(self, tmp_path):
         yp = self._write_y(tmp_path, np.zeros(4))
         assert run(["denoise", "--graph", "grid", "--d", "2", "--N", "2",
@@ -302,11 +319,20 @@ class TestExperimentCommand:
         {"family": "erdos_renyi", "family_params": {"expected_degree": -4}},
         {"family": "random_regular", "family_params": {"degree": 3}, "sizes": [20, 21]},
         {"family": "random_regular", "family_params": {"degree": 20}, "sizes": [20]},
+        {"lambda_rule": {"sigma": 0.5}},
+        {"trials": "1"},
+        {"signal": {"kind": "island", "params": {"k": 10, "l": 10}}, "sizes": [20, 400]},
+        {"kl_values": []},
+        {"sizes": ["20"]},
+        {"family": "erdos_renyi", "family_params": {"expected_degree": "4"}},
+        {"family": "random_regular", "family_params": {"degree": "3"}, "sizes": [20]},
     ], ids=["unknown-family", "er-no-degree", "rr-no-degree", "signal-no-kind",
             "unknown-kind", "unknown-estimator", "haar-off-grid", "unknown-key",
             "retired-key", "unknown-rule-key", "unknown-rule", "size-below-2", "nan-sigma",
             "negative-sigma", "negative-expected-degree", "rr-odd-degree-sum",
-            "rr-degree-not-below-n"])
+            "rr-degree-not-below-n", "rule-missing", "trials-not-int", "islands-past-n",
+            "empty-kl-values", "size-not-int", "expected-degree-not-number",
+            "rr-degree-not-int"])
     def test_bad_config_fails_before_running(self, tmp_path, capsys, change):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**self.CFG, **change}))

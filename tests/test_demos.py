@@ -20,3 +20,12 @@ def test_demo_exits_zero(demo):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs():
+    src = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = src.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["report"].rho_method == "eigensum_structured"
+    assert namespace["res"].converged

@@ -42,7 +42,9 @@ class TestOracleSearch:
         noise = np.random.default_rng(99).normal(size=n) * 0.5
         y = theta + noise
         rule = T.LambdaRule("theorem_general", sigma=0.5, delta=0.1)
-        lam_th = T.lambda_value(rule, g, rho=np.sqrt(2) / n)
+        lam_th = T.lambda_value(rule, g)
+        assert lam_th == pytest.approx(
+            0.5 * S.rho_estimate(g) * np.sqrt(2 * np.log(np.e * g.m / 0.1)) / n, rel=1e-12)
 
         def solve(lam, z0):
             return T.denoise_complete_exact(y, lam), None, True

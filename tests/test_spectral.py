@@ -220,7 +220,7 @@ class TestSpectralGap:
 
 class TestReports:
     def test_dense_report_fields(self):
-        rep = S.spectral_report(G.build_star(10))
+        rep = S.spectral_report(G.build_star(10), method="dense")
         assert rep.graph_n == 10 and rep.graph_m == 9
         assert rep.rho == pytest.approx(np.sqrt(0.9), abs=1e-10)
         assert rep.rho_method == "dense_pseudoinverse"
@@ -248,6 +248,36 @@ class TestAutoMethod:
     def test_structured_exactly_for_grids_and_hypercubes(self, family):
         g = G.build_family(family, n=12, d=3, N=4, k=2, p=0.5, seed=3)
         rep = S.spectral_report(g, "auto")
+        assert S.rho_estimate(g) == rep.rho  # the one route, read twice
+        if family in ("complete", "star"):
+            assert rep.rho_method == "closed_form"
+            return
         structured = family in ("grid", "hypercube")
         assert rep.rho_method == ("eigensum_structured" if structured else "dense_pseudoinverse")
         assert rep.rho == S.spectral_report(g, "structured" if structured else "dense").rho
+
+
+class TestOneRoute:
+    @pytest.mark.parametrize("family", ["complete", "star"])
+    def test_closed_forms_match_dense(self, family):
+        for n in range(2, 41):  # S_2 is one edge, with lambda_2 = 2
+            g = G.build_family(family, n=n)
+            auto, dense = S.spectral_report(g), S.spectral_report(g, "dense")
+            assert auto.rho_method == "closed_form"
+            assert abs(auto.rho - dense.rho) <= 1e-10, n
+            assert abs(auto.spectral_gap - dense.spectral_gap) <= 1e-10, n
+
+    @pytest.mark.parametrize("family", ["erdos_renyi", "random_regular"])
+    def test_gap_bound_past_the_dense_cap(self, monkeypatch, family):
+        g = G.build_family(family, n=12, d=3, p=0.5, seed=3)
+        dense = S.spectral_report(g, "dense")
+        monkeypatch.setattr(S, "DENSE_SIZE_CAP", 8)
+        rep = S.spectral_report(g)
+        assert rep.rho_method == "spectral_gap_bound"
+        assert rep.spectral_gap == pytest.approx(dense.spectral_gap, abs=1e-9)
+        assert dense.rho <= rep.rho == pytest.approx(np.sqrt(2.0) / dense.spectral_gap)
+
+    def test_matrix_takes_the_dense_route(self):
+        rep = S.spectral_report(G.build_augmented_path(6), method="structured")
+        assert rep.rho_method == "dense_pseudoinverse" and rep.family == "custom"
+        assert rep.rho == pytest.approx(np.sqrt(6), abs=1e-10)

@@ -7,6 +7,7 @@ from scipy.optimize import lsq_linear
 from scipy.sparse.csgraph import connected_components
 
 from graphtv import graphs as G
+from graphtv import spectral as S
 from graphtv import tvsolver as T
 
 
@@ -463,8 +464,8 @@ class TestLambdaRules:
         lam = 1.0 * 1.0 * np.sqrt(2.0 * np.log(np.e * g.m / delta)) / 10
         assert lam == pytest.approx(np.sqrt(2) / 10)
         rule = T.LambdaRule("theorem_general", sigma=1.0, delta=0.1)
-        got = T.lambda_value(rule, g, rho=1.0)
-        assert got == pytest.approx(np.sqrt(2 * np.log(np.e * 9 / 0.1)) / 10)
+        got = T.lambda_value(rule, g)
+        assert got == pytest.approx(S.rho_estimate(g) * np.sqrt(2 * np.log(np.e * 9 / 0.1)) / 10)
 
     def test_grid2d_formula(self):
         g = G.build_grid(2, 10)
@@ -509,12 +510,13 @@ class TestLambdaRules:
         # noiseless regime: every theoretical rule collapses to lambda = 0
         g = G.build_grid(2, 4)
         assert T.lambda_value(T.LambdaRule("grid2d", sigma=0.0), g) == 0.0
-        assert T.lambda_value(T.LambdaRule("theorem_general", sigma=0.0), g,
-                              rho=1.0) == 0.0
+        assert T.lambda_value(T.LambdaRule("theorem_general", sigma=0.0), g) == 0.0
 
-    def test_theorem_general_requires_rho(self):
-        with pytest.raises(ValueError, match="rho"):
-            T.lambda_value(T.LambdaRule("theorem_general"), G.build_path(5))
+    def test_theorem_general_reads_rho_estimate(self):
+        rule = T.LambdaRule("theorem_general", sigma=0.7, delta=0.2, constant_c=1.5)
+        for g in (G.build_path(5), G.build_complete(6), G.build_grid(2, 5)):
+            expected = 1.5 * 0.7 * S.rho_estimate(g) * np.sqrt(2 * np.log(np.e * g.m / 0.2)) / g.n
+            assert T.lambda_value(rule, g) == pytest.approx(expected, rel=1e-12), g.family
 
     def test_validation(self):
         with pytest.raises(ValueError):
