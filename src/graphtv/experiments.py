@@ -99,6 +99,8 @@ class ExperimentConfig:
         if kind not in sig.SIGNAL_KINDS:
             raise ValueError(f"signal needs a kind from {', '.join(sig.SIGNAL_KINDS)}, "
                              f"got {kind!r}")
+        if not isinstance(self.signal.get("params", {}), dict):
+            raise ValueError(f"signal params must be a JSON object, got {self.signal['params']!r}")
         self.estimators = tuple(self.estimators)
         for estimator in self.estimators:
             if estimator not in ESTIMATORS:

@@ -20,6 +20,9 @@ from scipy.sparse.csgraph import connected_components
 # Draws each randomized builder makes before it gives up.
 ER_MAX_RETRIES = 100
 RR_MAX_RETRIES = 1000
+# Most vertices a grid and most edges a complete graph may have, checked
+# before any array is allocated.
+SIZE_CAP = 16_000_000
 
 
 class GraphGenerationError(RuntimeError):
@@ -125,7 +128,7 @@ def build_grid(d: int, N: int) -> Graph:
     if N < 2:
         raise ValueError("grid side length must be >= 2")
     n = N**d
-    if n > 16_000_000:
+    if n > SIZE_CAP:
         raise ValueError(f"grid {N}^{d} = {n} vertices exceeds the supported size")
     idx = np.arange(n, dtype=np.int64)
     pairs = []
@@ -156,6 +159,9 @@ def build_complete(n: int) -> Graph:
     """Complete graph K_n."""
     if n < 2:
         raise ValueError("complete graph needs n >= 2")
+    m = n * (n - 1) // 2
+    if m > SIZE_CAP:
+        raise ValueError(f"complete graph K_{n} has {m} edges, past the supported {SIZE_CAP}")
     i, j = np.triu_indices(n, k=1)
     return Graph(n, _canonical_edges(np.column_stack([i, j])), family="complete", params={})
 

@@ -30,6 +30,13 @@ duality gap against u is the gap of theta plus the change in the primal
 objective.  It passes as soon as the flat pieces are found, long before
 every near-flat edge of theta falls below the jump tolerance.
 
+The certificate of a given theta (``kkt_certificate``) fixes z on the
+jumps and fits the free entries by the same projected-gradient loop.
+When the free edges form a forest, their incidence matrix has full row
+rank and the free entries are the unique solution of a square sparse
+system, which starts the loop: for an exact theta (the taut string on a
+path, any tree) it is the dual, and the loop ends within a few steps.
+
 Two exact special-purpose solvers are provided as independent
 cross-checks and fast paths: a taut-string solver for path graphs and a
 sort-plus-isotonic reduction for complete graphs.
@@ -44,6 +51,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import isotonic_regression
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import spsolve
 
 from . import spectral as spec
 
@@ -176,9 +184,42 @@ def _fusion_graph(D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Component label of each of n vertices joined by the edges (i, j)."""
-    links = sp.coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
+    """Component label of each of n vertices joined by the edges (i, j).
+
+    The link matrix is built in csr form directly: row i holds the j of
+    its edges.  ``_fusion_graph`` returns edges in row order, so i is
+    usually nondecreasing already and the sort is skipped.
+    """
+    if np.any(i[1:] < i[:-1]):
+        order = np.argsort(i, kind="stable")
+        i, j = i[order], j[order]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(i, minlength=n))))
+    links = sp.csr_matrix((np.ones(len(j)), np.ascontiguousarray(j), indptr), shape=(n, n))
     return connected_components(links, directed=False)[1]
+
+
+def _forest_dual(DF, DFt, b: np.ndarray) -> np.ndarray | None:
+    """Solve ``DF^T w = b`` off one vertex per tree if the rows of DF form a forest, else None.
+
+    Every row must read ``a (theta_i - theta_j)`` and the m rows must
+    join the n vertices into exactly ``n - m`` components.  Then DF has
+    full row rank, and dropping one vertex per tree leaves a square,
+    nonsingular system for one sparse solve.  When b sums to zero on
+    every tree, as it does at an exact solution, w solves all of
+    ``DF^T w = b`` and is its only solution.  Isolated vertices are trees
+    of one vertex and drop out entirely.
+    """
+    m, n = DF.shape
+    _, i, j = _fusion_graph(DF)
+    if len(i) < m:
+        return None
+    tree = _components(n, i, j)
+    roots = np.unique(tree, return_index=True)[1]
+    if m != n - len(roots):
+        return None
+    keep = np.ones(n, dtype=bool)
+    keep[roots] = False
+    return spsolve(DFt[keep].tocsc(), b[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +377,17 @@ def kkt_certificate(problem: DenoiseProblem, theta: np.ndarray,
     ``||(2/n)(theta - y) + lam D^T z||``; returns ``(z, residual_inf)``.
     The residual of the returned z is an upper bound on the best
     achievable one, so a small value certifies near-optimality of theta.
+
+    The free entries come from accelerated projected gradient on the box
+    ``||z||_inf <= 1``, which keeps the best residual it checks.  When
+    the free rows of D form a forest (``_forest_dual``), D_F has full row
+    rank, so ``D_F^T z_F = -r0/lam`` (r0 the residual of the jump
+    entries alone) has at most one solution, and for an exact theta that
+    solution is the dual: one sparse solve finds it, and the loop, which
+    starts from its clip to [-1, 1], stops after a few iterations.  For
+    an inexact theta the clipped solution can be far worse than what the
+    loop reaches, so the loop runs on from it as from any start.  Free
+    rows with a cycle start from zero.
     """
     y, D, lam = problem.y, problem.D, problem.lam
     m, n = D.shape
@@ -361,8 +413,9 @@ def kkt_certificate(problem: DenoiseProblem, theta: np.ndarray,
         return z, float(np.max(np.abs(r0)))
     step = 1.0 / (lam * lam * op)
     DFt = DF.T.tocsr()
-    best_w = np.zeros(DF.shape[0])
-    best_resid = float(np.max(np.abs(r0)))
+    w_forest = _forest_dual(DF, DFt, -r0 / lam)
+    best_w = np.zeros(DF.shape[0]) if w_forest is None else np.clip(w_forest, -1.0, 1.0)
+    best_resid = float(np.max(np.abs(r0 + lam * (DFt @ best_w))))
     for it, w_prev, w in _apg_box(lambda v: lam * (DF @ (r0 + lam * (DFt @ v))),
                                   best_w, step, 1.0, max_iter):
         delta = float(np.max(np.abs(w - w_prev)))

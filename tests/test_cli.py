@@ -81,6 +81,13 @@ class TestSpectralCommand:
         assert run(["spectral", "--graph", family, "--n", "9", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["rho_method"] == "closed_form"
 
+    def test_complete_edge_cap_is_usage_error(self, tmp_path, monkeypatch):
+        # a small cap stands in for K_n with n(n-1)/2 past SIZE_CAP (K_20 has 190 edges)
+        monkeypatch.setattr(G, "SIZE_CAP", 189)
+        out = tmp_path / "x.json"
+        assert run(["spectral", "--graph", "complete", "--n", "20", "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_generation_failure_is_numerical_error(self, tmp_path):
         # p far below the connectivity threshold exhausts the retry budget
         assert run(["spectral", "--graph", "erdos-renyi", "--n", "60",
@@ -326,13 +333,17 @@ class TestExperimentCommand:
         {"sizes": ["20"]},
         {"family": "erdos_renyi", "family_params": {"expected_degree": "4"}},
         {"family": "random_regular", "family_params": {"degree": "3"}, "sizes": [20]},
+        {"signal": {"kind": "island", "params": [2, 2]}},
+        {"signal": {"kind": "grid_function", "params": "pc_halfplane"}},
+        {"signal": {"kind": ["island"], "params": {"k": 2, "l": 2}}},
     ], ids=["unknown-family", "er-no-degree", "rr-no-degree", "signal-no-kind",
             "unknown-kind", "unknown-estimator", "haar-off-grid", "unknown-key",
             "retired-key", "unknown-rule-key", "unknown-rule", "size-below-2", "nan-sigma",
             "negative-sigma", "negative-expected-degree", "rr-odd-degree-sum",
             "rr-degree-not-below-n", "rule-missing", "trials-not-int", "islands-past-n",
             "empty-kl-values", "size-not-int", "expected-degree-not-number",
-            "rr-degree-not-int"])
+            "rr-degree-not-int", "signal-params-list", "signal-params-string",
+            "signal-kind-not-string"])
     def test_bad_config_fails_before_running(self, tmp_path, capsys, change):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**self.CFG, **change}))

@@ -111,6 +111,13 @@ class TestCompleteStar:
         assert G.build_complete(3).m == 3
         assert G.build_complete(7).m == 21
 
+    def test_complete_edge_cap(self, monkeypatch):
+        # a small cap stands in for n(n-1)/2 past SIZE_CAP; K_5 has 10 edges
+        monkeypatch.setattr(G, "SIZE_CAP", 10)
+        assert G.build_complete(5).m == 10
+        with pytest.raises(ValueError, match="K_6 has 15 edges"):
+            G.build_complete(6)
+
     def test_star_edges(self):
         g = G.build_star(4)
         assert g.edges.tolist() == [[0, 1], [0, 2], [0, 3]]

@@ -697,3 +697,203 @@ class TestCertificateMeaning:
         res = T.denoise(problem, T.SolverOptions(tol=1e-7))
         assert res.converged
         _certificate_holds(problem, res, 1e-7)
+
+
+def _components_coo(n, i, j):
+    """Reference for ``T._components``: the link matrix through coo."""
+    links = sp.coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
+    return connected_components(links, directed=False)[1]
+
+
+class TestComponents:
+    @settings(max_examples=100, deadline=None)
+    @given(small_graphs(), st.integers(0, 2**32 - 1))
+    def test_matches_coo_route(self, g, seed):
+        # random edge subsets in random row order and orientation: no edges,
+        # isolated vertices and i that is not nondecreasing included
+        rng = np.random.default_rng(seed)
+        edges = g.edges[rng.random(g.m) < rng.random()]
+        edges = rng.permuted(edges[rng.permutation(len(edges))], axis=1)
+        i, j = edges[:, 0], edges[:, 1]
+        assert np.array_equal(T._components(g.n, i, j), _components_coo(g.n, i, j))
+
+    def test_fusion_edges_in_row_order(self):
+        # the edges of an incidence matrix come out of _fusion_graph sorted by i
+        _, i, j = T._fusion_graph(G.incidence(G.build_grid(2, 9)))
+        assert np.all(np.diff(i) >= 0)
+        assert np.array_equal(T._components(81, i[::2], j[::2]),
+                              _components_coo(81, i[::2], j[::2]))
+
+
+def _zero_start_certificate(problem, theta, max_iter=20000):
+    """``T.kkt_certificate`` with the free entries always started at zero."""
+    y, D, lam = problem.y, problem.D, problem.lam
+    n = D.shape[1]
+    r_base = (2.0 / n) * (theta - y)
+    Dtheta = D @ theta
+    jumps = np.abs(Dtheta) > 1e-8 * (1.0 + float(np.max(np.abs(y))))
+    z = np.zeros(D.shape[0])
+    z[jumps] = np.sign(Dtheta[jumps])
+    r0 = r_base + lam * (D[jumps].T @ z[jumps]) if jumps.any() else r_base
+    DF = D[~jumps].tocsr()
+    DFt = DF.T.tocsr()
+    step = 1.0 / (lam * lam * T.operator_norm(DF))
+    best_w = np.zeros(DF.shape[0])
+    best_resid = float(np.max(np.abs(r0)))
+    for it, w_prev, w in T._apg_box(lambda v: lam * (DF @ (r0 + lam * (DFt @ v))),
+                                    best_w, step, 1.0, max_iter):
+        delta = float(np.max(np.abs(w - w_prev)))
+        if it % T.CHECK_EVERY == 0 or delta <= 1e-14:
+            resid = float(np.max(np.abs(r0 + lam * (DFt @ w))))
+            if resid < best_resid:
+                best_resid = resid
+                best_w = w.copy()
+            if delta <= 1e-14:
+                break
+    z[~jumps] = best_w
+    return z, best_resid
+
+
+@st.composite
+def weighted_forests(draw):
+    """(D, y, lam): rows ``a (theta_i - theta_j)`` of a random forest in random order.
+
+    Each vertex joins an earlier one or starts a new tree, so forests with
+    several trees and isolated vertices come up; a takes either sign and
+    sizes other than one.
+    """
+    n = draw(st.integers(2, 16))
+    parents = [draw(st.one_of(st.none(), st.integers(0, k - 1))) for k in range(1, n)]
+    pairs = [(p, k) for k, p in enumerate(parents, start=1) if p is not None]
+    a = draw(st.lists(st.sampled_from([-2.5, -1.0, -0.3, 0.3, 1.0, 2.5]),
+                      min_size=len(pairs), max_size=len(pairs)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = rng.permutation(len(pairs))
+    rows = np.repeat(np.arange(len(pairs)), 2)
+    cols = np.array([pairs[e] for e in order], dtype=int).reshape(-1)
+    data = np.array([[a[e], -a[e]] for e in order]).reshape(-1)
+    D = sp.csr_matrix((data, (rows, cols)), shape=(len(pairs), n))
+    levels = rng.normal(size=3) * draw(st.sampled_from([0.0, 1.0, 10.0]))
+    y = levels[rng.integers(0, 3, size=n)] + rng.normal(size=n) * draw(
+        st.sampled_from([0.01, 0.3, 2.0]))
+    lam = draw(st.sampled_from([1e-3, 1e-2, 0.1, 1.0]))
+    return D, y, lam
+
+
+def _count_apg(monkeypatch):
+    """Wrap ``T._apg_box`` to record each call's start and iteration count."""
+    calls = []
+    inner = T._apg_box
+
+    def counted(grad, u0, step, bound, max_iter):
+        calls.append({"u0": np.array(u0), "iters": 0})
+        for out in inner(grad, u0, step, bound, max_iter):
+            calls[-1]["iters"] = out[0]
+            yield out
+
+    monkeypatch.setattr(T, "_apg_box", counted)
+    return calls
+
+
+def _cli_path():
+    """The 20-block path signal of the benchmark's taut-string CLI command."""
+    rng = np.random.default_rng(1)
+    y = np.repeat(rng.normal(0.0, 3.0, size=20), 1000) + 0.5 * rng.standard_normal(20_000)
+    return y, G.incidence(G.build_path(20_000)), 3e-4
+
+
+class TestForestCertificate:
+    """On a forest the free dual is unique, and the certificate starts from it."""
+
+    def _check_exact(self, problem, theta):
+        y, D = problem.y, problem.D
+        scale = 1.0 + float(np.max(np.abs(y)))
+        z, resid = T.kkt_certificate(problem, theta)
+        assert resid <= 1e-12 * scale
+        assert np.max(np.abs(z), initial=0.0) <= 1.0
+        Dtheta = D @ theta
+        jumps = np.abs(Dtheta) > 1e-8 * scale
+        assert np.array_equal(z[jumps], np.sign(Dtheta[jumps]))
+        if problem.lam > 0 and not jumps.all():  # some entries are left to fit
+            z0, _ = _zero_start_certificate(problem, theta)
+            assert np.max(np.abs(z - z0)) <= 1e-8
+
+    @settings(max_examples=60, deadline=None)
+    @given(weighted_forests())
+    def test_forests_exact(self, inst):
+        D, y, lam = inst
+        problem = T.DenoiseProblem(y, D, lam)
+        res = T.denoise(problem, T.SolverOptions(tol=1e-12, check_connected=False))
+        assert res.converged
+        self._check_exact(problem, res.theta_hat)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 80), st.sampled_from([1e-4, 1e-3, 1e-2, 0.1, 1.0]),
+           st.integers(0, 2**32 - 1))
+    def test_paths_taut_string(self, n, lam, seed):
+        rng = np.random.default_rng(seed)
+        y = np.repeat(rng.normal(size=4) * 3, -(-n // 4))[:n] + rng.normal(size=n)
+        self._check_exact(path_problem(y, lam), T.denoise_path_exact(y, lam))
+
+    def test_inexact_theta_keeps_the_loop(self):
+        # denoise's theta is inexact here, so the clipped forest start alone
+        # leaves about twice the residual the loop reaches; the returned one
+        # matches the zero start up to rounding at the stopping point
+        g = G.build_path(2000)
+        y = np.random.default_rng(g.n).normal(size=g.n) * 3 + 5
+        problem = T.DenoiseProblem(y, G.incidence(g), 0.005)
+        theta = T.denoise(problem, T.SolverOptions(tol=1e-6)).theta_hat
+        _, resid = T.kkt_certificate(problem, theta)
+        _, resid_zero = _zero_start_certificate(problem, theta)
+        _, resid_start = T.kkt_certificate(problem, theta, max_iter=1)
+        assert resid <= resid_zero * (1.0 + 1e-9)
+        assert resid_start > 1.5 * resid
+
+    @pytest.mark.parametrize("case", ["cli-path", "star"])
+    def test_forest_start_ends_in_a_few_steps(self, monkeypatch, case):
+        if case == "cli-path":
+            y, D, lam = _cli_path()
+            theta = T.denoise_path_exact(y, lam)
+        else:
+            y = np.random.default_rng(15).normal(size=15) * 3 + 5
+            D, lam = G.incidence(G.build_star(15)), 0.05
+            theta = T.denoise(T.DenoiseProblem(y, D, lam),
+                              T.SolverOptions(tol=1e-12)).theta_hat
+        calls = _count_apg(monkeypatch)
+        _, resid = T.kkt_certificate(T.DenoiseProblem(y, D, lam), theta)
+        assert len(calls) == 1 and 1 <= calls[0]["iters"] <= 5
+        assert np.any(calls[0]["u0"] != 0.0)
+        assert resid <= 1e-12 * (1.0 + np.max(np.abs(y)))
+
+    @pytest.mark.parametrize("case", ["grid", "augmented-anchor-free"])
+    def test_cycles_and_free_anchor_start_at_zero(self, monkeypatch, case):
+        # a cycle among the free rows, or a free row that is not a
+        # difference, keeps the zero start and the zero-start result exactly
+        rng = np.random.default_rng(16)
+        if case == "grid":
+            D, lam = G.incidence(G.build_grid(2, 16)), 0.01
+            y = np.repeat([0.0, 2.0], 128) + rng.normal(size=256) * 0.5
+        else:
+            D, lam = G.build_augmented_path(40), 1.0  # the anchor theta_1 fuses to 0
+            y = rng.normal(size=40)
+        problem = T.DenoiseProblem(y, D, lam)
+        theta = T.denoise(problem, T.SolverOptions(tol=1e-10)).theta_hat
+        calls = _count_apg(monkeypatch)
+        z, resid = T.kkt_certificate(problem, theta)
+        assert len(calls) == 1 and not np.any(calls[0]["u0"])
+        monkeypatch.undo()
+        z0, resid0 = _zero_start_certificate(problem, theta)
+        assert np.array_equal(z, z0) and resid == resid0
+
+    def test_augmented_path_with_jump_anchor_takes_the_forest_start(self, monkeypatch):
+        # once the anchor row is a jump, the free rows are differences on a path
+        y = np.random.default_rng(8).normal(size=40)
+        problem = T.DenoiseProblem(y, G.build_augmented_path(40), 0.05)
+        theta = T.denoise(problem, T.SolverOptions(tol=1e-10)).theta_hat
+        assert abs(theta[0]) > 1e-3
+        calls = _count_apg(monkeypatch)
+        z, _ = T.kkt_certificate(problem, theta)
+        assert np.any(calls[0]["u0"] != 0.0)
+        monkeypatch.undo()
+        z0, _ = _zero_start_certificate(problem, theta)
+        assert np.max(np.abs(z - z0)) <= 1e-8
