@@ -23,6 +23,9 @@ RR_MAX_RETRIES = 1000
 # Most vertices a grid and most edges a complete graph may have, checked
 # before any array is allocated.
 SIZE_CAP = 16_000_000
+# Vertex pairs an Erdos-Renyi draw takes per block of uniforms: one block
+# covers every pair up to n = 1024.
+ER_BLOCK_PAIRS = 1 << 19
 
 
 class GraphGenerationError(RuntimeError):
@@ -196,17 +199,25 @@ def build_erdos_renyi(n: int, p: float, seed: int) -> Graph:
 
     Disconnected draws are resampled (up to ``ER_MAX_RETRIES``) because the
     denoising theory assumes a connected graph.  Deterministic given
-    ``seed``.
+    ``seed``.  Pair k in row-major order (0, 1), (0, 2), ..., (n-2, n-1)
+    is an edge when the k-th uniform of the stream is below p; the
+    uniforms are drawn ``ER_BLOCK_PAIRS`` at a time, which reproduces the
+    stream of a single draw, so memory is O(m + block) rather than O(n^2).
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if not 0 < p <= 1:
         raise ValueError("need 0 < p <= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    iu, ju = np.triu_indices(n, k=1)
+    row_start = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])  # first pair of row i
+    total = int(row_start[-1])
     for _ in range(ER_MAX_RETRIES):
-        mask = rng.random(len(iu)) < p
-        edges = _canonical_edges(np.column_stack([iu[mask], ju[mask]]))
+        k = np.concatenate([
+            start + np.flatnonzero(rng.random(min(ER_BLOCK_PAIRS, total - start)) < p)
+            for start in range(0, total, ER_BLOCK_PAIRS)
+        ])
+        i = np.searchsorted(row_start, k, side="right") - 1
+        edges = _canonical_edges(np.column_stack([i, k - row_start[i] + i + 1]))
         g = Graph(n, edges, family="erdos_renyi", params={"p": p, "seed": seed})
         if is_connected(g):
             return g

@@ -9,9 +9,13 @@ the error rates of the graph TV denoiser:
   ``sqrt(|T|) * ||theta||_2 / ||(D theta)_T||_1`` for an edge subset T.
 
 ``_route`` alone picks how ``rho`` is computed: a closed form, an eigensum
-in the DCT-2 basis of the path graph, the dense eigendecomposition of the
-Laplacian, or a spectral-gap bound.  ``kappa_T`` is exposed as an exact
-brute-force oracle (sign enumeration) plus the closed-form degree bound.
+in the DCT-2 basis of the path graph, the dense pseudoinverse of the
+Laplacian, or a spectral-gap bound.  The dense pseudoinverse and the gap
+bound share one in-place Cholesky factorization of L + P, P the projector
+onto the kernel of L (LAPACK ``dpotrf``); lambda_2 comes from Lanczos
+(ARPACK) on L^+, not from an eigendecomposition.  ``kappa_T`` is exposed
+as an exact brute-force oracle (sign enumeration) plus the closed-form
+degree bound.
 """
 from __future__ import annotations
 
@@ -20,13 +24,17 @@ from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lapack
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from . import graphs as G
 
 DENSE_SIZE_CAP = 4096
 GAP_SIZE_CAP = 2 * DENSE_SIZE_CAP
 STRUCTURED_SIZE_CAP = 4_200_000
-RANK_CUTOFF = 1e-10
+ROW_BLOCK = 256
+LANCZOS_MIN_N = 16
 KAPPA_BRUTEFORCE_CAP = 20
 
 
@@ -40,7 +48,6 @@ class SpectralReport:
     rho_method: str  # the route taken, see _route
     kappa_lower_bound: float
     family: str = "custom"
-    eigenvalues: np.ndarray | None = None
     spectral_gap: float | None = None
 
     def to_json_dict(self) -> dict:
@@ -100,40 +107,117 @@ def _as_sparse(D) -> sp.csr_matrix:
     return sp.csr_matrix(np.asarray(D, dtype=float))
 
 
-def _dense_laplacian(D: sp.csr_matrix, size_cap: int) -> np.ndarray:
-    """L = D^T D as a dense array; refuses n > size_cap before allocating."""
-    if D.shape[1] > size_cap:
+def _kernel_components(D: sp.csr_matrix, L: sp.spmatrix) -> list[np.ndarray]:
+    """Vertex sets c of the components of L's pattern with D 1_c = 0.
+
+    Their indicator vectors span the kernel of L = D^T D whenever the
+    Cholesky factorization in :func:`_factor` succeeds: one set per
+    component of a graph, none for the anchored path.
+    """
+    n = D.shape[1]
+    count, labels = connected_components(L, directed=False)
+    ind = sp.csr_matrix((np.ones(n), (np.arange(n), labels)), shape=(n, count))
+    resid = abs(D @ ind).max(axis=0).toarray().ravel()
+    scale = (abs(D) @ ind).max(axis=0).toarray().ravel()  # D 1_c = 0 up to rounding
+    return [np.flatnonzero(labels == c) for c in np.flatnonzero(resid <= 1e-12 * scale)]
+
+
+def _add_projector(A: np.ndarray, groups, sign: float) -> None:
+    """A += sign * P in place, P the projector onto the groups' indicators.
+
+    Works a block of rows at a time, so no temporary beyond
+    ``ROW_BLOCK`` x n is allocated.
+    """
+    for c in groups:
+        if len(c) == A.shape[0]:  # a connected graph: P = J/n
+            A += sign / len(c)
+        else:
+            for start in range(0, len(c), ROW_BLOCK):
+                A[np.ix_(c[start:start + ROW_BLOCK], c)] += sign / len(c)
+
+
+def _factor(D: sp.csr_matrix, size_cap: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Upper Cholesky factor of L + P, computed in place, and P's groups.
+
+    L = D^T D is built dense, P is the projector onto its kernel (see
+    :func:`_kernel_components`), and ``scipy.linalg.lapack.dpotrf``
+    overwrites the dense L + P with its factor.  Refuses n > size_cap
+    before allocating, and raises ``ValueError`` when L + P is not
+    positive definite to working precision: L then has a kernel its
+    components do not explain.
+    """
+    n = D.shape[1]
+    if n > size_cap:
         raise ValueError(
             f"dense spectral route capped at n={size_cap}; use a structured method"
         )
-    return (D.T @ D).toarray()
+    L = D.T @ D
+    groups = _kernel_components(D, L)
+    A = L.toarray()
+    A = A if A.flags.f_contiguous else A.T  # L is symmetric: factor it without a copy
+    _add_projector(A, groups, 1.0)
+    rounding = n * np.finfo(float).eps * A.diagonal().max()
+    c, info = lapack.dpotrf(A, lower=0, clean=0, overwrite_a=1)
+    # Every pivot squared is at least the smallest eigenvalue of L + P, so
+    # a pivot at rounding level means L + P is singular to working precision.
+    if info != 0 or c.diagonal().min() ** 2 <= rounding:
+        raise ValueError("D^T D has a kernel beyond the indicators of its components")
+    return c, groups
+
+
+def _lambda2(op, groups) -> float:
+    """Second-smallest eigenvalue of L from ``op``, which applies L^+.
+
+    0 when the kernel has dimension two or more; otherwise one over the
+    (2 - dim ker)-th largest eigenvalue of L^+, found by Lanczos (ARPACK)
+    from a fixed start vector, or read off the dense L^+ below
+    ``LANCZOS_MIN_N`` vertices.
+    """
+    k = 2 - len(groups)
+    if k <= 0:
+        return 0.0
+    n = op.shape[0]
+    if n < LANCZOS_MIN_N:
+        dense = op if isinstance(op, np.ndarray) else op @ np.eye(n)
+        top = np.sort(np.linalg.eigvals(dense).real)[-k:]
+    else:
+        v0 = np.random.default_rng(0).standard_normal(n)
+        top = eigsh(op, k=k, which="LA", v0=v0, return_eigenvectors=False)
+    return float(1.0 / np.sort(top)[0])
 
 
 def _dense_spectrum(D):
-    """The one dense route: ``(lam, V, inv, sq_norms)`` for L = D^T D.
+    """The one dense route: ``(Lp, sq_norms, lam2)`` for L = D^T D.
 
-    ``lam, V`` are the eigenpairs of L and ``inv`` holds ``1/lam_k``;
-    eigenvalues below ``RANK_CUTOFF`` times the largest one are dropped
-    from the inversion (which keeps the kernel dimension at exactly one
-    for connected graphs), so ``L^+ = V diag(inv) V^T``.
+    ``Lp`` is L^+ as a dense array.  L + P, P the projector onto the
+    kernel of L, is factored once in place (:func:`_factor`) and inverted
+    in place with ``dpotri``; the triangle it sets is mirrored a block of
+    rows at a time and P is subtracted, since (L + P)^{-1} = L^+ + P.
 
-    ``sq_norms[e]`` is the squared norm of column e of D^+ = L^+ D^T, i.e.
-    ``diag(D (L^+)^2 D^T)[e]``, evaluated as the squared norm of row e of
-    ``D V diag(inv)``.  D is taken n rows at a time, so no array beyond
-    n x n is allocated; this works for any matrix with n columns,
-    incidence or not.
+    ``sq_norms[e]`` is the squared norm of column e of D^+ = L^+ D^T,
+    i.e. of row e of ``D Lp``, taken ``ROW_BLOCK`` rows of D at a
+    time; this works for any matrix with n columns, incidence or not.
+    ``lam2`` is the second-smallest eigenvalue of L (:func:`_lambda2`).
+    Past the one n x n array, nothing larger than a block of rows is
+    allocated.
     """
     D = _as_sparse(D)
     m, n = D.shape
-    lam, V = np.linalg.eigh(_dense_laplacian(D, DENSE_SIZE_CAP))
-    cutoff = RANK_CUTOFF * max(lam[-1], 0.0)
-    inv = np.where(lam > cutoff, 1.0 / np.where(lam > cutoff, lam, 1.0), 0.0)
+    c, groups = _factor(D, DENSE_SIZE_CAP)
+    inv, _ = lapack.dpotri(c, lower=0, overwrite_c=1)  # cannot fail once dpotrf has not
+    Lp = inv.T  # C-ordered, so sparse @ Lp needs no copy; its lower triangle is set
+    for start in range(0, n, ROW_BLOCK):
+        stop = min(start + ROW_BLOCK, n)
+        Lp[start:stop, stop:] = Lp[stop:, start:stop].T
+        block = Lp[start:stop, start:stop]
+        block[...] = np.tril(block) + np.tril(block, -1).T
+    _add_projector(Lp, groups, -1.0)
     sq_norms = np.empty(m)
-    for start in range(0, m, n):
-        W = D[start:start + n] @ V
-        W *= inv
-        sq_norms[start:start + n] = np.einsum("ij,ij->i", W, W)
-    return lam, V, inv, sq_norms
+    for start in range(0, m, ROW_BLOCK):
+        W = D[start:start + ROW_BLOCK] @ Lp
+        sq_norms[start:start + ROW_BLOCK] = np.einsum("ij,ij->i", W, W)
+        del W  # freed before the next block is allocated
+    return Lp, sq_norms, _lambda2(Lp, groups)
 
 
 def pseudoinverse_columns_dense(D) -> np.ndarray:
@@ -142,13 +226,13 @@ def pseudoinverse_columns_dense(D) -> np.ndarray:
     Column j of the result is ``s_j``.  Raises for n beyond
     ``DENSE_SIZE_CAP``; use the structured eigensum for large grids instead.
     """
-    _, V, inv, _ = _dense_spectrum(D)
-    return (_as_sparse(D) @ ((V * inv) @ V.T)).T
+    Lp, _, _ = _dense_spectrum(D)
+    return (_as_sparse(D) @ Lp).T
 
 
 def rho_dense(D) -> float:
-    """max_j ||s_j||_2 via dense eigendecomposition, up to ``DENSE_SIZE_CAP`` vertices."""
-    _, _, _, sq_norms = _dense_spectrum(D)
+    """max_j ||s_j||_2 via the dense pseudoinverse, up to ``DENSE_SIZE_CAP`` vertices."""
+    _, sq_norms, _ = _dense_spectrum(D)
     return float(np.sqrt(sq_norms.max()))
 
 
@@ -257,11 +341,21 @@ def spectral_gap(D) -> tuple[float, float]:
 
     Returns ``(lambda_2, sqrt(2)/lambda_2)``; the second value bounds rho
     for any connected graph because every column of D^T has norm sqrt(2)
-    and is orthogonal to the constant vector.  Eigenvalues alone fit up to
-    ``GAP_SIZE_CAP`` vertices, twice the dense cap.
+    and is orthogonal to the constant vector.  lambda_2 comes from the
+    Cholesky factor of :func:`_factor` alone, by Lanczos with ``dpotrs``
+    solves: L^+ x = (L + P)^{-1} x - P x.  That fits up to ``GAP_SIZE_CAP``
+    vertices, twice the dense cap.
     """
-    lam = np.linalg.eigvalsh(_dense_laplacian(_as_sparse(D), GAP_SIZE_CAP))
-    lam2 = float(lam[1])
+    c, groups = _factor(_as_sparse(D), GAP_SIZE_CAP)
+
+    def apply(x):
+        y, _ = lapack.dpotrs(c, x)
+        for comp in groups:  # minus P x: the mean over each kernel component
+            y[comp] -= x[comp].mean()
+        return y
+
+    n = c.shape[0]
+    lam2 = _lambda2(LinearOperator((n, n), matvec=apply, dtype=float), groups)
     bound = float(np.sqrt(2.0) / lam2) if lam2 > 0 else np.inf
     return lam2, bound
 
@@ -274,7 +368,7 @@ def _route(g, method: str):
     """The one choice of how rho and lambda_2 are computed.
 
     ``g`` is a Graph or a difference matrix; returns ``(rho, lambda_2,
-    rho_method, eigenvalues)``, the last only on the dense route.  ``"auto"``
+    rho_method)``.  ``"auto"``
     takes the closed form for complete and star graphs, the structured
     eigensum for grids and hypercubes, the spectral-gap bound for
     Erdos-Renyi and random regular graphs past ``DENSE_SIZE_CAP`` vertices
@@ -287,12 +381,12 @@ def _route(g, method: str):
     if graph is not None and method == "auto":
         n = graph.n
         if graph.family == "complete":
-            return float(np.sqrt(2.0) / n), float(n), "closed_form", None
+            return float(np.sqrt(2.0) / n), float(n), "closed_form"
         if graph.family == "star":  # S_2 is a single edge, with lambda_2 = 2
-            return float(np.sqrt((n * n - n)) / n), 1.0 if n >= 3 else 2.0, "closed_form", None
+            return float(np.sqrt((n * n - n)) / n), 1.0 if n >= 3 else 2.0, "closed_form"
         if n > DENSE_SIZE_CAP and graph.family in ("erdos_renyi", "random_regular"):
             lam2, bound = spectral_gap(G.incidence(graph))
-            return bound, lam2, "spectral_gap_bound", None
+            return bound, lam2, "spectral_gap_bound"
         method = "structured" if structured else "dense"
     if graph is not None and method == "structured":
         if not structured:
@@ -301,10 +395,9 @@ def _route(g, method: str):
         N = graph.params.get("N", 2)  # a hypercube is the grid of side 2
         # smallest positive Kronecker-sum eigenvalue: one axis at lam_1, rest at 0
         lam2 = float(2.0 - 2.0 * np.cos(np.pi / N))
-        return rho_structured_grid(graph.params["d"], N), lam2, "eigensum_structured", None
-    lam, _, _, sq_norms = _dense_spectrum(g if graph is None else G.incidence(graph))
-    lam2 = float(lam[1]) if len(lam) > 1 else None
-    return float(np.sqrt(sq_norms.max())), lam2, "dense_pseudoinverse", lam
+        return rho_structured_grid(graph.params["d"], N), lam2, "eigensum_structured"
+    _, sq_norms, lam2 = _dense_spectrum(g if graph is None else G.incidence(graph))
+    return float(np.sqrt(sq_norms.max())), lam2, "dense_pseudoinverse"
 
 
 def spectral_report(g, method: str = "auto") -> SpectralReport:
@@ -323,9 +416,9 @@ def spectral_report(g, method: str = "auto") -> SpectralReport:
         D = _as_sparse(g)
         m, n = D.shape
         max_degree, family = int(np.diff(D.tocsc().indptr).max()), "custom"
-    rho, lam2, rho_method, eigenvalues = _route(g, method)
+    rho, lam2, rho_method = _route(g, method)
     return SpectralReport(
         graph_n=n, graph_m=m, rho=rho, rho_method=rho_method,
         kappa_lower_bound=kappa_lower_bound(max_degree, m), family=family,
-        eigenvalues=eigenvalues, spectral_gap=lam2,
+        spectral_gap=lam2,
     )

@@ -61,6 +61,16 @@ class TestSpectralCommand:
         rep = json.loads(out.read_text())
         assert rep["n"] == 3 and rep["m"] == 3
 
+    def test_disconnected_custom_graph_dense(self, tmp_path):
+        edges = tmp_path / "g.txt"
+        edges.write_text("1 2\n2 3\n4 5\n")  # two components and an isolated vertex 6
+        out = tmp_path / "two.json"
+        assert run(["spectral", "--graph", "custom", "--edges", str(edges), "--n", "6",
+                    "--method", "dense", "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["lambda2"] == 0.0 and rep["rho_method"] == "dense_pseudoinverse"
+        assert np.isfinite(rep["rho"])
+
     def test_missing_flag_is_usage_error(self, tmp_path):
         assert run(["spectral", "--graph", "star", "--out",
                     str(tmp_path / "x.json")]) == 2

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -176,6 +178,45 @@ class TestRandomFamilies:
         monkeypatch.setattr(G, "ER_MAX_RETRIES", 3)
         with pytest.raises(G.GraphGenerationError, match="p=0.001 in 3 attempts"):
             G.build_erdos_renyi(50, 0.001, seed=0)
+
+    @staticmethod
+    def _er_single_draw(n, p, seed):
+        """The ER stream as one uniform per pair of triu_indices, drawn at once."""
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        iu, ju = np.triu_indices(n, k=1)
+        attempts = 0
+        while True:
+            attempts += 1
+            mask = rng.random(len(iu)) < p
+            g = G.Graph(n, np.column_stack([iu[mask], ju[mask]]))
+            if G.is_connected(g):
+                return g.edges, attempts
+
+    # n = 1500 spans three blocks of uniforms
+    @pytest.mark.parametrize("n,p,seed,redraws", [
+        (2, 1.0, 0, False), (3, 0.9, 1, False), (30, 0.12, 0, True), (30, 0.12, 1, False),
+        (200, 0.05, 7, False), (1500, 0.005, 5, True)])
+    def test_er_blocks_reproduce_single_draw(self, n, p, seed, redraws):
+        edges, attempts = self._er_single_draw(n, p, seed)
+        assert (attempts > 1) == redraws
+        assert np.array_equal(G.build_erdos_renyi(n, p, seed).edges, edges)
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_er_small_blocks_reproduce_single_draw(self, monkeypatch, block):
+        monkeypatch.setattr(G, "ER_BLOCK_PAIRS", block)
+        for n, p, seed in [(2, 1.0, 0), (30, 0.12, 0), (60, 0.1, 3)]:
+            edges, _ = self._er_single_draw(n, p, seed)
+            assert np.array_equal(G.build_erdos_renyi(n, p, seed).edges, edges)
+
+    def test_er_memory_is_linear_in_edges(self):
+        # one uniform per vertex pair at once peaks at about 107 MB here
+        tracemalloc.start()
+        try:
+            G.build_erdos_renyi(3000, 16 / 3000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
     def test_regular_unique_cubic_on_four(self):
         g = G.build_random_regular(4, 3, seed=1)

@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphtv import graphs as G
 from graphtv import spectral as S
@@ -224,9 +229,7 @@ class TestReports:
         assert rep.graph_n == 10 and rep.graph_m == 9
         assert rep.rho == pytest.approx(np.sqrt(0.9), abs=1e-10)
         assert rep.rho_method == "dense_pseudoinverse"
-        assert rep.eigenvalues is not None
-        assert abs(rep.eigenvalues[0]) <= 1e-9  # Laplacian kernel
-        assert rep.spectral_gap > 0
+        assert rep.spectral_gap == pytest.approx(1.0, abs=1e-12)  # the star's lambda_2
         d = rep.to_json_dict()
         assert set(d) == {"n", "m", "rho", "rho_method", "lambda2",
                           "kappa_lower_bound", "family"}
@@ -281,3 +284,85 @@ class TestOneRoute:
         rep = S.spectral_report(G.build_augmented_path(6), method="structured")
         assert rep.rho_method == "dense_pseudoinverse" and rep.family == "custom"
         assert rep.rho == pytest.approx(np.sqrt(6), abs=1e-10)
+
+
+def _laplacian(D):
+    D = sp.csr_matrix(D)
+    return (D.T @ D).toarray()
+
+
+@st.composite
+def small_graphs(draw):
+    """A simple graph on 2..40 vertices with at least one edge, disconnected ones
+    and isolated vertices included; past ``LANCZOS_MIN_N`` vertices lambda_2
+    comes from Lanczos."""
+    n = draw(st.integers(2, 40))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    p = draw(st.sampled_from([0.05, 0.15, 0.4, 1.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    keep = np.random.default_rng(seed).random(len(pairs)) < p
+    keep[draw(st.integers(0, len(pairs) - 1))] = True
+    return G.Graph(n, [pq for pq, k in zip(pairs, keep) if k])
+
+
+class TestCholeskyRoute:
+    """The in-place Cholesky route against independent dense references."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs())
+    def test_matches_independent_references(self, g):
+        D = G.incidence(g)
+        L = _laplacian(D)
+        Lp, sq_norms, lam2 = S._dense_spectrum(D)
+        assert abs(np.sqrt(sq_norms.max()) - _rho_independent(g)) <= 1e-9
+        assert np.max(np.abs(Lp - np.linalg.pinv(L))) <= 1e-9
+        ref = np.linalg.eigvalsh(L)[1]
+        if G.is_connected(g):
+            assert lam2 == pytest.approx(ref, rel=1e-9)
+        else:  # the kernel has dimension >= 2
+            assert lam2 == 0.0 and abs(ref) <= 1e-9
+        assert S.spectral_gap(D)[0] == pytest.approx(lam2, rel=1e-9, abs=0.0)
+
+    def test_path_closed_forms(self):
+        N = 1024
+        rep = S.spectral_report(G.build_path(N), method="dense")
+        assert rep.spectral_gap == pytest.approx(2 - 2 * np.cos(np.pi / N), rel=1e-9)
+        assert rep.rho == pytest.approx(S.rho_structured_grid(1, N), rel=1e-9)
+
+    @pytest.mark.parametrize("N", [2, 5, 40])
+    def test_anchored_path_has_no_kernel(self, N):
+        Dt = G.build_augmented_path(N)
+        L = _laplacian(Dt)
+        assert S._kernel_components(Dt.tocsr(), Dt.T @ Dt) == []
+        Lp, sq_norms, lam2 = S._dense_spectrum(Dt)
+        assert np.max(np.abs(Lp - np.linalg.inv(L))) <= 1e-9 * N**2
+        assert np.sqrt(sq_norms.max()) == pytest.approx(np.sqrt(N), rel=1e-10)
+        # full rank: the second-smallest eigenvalue, not the smallest
+        rep = S.spectral_report(Dt, method="dense")
+        assert rep.spectral_gap == pytest.approx(np.linalg.eigvalsh(L)[1], rel=1e-9)
+
+    @pytest.mark.parametrize("D", [np.array([[1.0, 1.0]]),
+                                   np.array([[1.0, -1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 1.0, 1.0]])],
+                             ids=["sum-row", "kernel-not-constant"])
+    def test_unexplained_kernel_fails_closed(self, D):
+        with pytest.raises(ValueError, match="kernel"):
+            S.rho_dense(D)
+        with pytest.raises(ValueError, match="kernel"):
+            S.spectral_gap(D)
+
+    def test_memory_is_one_dense_matrix(self):
+        n = 1000
+        D = G.incidence(G.build_erdos_renyi(n, 0.01, seed=1))
+        tracemalloc.start()
+        try:
+            S._dense_spectrum(D)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * n * n
+
+    def test_spectral_gap_matches_eigvalsh(self):
+        D = G.incidence(G.build_erdos_renyi(300, 0.03, seed=4))
+        lam2, bound = S.spectral_gap(D)
+        assert lam2 == pytest.approx(np.linalg.eigvalsh(_laplacian(D))[1], rel=1e-10)
+        assert bound == pytest.approx(np.sqrt(2.0) / lam2, rel=1e-15)
