@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
@@ -335,6 +334,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
              for ki in range(len(cfg._shapes))
              for trial in range(cfg.trials)]
     if threads > 1:
+        # imported here so that `import graphtv` does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         cfg_dict = cfg.to_json_dict()
         packed = [(cfg_dict, si, ki, trial) for si, ki, trial in tasks]
         with ProcessPoolExecutor(max_workers=threads) as pool:

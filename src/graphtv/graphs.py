@@ -20,8 +20,8 @@ from scipy.sparse.csgraph import connected_components
 # Draws each randomized builder makes before it gives up.
 ER_MAX_RETRIES = 100
 RR_MAX_RETRIES = 1000
-# Most vertices a grid and most edges a complete graph may have, checked
-# before any array is allocated.
+# Most vertices a grid and most edges a complete or random regular graph
+# may have, checked before any array is allocated.
 SIZE_CAP = 16_000_000
 # Vertex pairs an Erdos-Renyi draw takes per block of uniforms: one block
 # covers every pair up to n = 1024.
@@ -227,34 +227,67 @@ def build_erdos_renyi(n: int, p: float, seed: int) -> Graph:
 
 
 def build_random_regular(n: int, d: int, seed: int) -> Graph:
-    """Random d-regular graph via the pairing (configuration) model.
+    """Random d-regular graph by pairing with repair (Steger & Wormald, 1999).
 
-    The full pairing is restarted whenever it produces a self-loop, a
-    multi-edge, or a disconnected graph, up to ``RR_MAX_RETRIES`` times.
-    Deterministic given ``seed``.
+    Each round pairs the unmatched stubs by a random permutation and keeps
+    every pair that is neither a self-loop nor a repeat of an edge; only the
+    stubs of the rejected pairs are paired again in the next round.  A dead
+    end (no suitable pair left among the unmatched stubs) or a disconnected
+    graph restarts the draw, up to ``RR_MAX_RETRIES`` times.  Dead ends
+    become common as d nears n, so a d > (n - 1)/2 graph is drawn as the
+    complement of an (n - 1 - d)-regular one.  Deterministic given ``seed``.
     """
     if n < 2 or d < 1 or d >= n:
         raise ValueError("need 1 <= d < n")
     if (n * d) % 2 != 0:
         raise ValueError("n * d must be even")
+    if n * d // 2 > SIZE_CAP:  # also bounds the n(n-1)/2 pairs of a complement
+        raise ValueError(f"{d}-regular graph on {n} vertices has {n * d // 2} edges, "
+                         f"past the supported {SIZE_CAP}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
+    sparse_d = min(d, n - 1 - d)
     for _ in range(RR_MAX_RETRIES):
-        perm = rng.permutation(stubs)
-        a, b = perm[0::2], perm[1::2]
-        if np.any(a == b):
+        keys = _regular_pairing(n, sparse_d, rng)
+        if keys is None:
             continue
-        pairs = np.sort(np.column_stack([a, b]), axis=1)
-        uniq = np.unique(pairs, axis=0)
-        if len(uniq) != len(pairs):
-            continue
-        g = Graph(n, _canonical_edges(uniq), family="random_regular",
-                  params={"d": d, "seed": seed})
+        if sparse_d < d:
+            i, j = np.triu_indices(n, 1)
+            pairs = i * n + j
+            keys = np.setdiff1d(pairs, keys, assume_unique=True)
+        g = Graph(n, _canonical_edges(np.column_stack(np.divmod(keys, n))),
+                  family="random_regular", params={"d": d, "seed": seed})
         if is_connected(g):
             return g
     raise GraphGenerationError(
         f"no simple connected {d}-regular pairing with n={n} in {RR_MAX_RETRIES} attempts"
     )
+
+
+def _regular_pairing(n: int, d: int, rng) -> np.ndarray | None:
+    """Sorted edge keys i*n + j (i < j) of one simple d-regular graph, or None at a dead end."""
+    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
+    keys = np.empty(0, dtype=np.int64)
+    while len(stubs):
+        perm = rng.permutation(stubs)
+        a = np.minimum(perm[0::2], perm[1::2])
+        b = np.maximum(perm[0::2], perm[1::2])
+        k = a * n + b
+        # a pair is new when it is the first of its key after the kept edges
+        both = np.concatenate([keys, k])
+        order = np.argsort(both, kind="stable")
+        first = np.empty(len(both), dtype=bool)
+        first[order] = np.r_[True, np.diff(both[order]) != 0]
+        ok = first[len(keys):] & (a != b)
+        if not ok.any():
+            v = np.unique(stubs)
+            i, j = np.triu_indices(len(v), 1)
+            pairs = v[i] * n + v[j]
+            ends = np.append(keys, n * n)  # a sentinel above every key
+            if np.all(ends[np.searchsorted(ends, pairs)] == pairs):
+                return None
+        keys = np.sort(np.concatenate([keys, k[ok]]))
+        stubs = np.concatenate([a[~ok], b[~ok]])
+    return keys
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,9 @@ path, any tree) it is the dual, and the loop ends within a few steps.
 
 Two exact special-purpose solvers are provided as independent
 cross-checks and fast paths: a taut-string solver for path graphs and a
-sort-plus-isotonic reduction for complete graphs.
+sort-plus-isotonic reduction for complete graphs.  The isotonic fit is an
+in-house pool-adjacent-violators pass in numpy (``_isotonic``), so that
+importing the package does not load ``scipy.optimize``.
 """
 from __future__ import annotations
 
@@ -49,7 +51,6 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import isotonic_regression
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
@@ -539,6 +540,25 @@ def denoise_path_exact(y: np.ndarray, lam: float) -> np.ndarray:
 # exact complete-graph solver
 
 
+def _isotonic(x: np.ndarray) -> np.ndarray:
+    """Nondecreasing least-squares fit of a nonempty vector x (PAVA).
+
+    Adjacent violators always share a block of the solution, so blocks
+    may be pooled in any order: first every maximal strictly decreasing
+    run at once, then the remaining violators by a stack over those runs.
+    """
+    starts = np.flatnonzero(np.r_[True, x[1:] >= x[:-1]])
+    sums, counts = [], []
+    for s, c in zip(np.add.reduceat(x, starts).tolist(),
+                    np.diff(starts, append=len(x)).tolist()):
+        while sums and sums[-1] / counts[-1] > s / c:
+            s += sums.pop()
+            c += counts.pop()
+        sums.append(s)
+        counts.append(c)
+    return np.repeat(np.divide(sums, counts), counts)
+
+
 def denoise_complete_exact(y: np.ndarray, lam: float) -> np.ndarray:
     """Exact TV denoiser on the complete graph K_n via isotonic regression.
 
@@ -556,7 +576,7 @@ def denoise_complete_exact(y: np.ndarray, lam: float) -> np.ndarray:
     order = np.argsort(y, kind="stable")
     ranks = np.arange(1, n + 1, dtype=float)
     adjusted = y[order] - mu * (2.0 * ranks - 1.0 - n)
-    fitted = isotonic_regression(adjusted, increasing=True).x
+    fitted = _isotonic(adjusted)
     theta = np.empty(n)
     theta[order] = fitted
     return theta

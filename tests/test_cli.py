@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from test_spectral import _rho_independent
 
 from graphtv import cli
 from graphtv import graphs as G
@@ -70,6 +75,15 @@ class TestSpectralCommand:
         rep = json.loads(out.read_text())
         assert rep["lambda2"] == 0.0 and rep["rho_method"] == "dense_pseudoinverse"
         assert np.isfinite(rep["rho"])
+
+    def test_dense_rho_matches_lstsq(self, tmp_path):
+        # the minimum-norm lstsq reference shares no code with the CLI's route
+        out = tmp_path / "er.json"
+        assert run(["spectral", "--graph", "erdos-renyi", "--n", "200", "--p", "0.05",
+                    "--method", "dense", "--out", str(out)]) == 0
+        rho = json.loads(out.read_text())["rho"]
+        ref = _rho_independent(G.build_erdos_renyi(200, 0.05, seed=0))
+        assert rho == pytest.approx(ref, rel=1e-9)
 
     def test_missing_flag_is_usage_error(self, tmp_path):
         assert run(["spectral", "--graph", "star", "--out",
@@ -362,3 +376,29 @@ class TestExperimentCommand:
         err = capsys.readouterr().err
         assert err.startswith("graphtv: ") and err.count("\n") == 1
         assert not out.exists()
+
+
+class TestImportFootprint:
+    """Importing the package, or running a command, loads neither scipy.optimize
+    nor multiprocessing: both are slow to import and unused on these paths."""
+
+    def _heavy_modules_after(self, code, cwd):
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code + "\nprint(' '.join(sys.modules))"],
+                              env=env, cwd=cwd, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return [m for m in proc.stdout.split() if m.startswith(("multiprocessing", "scipy.optimize"))]
+
+    def test_import(self, tmp_path):
+        assert self._heavy_modules_after("import sys, graphtv", tmp_path) == []
+
+    def test_spectral_and_denoise_commands(self, tmp_path):
+        (tmp_path / "y.txt").write_text("0\n4\n1\n3\n")
+        code = ("import sys\nfrom graphtv import cli\n"
+                "assert cli.main(['spectral', '--graph', 'path', '--n', '4', '--method', "
+                "'dense', '--out', 's.json']) == 0\n"
+                "assert cli.main(['denoise', '--graph', 'complete', '--n', '4', '--y', "
+                "'y.txt', '--lambda-value', '0.1', '--out', 't.txt']) == 0")
+        assert self._heavy_modules_after(code, tmp_path) == []

@@ -229,9 +229,25 @@ class TestRandomFamilies:
         assert np.all(G.degrees(a) == 3)
         assert G.is_connected(a)
 
+    @pytest.mark.parametrize("n, d", [(2000, 8), (40, 36), (100, 90), (7, 4)])
+    def test_regular_repairs_instead_of_restarting(self, n, d):
+        # a whole simple pairing has probability about exp(-(d^2 - 1)/4), so
+        # (2000, 8) once failed 1,000 restarts; d > (n - 1)/2 is a complement
+        g = G.build_random_regular(n, d, seed=1)
+        assert g.m == n * d // 2  # Graph itself rejects loops and repeated edges
+        assert np.all(G.degrees(g) == d)
+        assert G.is_connected(g)
+        assert np.array_equal(g.edges, G.build_random_regular(n, d, seed=1).edges)
+
     def test_regular_parity(self):
         with pytest.raises(ValueError):
             G.build_random_regular(5, 3, seed=0)
+
+    def test_regular_edge_cap(self, monkeypatch):
+        # a small cap stands in for n*d/2 past SIZE_CAP; (20, 18) would be a complement
+        monkeypatch.setattr(G, "SIZE_CAP", 179)
+        with pytest.raises(ValueError, match="past the supported"):
+            G.build_random_regular(20, 18, seed=0)
 
 
 class TestIncidenceInvariants:

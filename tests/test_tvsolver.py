@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import lsq_linear
+from scipy.optimize import isotonic_regression, lsq_linear
 from scipy.sparse.csgraph import connected_components
 
 from graphtv import graphs as G
@@ -183,6 +183,56 @@ class TestSolverAgainstOracles:
         assert np.array_equal(T.denoise_complete_exact(y, 0.0), y)
         big = T.denoise_complete_exact(y, 100.0)
         assert np.allclose(big, 2.0, atol=1e-12)
+
+
+@st.composite
+def isotonic_inputs(draw):
+    """Vectors of length 1..300 with ties, constant runs or a downward trend, at 1e-3..1e6."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "ties", "runs", "decreasing"]))
+    if kind == "ties":
+        x = rng.integers(-3, 4, size=n).astype(float)
+    elif kind == "runs":
+        x = np.repeat(rng.normal(size=n), rng.integers(1, 30, size=n))[:n]
+    elif kind == "decreasing":
+        x = np.linspace(1.0, -1.0, n) * n + rng.normal(size=n)
+    else:
+        x = rng.normal(size=n)
+    return x * 10.0 ** draw(st.floats(-3.0, 6.0))
+
+
+def _complete_exact_scipy(y, lam):
+    """The K_n reduction with scipy's isotonic regression, as the reference."""
+    n = len(y)
+    if lam == 0.0 or n <= 1:
+        return y.copy()
+    mu = 0.5 * lam * n
+    order = np.argsort(y, kind="stable")
+    ranks = np.arange(1, n + 1, dtype=float)
+    theta = np.empty(n)
+    theta[order] = isotonic_regression(y[order] - mu * (2.0 * ranks - 1.0 - n)).x
+    return theta
+
+
+class TestIsotonicAgainstScipy:
+    @settings(max_examples=300, deadline=None)
+    @given(isotonic_inputs())
+    def test_pava_matches_scipy(self, x):
+        fit = T._isotonic(x)
+        assert np.all(np.diff(fit) >= 0)
+        diff = np.max(np.abs(fit - isotonic_regression(x).x))
+        assert diff <= 1e-12 * (1 + np.max(np.abs(x)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(isotonic_inputs(), st.sampled_from([0.0, 1e-3, 0.1, 1.0, 10.0]))
+    def test_complete_exact_matches_scipy_body(self, y, c):
+        n = len(y)
+        lam = c * (1 + np.max(np.abs(y))) / n**2
+        # the fit runs on y_(r) - mu (2r - 1 - n), whose size sets the rounding
+        scale = 1 + np.max(np.abs(y)) + 0.5 * lam * n * n
+        diff = np.max(np.abs(T.denoise_complete_exact(y, lam) - _complete_exact_scipy(y, lam)))
+        assert diff <= 1e-12 * scale
 
 
 class TestCertificates:
