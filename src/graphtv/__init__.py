@@ -50,6 +50,8 @@ from .tvsolver import (  # noqa: F401
     kkt_certificate,
     lambda_value,
     objective_value,
+    solve,
+    solver_for,
     tv1d_prox,
 )
 from .haar import (  # noqa: F401

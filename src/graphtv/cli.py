@@ -1,7 +1,9 @@
 """Command-line front end: spectral constants, denoising, experiments.
 
 Exit codes: 0 success, 2 invalid arguments, 3 numerical failure
-(non-convergence or generation failure).  Every run writes a
+(non-convergence or generation failure).  ``denoise`` takes the solver
+that ``tvsolver.solve`` picks from the graph and reports the scalar fields
+of its certified result.  Every run writes a
 ``manifest.json`` next to its outputs echoing the fully resolved
 configuration, sufficient to re-run identically.
 
@@ -13,6 +15,7 @@ import argparse
 import json
 import pathlib
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -73,11 +76,13 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
 
 def _graph_from_args(args):
     """The graph the flags name, or the anchored path matrix for ``--augmented``."""
+    if args.augmented and args.graph != "path":
+        raise UsageError(f"--augmented needs --graph path, not --graph {args.graph}")
     if args.graph == "custom":
         if args.edges is None:
             raise UsageError("missing required flag --edges")
         return G.read_edge_list(args.edges, n=args.n)
-    if args.graph == "path" and args.augmented and args.n is not None:
+    if args.augmented and args.n is not None:
         return G.build_augmented_path(args.n)
     # also reports a missing --n for --augmented
     return G.build_family(args.graph.replace("-", "_"), n=args.n, d=args.d, N=args.side,
@@ -109,49 +114,29 @@ def cmd_spectral(args) -> int:
 def cmd_denoise(args) -> int:
     g = _graph_from_args(args)
     graph = g if isinstance(g, G.Graph) else None  # None for --augmented
-    D = g if graph is None else G.incidence(graph)
+    if args.oracle == "taut-string" and tv.solver_for(g) != "taut_string":
+        raise UsageError("--oracle taut-string requires --graph path (not augmented)")
+    opts = tv.SolverOptions(tol=args.tol, max_iter=args.max_iter)
     y = read_vector(args.y)
-    if y.shape[0] != D.shape[1]:
-        raise UsageError(f"y has {y.shape[0]} entries but the graph has {D.shape[1]} vertices")
+    n = g.shape[1] if graph is None else g.n
+    if y.shape[0] != n:
+        raise UsageError(f"y has {y.shape[0]} entries but the graph has {n} vertices")
     lam = args.lambda_value
     if lam is None:  # a rule needs a graph, so --augmented fails here, before any spectral work
         rule = tv.LambdaRule(args.lambda_rule, sigma=args.sigma, delta=args.delta,
                              constant_c=args.constant_c)
         lam = float(tv.lambda_value(rule, graph))
-    problem = tv.DenoiseProblem(y, D, lam)  # rejects a non-finite lambda
+    result = tv.solve(g, y, lam, opts)  # rejects a non-finite lambda
+    report = {"lambda": lam, **{f.name: getattr(result, f.name) for f in fields(result)
+                                if f.name not in ("theta_hat", "dual_z")}}
     out = pathlib.Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-
-    if args.oracle == "taut-string":
-        if graph is None or graph.family != "path":
-            raise UsageError("--oracle taut-string requires --graph path (not augmented)")
-        theta = tv.denoise_path_exact(y, lam)
-        z, resid = tv.kkt_certificate(problem, theta)
-        # the bound of the iterative solver's stationarity test
-        converged = resid <= args.tol * (1.0 + float(np.max(np.abs(y))))
-        diag = {
-            "lambda": lam, "objective": tv.objective_value(y, D, lam, theta),
-            "stationarity_residual": resid, "dual_feasibility": float(np.max(np.abs(z))) if len(z) else 0.0,
-            "iterations": 0, "converged": converged, "solver": "taut_string",
-        }
-    else:
-        result = tv.denoise(problem, tv.SolverOptions(tol=args.tol, max_iter=args.max_iter))
-        theta = result.theta_hat
-        diag = {
-            "lambda": lam, "objective": result.objective,
-            "stationarity_residual": result.stationarity_residual,
-            "dual_feasibility": result.dual_feasibility,
-            "iterations": result.iterations, "converged": result.converged,
-            "duality_gap": result.duality_gap, "fused": result.fused,
-            "solver": "dual_fista",
-        }
-        converged = result.converged
-    write_vector(out, theta, comment=f"theta_hat, lambda={lam!r}")
+    write_vector(out, result.theta_hat, comment=f"theta_hat, lambda={lam!r}")
     out.with_suffix(out.suffix + ".report.json").write_text(
-        json.dumps(diag, indent=1, sort_keys=True), encoding="utf-8")
+        json.dumps(report, indent=1, sort_keys=True), encoding="utf-8")
     _write_manifest(out.parent, {"command": "denoise", "args": _resolved(args),
                                  "outputs": [out.name, out.name + ".report.json"]})
-    return EXIT_OK if converged else EXIT_NUMERICAL
+    return EXIT_OK if result.converged else EXIT_NUMERICAL
 
 
 def cmd_experiment(args) -> int:
@@ -216,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--lambda-value", dest="lambda_value", type=float,
                     help="explicit lambda (overrides the rule)")
     pd.add_argument("--oracle", choices=["taut-string"],
-                    help="use the exact path oracle instead of the iterative solver")
+                    help="the exact path solver; implied on --graph path, refused elsewhere")
     pd.add_argument("--tol", type=float, default=1e-6)
     pd.add_argument("--max-iter", dest="max_iter", type=int, default=50000)
     pd.add_argument("--out", required=True)

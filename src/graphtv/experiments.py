@@ -263,15 +263,6 @@ def _signal_for(cfg: ExperimentConfig, size: int, n: int, shape, signal_seed: in
     return sig.realize_signal(s, n=n, seed=signal_seed)
 
 
-def _solve_tv(graph: G.Graph, D, y, lam, op_norm, z0=None):
-    if graph.family == "complete":
-        return tv.denoise_complete_exact(y, lam), None, True
-    r = tv.denoise(tv.DenoiseProblem(y, D, lam),
-                   tv.SolverOptions(tol=SOLVER_TOL, max_iter=SOLVER_MAX_ITER,
-                                    op_norm=op_norm, z0=z0, check_connected=False))
-    return r.theta_hat, r.dual_z, r.converged
-
-
 def _run_cell_trial(cfg: ExperimentConfig, si: int, ki: int, trial: int) -> list:
     """All estimator records for one (size, island shape, trial) cell."""
     size = int(cfg.sizes[si])
@@ -281,14 +272,20 @@ def _run_cell_trial(cfg: ExperimentConfig, si: int, ki: int, trial: int) -> list
     signal_seed = _substream(cfg.master_seed, si, ki, 2)
 
     graph = _build_graph(cfg.family, size, cfg.family_params, graph_seed)
-    # the complete graph is solved exactly with a closed-form rho: no D, no step size
-    D = None if cfg.family == "complete" else G.incidence(graph)
+    # D and its step bound, once per cell, for the iterative solver only
+    iterative = tv.solver_for(graph) == "dual_fista"
+    D = G.incidence(graph) if iterative else None
     n = graph.n
     theta_star = _signal_for(cfg, size, n, shape, signal_seed)
     noise = sig.gaussian_noise(n, sig.NoiseModel(cfg.sigma, cfg.master_seed, stream))
     y = theta_star + noise
+    op_norm = tv.operator_norm(D) if iterative else None
 
-    op_norm = None if D is None else tv.operator_norm(D)
+    def solve_tv(lam, z0):
+        r = tv.solve(graph, y, lam, tv.SolverOptions(
+            tol=SOLVER_TOL, max_iter=SOLVER_MAX_ITER, op_norm=op_norm, z0=z0,
+            check_connected=False), D)
+        return r.theta_hat, r.dual_z, r.converged
 
     records = []
     for estimator in cfg.estimators:
@@ -301,12 +298,10 @@ def _run_cell_trial(cfg: ExperimentConfig, si: int, ki: int, trial: int) -> list
         else:  # tv
             lam_th = float(tv.lambda_value(cfg.rule, graph))
             if cfg.lambda_policy == "theoretical":
-                theta_hat, _, converged = _solve_tv(graph, D, y, lam_th, op_norm)
+                theta_hat, _, converged = solve_tv(lam_th, None)
                 lam_used = lam_th
             else:
-                search = oracle_lambda_search(
-                    lambda lam, z0: _solve_tv(graph, D, y, lam, op_norm, z0),
-                    theta_star, lam_th)
+                search = oracle_lambda_search(solve_tv, theta_star, lam_th)
                 theta_hat = search.theta_hat
                 lam_used = search.lambda_or
                 converged = search.all_converged and search.rule_satisfied

@@ -20,8 +20,8 @@ from scipy.sparse.csgraph import connected_components
 # Draws each randomized builder makes before it gives up.
 ER_MAX_RETRIES = 100
 RR_MAX_RETRIES = 1000
-# Most vertices a grid and most edges a complete or random regular graph
-# may have, checked before any array is allocated.
+# Most vertices and most edges any builder accepts, checked by _check_size
+# from the closed-form counts before any array is allocated.
 SIZE_CAP = 16_000_000
 # Vertex pairs an Erdos-Renyi draw takes per block of uniforms: one block
 # covers every pair up to n = 1024.
@@ -90,6 +90,13 @@ def _canonical_edges(pairs) -> np.ndarray:
     return e[order]
 
 
+def _check_size(what: str, n: int, m: int) -> None:
+    """Refuse a graph of n vertices and m edges past ``SIZE_CAP``, before it is built."""
+    if n > SIZE_CAP or m > SIZE_CAP:
+        raise ValueError(f"{what} has {m} edges and {n} vertices, "
+                         f"past the supported {SIZE_CAP}")
+
+
 # ---------------------------------------------------------------------------
 # deterministic families
 
@@ -98,6 +105,7 @@ def build_path(N: int) -> Graph:
     """Path graph on N vertices: edges (i, i+1)."""
     if N < 2:
         raise ValueError("path graph needs N >= 2")
+    _check_size(f"path P_{N}", N, N - 1)
     i = np.arange(N - 1, dtype=np.int64)
     return Graph(N, np.column_stack([i, i + 1]), family="path", params={"N": N})
 
@@ -112,6 +120,7 @@ def build_augmented_path(N: int) -> sp.csr_matrix:
     """
     if N < 1:
         raise ValueError("augmented path needs N >= 1")
+    _check_size(f"augmented path of size {N}", N, N)
     i = np.arange(1, N)
     rows = np.concatenate([[0], np.repeat(i, 2)])
     cols = np.concatenate([[0], np.column_stack([i - 1, i]).ravel()])
@@ -131,8 +140,7 @@ def build_grid(d: int, N: int) -> Graph:
     if N < 2:
         raise ValueError("grid side length must be >= 2")
     n = N**d
-    if n > SIZE_CAP:
-        raise ValueError(f"grid {N}^{d} = {n} vertices exceeds the supported size")
+    _check_size(f"grid {N}^{d}", n, d * N ** (d - 1) * (N - 1))
     idx = np.arange(n, dtype=np.int64)
     pairs = []
     for axis in range(d):
@@ -149,6 +157,7 @@ def build_hypercube(d: int) -> Graph:
     if d < 1:
         raise ValueError("hypercube dimension must be >= 1")
     n = 2**d
+    _check_size(f"hypercube Q_{d}", n, d * n // 2)
     idx = np.arange(n, dtype=np.int64)
     pairs = []
     for b in range(d):
@@ -162,9 +171,7 @@ def build_complete(n: int) -> Graph:
     """Complete graph K_n."""
     if n < 2:
         raise ValueError("complete graph needs n >= 2")
-    m = n * (n - 1) // 2
-    if m > SIZE_CAP:
-        raise ValueError(f"complete graph K_{n} has {m} edges, past the supported {SIZE_CAP}")
+    _check_size(f"complete graph K_{n}", n, n * (n - 1) // 2)
     i, j = np.triu_indices(n, k=1)
     return Graph(n, _canonical_edges(np.column_stack([i, j])), family="complete", params={})
 
@@ -173,6 +180,7 @@ def build_star(n: int) -> Graph:
     """Star S_n: vertex 0 is the center, connected to all others."""
     if n < 2:
         raise ValueError("star graph needs n >= 2")
+    _check_size(f"star S_{n}", n, n - 1)
     j = np.arange(1, n, dtype=np.int64)
     return Graph(n, np.column_stack([np.zeros(n - 1, dtype=np.int64), j]), family="star", params={})
 
@@ -183,6 +191,7 @@ def build_cycle_power(n: int, k: int) -> Graph:
         raise ValueError("cycle power needs n >= 3")
     if k < 1 or 2 * k > n:
         raise ValueError("cycle power requires 1 <= k <= n/2")
+    _check_size(f"cycle power C_{n}^{k}", n, n * k)  # the pairs listed before n = 2k dedupes
     i = np.repeat(np.arange(n, dtype=np.int64), k)
     j = (i + np.tile(np.arange(1, k + 1), n)) % n
     # for n = 2k the two directions reach the same opposite vertex
@@ -208,6 +217,7 @@ def build_erdos_renyi(n: int, p: float, seed: int) -> Graph:
         raise ValueError("need n >= 2")
     if not 0 < p <= 1:
         raise ValueError("need 0 < p <= 1")
+    _check_size(f"Erdos-Renyi G({n}, {p}) on average", n, int(p * (n * (n - 1) // 2)))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     row_start = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])  # first pair of row i
     total = int(row_start[-1])
@@ -241,9 +251,8 @@ def build_random_regular(n: int, d: int, seed: int) -> Graph:
         raise ValueError("need 1 <= d < n")
     if (n * d) % 2 != 0:
         raise ValueError("n * d must be even")
-    if n * d // 2 > SIZE_CAP:  # also bounds the n(n-1)/2 pairs of a complement
-        raise ValueError(f"{d}-regular graph on {n} vertices has {n * d // 2} edges, "
-                         f"past the supported {SIZE_CAP}")
+    # the edge cap also bounds the n(n-1)/2 pairs of a complement
+    _check_size(f"{d}-regular graph on {n} vertices", n, n * d // 2)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     sparse_d = min(d, n - 1 - d)
     for _ in range(RR_MAX_RETRIES):

@@ -42,6 +42,19 @@ cross-checks and fast paths: a taut-string solver for path graphs and a
 sort-plus-isotonic reduction for complete graphs.  The isotonic fit is an
 in-house pool-adjacent-violators pass in numpy (``_isotonic``), so that
 importing the package does not load ``scipy.optimize``.
+
+``solve`` is the one route from a graph to a certified ``DenoiseResult``:
+``solver_for`` alone picks the taut string for a path, the sort-plus-
+isotonic reduction for a complete graph and ``denoise`` for anything
+else.  The path estimate is certified by ``kkt_certificate``; the K_n
+estimate by ``_complete_certificate``, which reads no incidence matrix.
+On K_n, once theta is sorted into blocks of equal value, every edge
+between blocks carries the sign of its jump, and the in-block entries of
+z must carry the rest of the stationarity condition.  By Gale's
+feasibility theorem for flows ("A theorem on flows in networks", 1957)
+they can, with ``|z| <= t``, exactly when the demand sums to zero on each
+block and the k largest demands of a block of b vertices sum to at most
+``t k (b - k)`` for every k.
 """
 from __future__ import annotations
 
@@ -54,6 +67,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
+from . import graphs as G
 from . import spectral as spec
 
 LAMBDA_RULES = (
@@ -125,14 +139,17 @@ class SolverOptions:
 @dataclass
 class DenoiseResult:
     theta_hat: np.ndarray
-    dual_z: np.ndarray
+    dual_z: np.ndarray | None  # None on the complete-graph route, which builds no D
     iterations: int
     stationarity_residual: float
     dual_feasibility: float
     objective: float
     converged: bool
-    duality_gap: float  # P(theta_hat) minus the dual value of the iterate it was checked with
+    # P(theta_hat) minus the dual value of the iterate it was checked with;
+    # None for the exact solvers, which have no dual iterate
+    duality_gap: float | None
     fused: bool  # theta_hat is the dual-fused candidate (see ``denoise``)
+    solver: str = "dual_fista"  # the route taken, see ``solver_for``
 
 
 def objective_value(y: np.ndarray, D, lam: float, theta: np.ndarray) -> float:
@@ -580,6 +597,103 @@ def denoise_complete_exact(y: np.ndarray, lam: float) -> np.ndarray:
     theta = np.empty(n)
     theta[order] = fitted
     return theta
+
+
+def _complete_certificate(y: np.ndarray, lam: float,
+                          theta: np.ndarray) -> tuple[float, float, float]:
+    """``(residual, dual_feasibility, tv)`` of theta on K_n, without D.
+
+    Sorted theta splits into blocks where consecutive values differ by at
+    most the jump tolerance of ``denoise``.  Vertex i of a block B of b
+    vertices gets ``c_i = #below - #above`` from the edges that leave B,
+    and needs in-block entries summing to
+    ``w_i = -(2/(n lam))(theta_i - y_i) - c_i``.  The best residual is
+    ``lam max_B |mean_B w|``; the smallest ``||z||_inf`` on the in-block
+    edges that carries ``w - mean_B w`` is the largest ratio of the sum
+    of its k largest entries over ``k (b - k)``, k < b (Gale).  The
+    feasibility is that ratio, or 1 if any pair jumps.  ``tv`` is
+    ``sum_{i<j} |theta_i - theta_j| = sum_r (2r - 1 - n) theta_(r)``.
+    At lam = 0 the residual is that of z = 0 in the blocks.
+    """
+    n = len(y)
+    order = np.argsort(theta, kind="stable")
+    t = theta[order]
+    tv = float(np.dot(2.0 * np.arange(1, n + 1) - 1.0 - n, t))
+    grad = (2.0 / n) * (t - y[order])
+    starts = np.flatnonzero(np.r_[True, np.diff(t) > 1e-8 * (1.0 + float(np.max(np.abs(y))))])
+    jumps = float(len(starts) > 1)
+    if lam == 0.0:
+        return float(np.max(np.abs(grad))), jumps, tv
+    sizes = np.diff(starts, append=n)
+    block = np.repeat(np.arange(len(starts)), sizes)
+    first, b = starts[block], sizes[block]
+    w = -grad / lam - (2 * first + b - n)  # #below - #above = first - (n - first - b)
+    mean = np.add.reduceat(w, starts) / sizes
+    dev = w - mean[block]
+    dev = dev[np.lexsort((-dev, block))]  # decreasing within each block
+    top = np.cumsum(dev)
+    top -= (top[starts] - dev[starts])[block]  # sum of the k largest, k = 1..b
+    k = np.arange(1, n + 1) - first
+    inner = k < b
+    ratio = np.max(top[inner] / (k[inner] * (b[inner] - k[inner])), initial=0.0)
+    return lam * float(np.max(np.abs(mean))), max(jumps, float(ratio)), tv
+
+
+# ---------------------------------------------------------------------------
+# the solver route
+
+
+def solver_for(g) -> str:
+    """The solver :func:`solve` takes for ``g``, a Graph or a difference matrix.
+
+    ``"sort_isotonic"`` for a complete graph, ``"taut_string"`` for a
+    path and ``"dual_fista"`` (:func:`denoise`) for anything else, the
+    anchored path and custom graphs included.
+    """
+    if isinstance(g, G.Graph):
+        if g.family == "complete" and g.m == g.n * (g.n - 1) // 2:
+            return "sort_isotonic"
+        if g.family == "path":
+            return "taut_string"
+    return "dual_fista"
+
+
+def solve(g, y, lam: float, opts: SolverOptions | None = None, D=None) -> DenoiseResult:
+    """Denoise y on ``g`` (a Graph or a difference matrix) by the route of :func:`solver_for`.
+
+    ``D``, the incidence matrix of a Graph, and ``opts.op_norm`` are
+    caches for a caller that solves on one graph many times; the
+    complete-graph route reads neither.  The exact routes report
+    ``converged`` when their certificate passes the bounds of
+    :func:`denoise`: residual within ``opts.tol * (1 + ||y||_inf)`` and
+    dual feasibility within ``1 + opts.tol``.  They take no iterations
+    and have no duality gap.
+    """
+    opts = opts or SolverOptions()
+    solver = solver_for(g)
+    if solver == "sort_isotonic":
+        y = _check_exact_input(y, lam)
+        if y.shape != (g.n,):
+            raise ValueError("y must be a vector of length n")
+        theta = denoise_complete_exact(y, lam)
+        z = None
+        resid, feasibility, tv = _complete_certificate(y, lam, theta)
+        objective = float(np.mean((theta - y) ** 2)) + lam * tv
+    else:
+        if D is None:
+            D = G.incidence(g) if isinstance(g, G.Graph) else g
+        problem = DenoiseProblem(y, D, lam)
+        if solver == "dual_fista":
+            return denoise(problem, opts)
+        y = problem.y
+        theta = denoise_path_exact(y, lam)
+        z, resid = kkt_certificate(problem, theta)
+        feasibility = float(np.max(np.abs(z), initial=0.0))
+        objective = objective_value(y, problem.D, lam, theta)
+    scale = 1.0 + float(np.max(np.abs(y)))
+    converged = resid <= opts.tol * scale and feasibility <= 1.0 + opts.tol
+    return DenoiseResult(theta, z, 0, resid, feasibility, objective, bool(converged),
+                         None, False, solver)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,14 @@ class TestSpectralCommand:
         assert rep["rho"] == pytest.approx(np.sqrt(5), abs=1e-9)
         assert rep["family"] == "augmented_path"
 
+    @pytest.mark.parametrize("graph", [["--graph", "grid", "--d", "2", "--N", "3"],
+                                       ["--graph", "star", "--n", "5"]])
+    def test_augmented_off_the_path_is_usage_error(self, tmp_path, capsys, graph):
+        out = tmp_path / "out" / "x.json"
+        assert run(["spectral", *graph, "--augmented", "--out", str(out)]) == 2
+        assert "--augmented needs --graph path" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_custom_graph(self, tmp_path):
         edges = tmp_path / "g.txt"
         edges.write_text("1 2\n2 3\n1 3\n")
@@ -182,18 +190,41 @@ class TestDenoiseCommand:
         assert np.max(np.abs(theta - 2.5)) <= 1e-6
 
     def test_oracle_mode_matches_solver_objective(self, tmp_path):
+        # the path takes the taut string with or without --oracle; both
+        # match the iterative solver on the same problem
         rng = np.random.default_rng(4)
         y = rng.normal(size=30) * 2
         yp = self._write_y(tmp_path, y)
-        o1, o2 = tmp_path / "a.txt", tmp_path / "b.txt"
+        problem = T.DenoiseProblem(y, G.incidence(G.build_path(30)), 0.08)
+        ref = T.denoise(problem, T.SolverOptions(tol=1e-9))
         args = ["denoise", "--graph", "path", "--n", "30", "--y", str(yp),
                 "--lambda-value", "0.08", "--tol", "1e-9"]
-        assert run(args + ["--out", str(o1)]) == 0
-        assert run(args + ["--oracle", "taut-string", "--out", str(o2)]) == 0
-        D = G.incidence(G.build_path(30))
-        obj1 = T.objective_value(y, D, 0.08, cli.read_vector(o1))
-        obj2 = T.objective_value(y, D, 0.08, cli.read_vector(o2))
-        assert abs(obj1 - obj2) <= 1e-6 * (1 + abs(obj2))
+        for extra in ([], ["--oracle", "taut-string"]):
+            out = tmp_path / f"theta{len(extra)}.txt"
+            assert run(args + extra + ["--out", str(out)]) == 0
+            theta = cli.read_vector(out)
+            assert np.array_equal(theta, T.denoise_path_exact(y, 0.08))
+            obj = T.objective_value(y, problem.D, 0.08, theta)
+            assert abs(obj - ref.objective) <= 1e-6 * (1 + abs(ref.objective))
+            rep = json.loads(out.with_suffix(".txt.report.json").read_text())
+            assert rep["solver"] == "taut_string" and rep["duality_gap"] is None
+
+    def test_complete_graph_takes_the_exact_route(self, tmp_path, monkeypatch):
+        def no_incidence(g):
+            raise AssertionError("incidence built")
+        monkeypatch.setattr(G, "incidence", no_incidence)
+        y = np.random.default_rng(7).normal(size=50)
+        yp = self._write_y(tmp_path, y)
+        out = tmp_path / "theta.txt"
+        assert run(["denoise", "--graph", "complete", "--n", "50", "--y", str(yp),
+                    "--sigma", "1", "--out", str(out)]) == 0
+        rep = json.loads((tmp_path / "theta.txt.report.json").read_text())
+        assert np.array_equal(cli.read_vector(out), T.denoise_complete_exact(y, rep["lambda"]))
+        assert rep["solver"] == "sort_isotonic" and rep["converged"] is True
+        assert rep["duality_gap"] is None and rep["iterations"] == 0
+        assert set(rep) == {"lambda", "iterations", "stationarity_residual",
+                            "dual_feasibility", "objective", "converged", "duality_gap",
+                            "fused", "solver"}
 
     def test_taut_string_certificate_sets_converged(self, tmp_path, monkeypatch):
         yp = self._write_y(tmp_path, np.array([0.0, 4.0, 1.0]))
@@ -245,6 +276,18 @@ class TestDenoiseCommand:
                     "--lambda-value", lam, "--out", str(out)] + oracle) == 2
         assert not out.exists()
         assert not (tmp_path / "theta.txt.report.json").exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    @pytest.mark.parametrize("route", [["--graph", "path", "--n", "4"],
+                                       ["--graph", "path", "--n", "4", "--oracle", "taut-string"],
+                                       ["--graph", "complete", "--n", "4"],
+                                       ["--graph", "star", "--n", "4"]])
+    def test_bad_tol_is_usage_error(self, tmp_path, tol, route):
+        yp = self._write_y(tmp_path, np.array([1.0, 2.0, 3.0, 4.0]))
+        out = tmp_path / "theta.txt"
+        assert run(["denoise", *route, "--y", str(yp), "--lambda-value", "0.1",
+                    "--tol", tol, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_non_finite_sigma_is_usage_error(self, tmp_path):
         yp = self._write_y(tmp_path, np.zeros(4))
@@ -400,5 +443,7 @@ class TestImportFootprint:
                 "assert cli.main(['spectral', '--graph', 'path', '--n', '4', '--method', "
                 "'dense', '--out', 's.json']) == 0\n"
                 "assert cli.main(['denoise', '--graph', 'complete', '--n', '4', '--y', "
-                "'y.txt', '--lambda-value', '0.1', '--out', 't.txt']) == 0")
+                "'y.txt', '--lambda-value', '0.1', '--out', 't.txt']) == 0\n"
+                "assert cli.main(['denoise', '--graph', 'path', '--n', '4', '--y', "
+                "'y.txt', '--lambda-value', '0.1', '--out', 'p.txt']) == 0")
         assert self._heavy_modules_after(code, tmp_path) == []

@@ -396,3 +396,38 @@ class TestFamilyTable:
     def test_builder_looked_up_at_call_time(self, monkeypatch):
         monkeypatch.setattr(G, "build_path", lambda N: ("replaced", N))
         assert G.build_family("path", n=5) == ("replaced", 5)
+
+
+# family -> (parameters at the cap, parameters just past it) for SIZE_CAP = 1000
+AT_AND_PAST_CAP = {
+    "path": ({"n": 1000}, {"n": 1001}),  # 1001 vertices
+    "grid": ({"d": 2, "N": 22}, {"d": 2, "N": 23}),  # 924 and 1012 edges
+    "hypercube": ({"d": 7}, {"d": 8}),  # 448 and 1024 edges
+    "complete": ({"n": 45}, {"n": 46}),  # 990 and 1035 edges
+    "star": ({"n": 1000}, {"n": 1001}),
+    "cycle_power": ({"n": 500, "k": 2}, {"n": 501, "k": 2}),  # 1000 and 1002 edges
+    "erdos_renyi": ({"n": 45, "p": 1.0}, {"n": 46, "p": 1.0}),  # expected edges
+    "random_regular": ({"n": 500, "d": 4}, {"n": 502, "d": 4}),  # 1000 and 1004 edges
+}
+
+
+class TestSizeCap:
+    """Every builder refuses a graph past SIZE_CAP vertices or edges before building it."""
+
+    def test_table_covers_the_families(self):
+        assert list(AT_AND_PAST_CAP) == list(G.FAMILIES)
+
+    @pytest.mark.parametrize("family", list(AT_AND_PAST_CAP))
+    def test_family_at_and_past_the_cap(self, monkeypatch, family):
+        monkeypatch.setattr(G, "SIZE_CAP", 1000)
+        at, past = AT_AND_PAST_CAP[family]
+        g = G.build_family(family, seed=0, **at)
+        assert g.n <= 1000 and g.m <= 1000
+        with pytest.raises(ValueError, match="past the supported 1000"):
+            G.build_family(family, seed=0, **past)
+
+    def test_augmented_path(self, monkeypatch):
+        monkeypatch.setattr(G, "SIZE_CAP", 1000)
+        assert G.build_augmented_path(1000).shape == (1000, 1000)
+        with pytest.raises(ValueError, match="past the supported 1000"):
+            G.build_augmented_path(1001)

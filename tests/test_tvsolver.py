@@ -9,6 +9,7 @@ from scipy.sparse.csgraph import connected_components
 from graphtv import graphs as G
 from graphtv import spectral as S
 from graphtv import tvsolver as T
+from graphtv.signals import island_signal
 
 
 def path_problem(y, lam):
@@ -947,3 +948,145 @@ class TestForestCertificate:
         monkeypatch.undo()
         z0, _ = _zero_start_certificate(problem, theta)
         assert np.max(np.abs(z - z0)) <= 1e-8
+
+
+@st.composite
+def complete_instances(draw):
+    """(y, lam) on K_n with 2..25 vertices, tied values included, lam in [1e-3, 0.3]."""
+    n = draw(st.integers(2, 25))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "ties", "runs"]))
+    if kind == "ties":
+        y = rng.integers(-3, 4, size=n).astype(float)
+    elif kind == "runs":
+        y = np.repeat(rng.normal(size=n), rng.integers(1, 5, size=n))[:n]
+    else:
+        y = rng.normal(size=n) * 3
+    return y, 10.0 ** draw(st.floats(-3.0, np.log10(0.3)))
+
+
+def _complete_verdict(y, lam, theta, tol):
+    resid, feasibility, _ = T._complete_certificate(y, lam, theta)
+    return resid <= tol * (1 + np.max(np.abs(y))) and feasibility <= 1 + tol
+
+
+class TestCompleteCertificate:
+    """The O(n log n) K_n certificate, against ``kkt_certificate`` on the incidence matrix."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(complete_instances())
+    def test_agrees_with_kkt_certificate(self, inst):
+        y, lam = inst
+        problem = T.DenoiseProblem(y, G.incidence(G.build_complete(len(y))), lam)
+        scale = 1 + np.max(np.abs(y))
+        theta = T.denoise_complete_exact(y, lam)
+        resid, feasibility, tv = T._complete_certificate(y, lam, theta)
+        z, kkt_resid = T.kkt_certificate(problem, theta)
+        assert resid <= 1e-12 * scale and feasibility <= 1 + 1e-9
+        assert kkt_resid <= 1e-9 * scale and np.max(np.abs(z)) <= 1.0
+        assert tv == pytest.approx(np.abs(problem.D @ theta).sum(), rel=1e-12, abs=1e-12)
+        # a theta from another weight: both certificates give the same verdict
+        wrong = T.denoise_complete_exact(y, 1.5 * lam)
+        _, kkt_wrong = T.kkt_certificate(problem, wrong)
+        assert _complete_verdict(y, lam, wrong, 1e-6) == (kkt_wrong <= 1e-6 * scale)
+
+    def test_wrong_theta_fails(self):
+        # island-model K_n: the exact theta at 1.5 lambda is refused at lambda
+        refused = 0
+        rule = T.LambdaRule("theorem_general", sigma=0.5, delta=0.1)
+        for n in (100, 200, 400):
+            theta_star = island_signal(n, 3, 3)
+            lam_th = T.lambda_value(rule, G.build_complete(n))
+            rng = np.random.default_rng(n)
+            for trial in range(4):
+                y = theta_star + 0.5 * rng.standard_normal(n)
+                for lam in lam_th * np.array([0.5, 1.0, 2.0, 4.0, 8.0]):
+                    assert _complete_verdict(y, lam, T.denoise_complete_exact(y, lam), 1e-5)
+                    refused += not _complete_verdict(
+                        y, lam, T.denoise_complete_exact(y, 1.5 * lam), 1e-5)
+        assert refused == 60
+
+    def test_block_at_the_fusing_boundary(self):
+        # the whole of y fuses at lam* = (2/n) max_k topk(y - mean)/(k (n - k)):
+        # just above it the one block certifies with a prefix ratio near 1,
+        # just below it the constant theta is refused
+        y = np.random.default_rng(11).normal(size=40) * 2
+        n = len(y)
+        top = np.cumsum(np.sort(y - y.mean())[::-1])[:-1]
+        k = np.arange(1, n)
+        lam_star = 2.0 / n * np.max(top / (k * (n - k)))
+        theta = T.denoise_complete_exact(y, lam_star * (1 + 1e-6))
+        assert np.ptp(theta) <= 1e-12
+        resid, feasibility, _ = T._complete_certificate(y, lam_star * (1 + 1e-6), theta)
+        assert 1 - 1e-4 < feasibility <= 1.0 and resid <= 1e-15
+        below = lam_star * (1 - 1e-3)
+        assert not _complete_verdict(y, below, np.full(n, y.mean()), 1e-5)
+        assert _complete_verdict(y, below, T.denoise_complete_exact(y, below), 1e-5)
+
+
+ROUTE_CASES = {
+    "complete": (G.build_complete(12), "sort_isotonic"),
+    "path": (G.build_path(12), "taut_string"),
+    "grid": (G.build_grid(2, 4), "dual_fista"),
+    "star": (G.build_star(12), "dual_fista"),
+    "cycle_power": (G.build_cycle_power(12, 2), "dual_fista"),
+    "erdos_renyi": (G.build_erdos_renyi(12, 0.5, 3), "dual_fista"),
+    "augmented": (G.build_augmented_path(12), "dual_fista"),
+    "complete-as-custom": (G.Graph(12, G.build_complete(12).edges), "dual_fista"),
+    # a complete tag on a graph that is not complete falls through to denoise
+    "complete-minus-an-edge": (G.Graph(12, G.build_complete(12).edges[1:], family="complete"),
+                               "dual_fista"),
+}
+
+
+class TestSolveRoute:
+    """``solve`` picks the solver from the graph and certifies every result."""
+
+    @pytest.mark.parametrize("case", ROUTE_CASES)
+    @pytest.mark.parametrize("lam", [0.0, 0.01, 0.3])
+    def test_solver_and_converged_contract(self, case, lam):
+        g, solver = ROUTE_CASES[case]
+        n = g.shape[1] if sp.issparse(g) else g.n
+        y = np.random.default_rng(n).normal(size=n) * 3 + 5
+        tol = 1e-6
+        res = T.solve(g, y, lam, T.SolverOptions(tol=tol, check_connected=False))
+        assert T.solver_for(g) == res.solver == solver
+        assert res.converged
+        assert res.stationarity_residual <= tol * (1 + np.max(np.abs(y)))
+        assert res.dual_feasibility <= 1 + tol
+        if lam == 0.0:
+            assert np.array_equal(res.theta_hat, y)
+        if solver == "dual_fista":
+            return
+        assert res.iterations == 0 and res.duality_gap is None and not res.fused
+        assert (res.dual_z is None) == (solver == "sort_isotonic")
+        D = G.incidence(g)
+        exact = (T.denoise_path_exact if solver == "taut_string" else T.denoise_complete_exact)
+        assert np.array_equal(res.theta_hat, exact(y, lam))
+        assert res.objective == pytest.approx(T.objective_value(y, D, lam, res.theta_hat),
+                                              rel=1e-12)
+
+    def test_complete_route_builds_no_incidence(self, monkeypatch):
+        def no_incidence(g):
+            raise AssertionError("incidence built")
+        monkeypatch.setattr(T.G, "incidence", no_incidence)
+        y = np.random.default_rng(0).normal(size=300)
+        res = T.solve(G.build_complete(300), y, 1e-4)
+        assert res.converged and res.solver == "sort_isotonic"
+
+    @pytest.mark.parametrize("case, exact", [("complete", "denoise_complete_exact"),
+                                             ("path", "denoise_path_exact")])
+    def test_exact_routes_report_a_failed_certificate(self, monkeypatch, case, exact):
+        # theta of the wrong weight, as a broken exact solver would return
+        solver = getattr(T, exact)
+        monkeypatch.setattr(T, exact, lambda y, lam: solver(y, 1.5 * lam))
+        y = np.random.default_rng(3).normal(size=12) * 3
+        assert not T.solve(ROUTE_CASES[case][0], y, 0.01).converged
+
+    @pytest.mark.parametrize("case", ["complete", "path"])
+    def test_exact_routes_reject_bad_input(self, case):
+        g = ROUTE_CASES[case][0]
+        with pytest.raises(ValueError, match="finite"):
+            T.solve(g, np.zeros(12), np.nan)
+        with pytest.raises(ValueError, match="length"):
+            T.solve(g, np.zeros(11), 0.1)
