@@ -65,7 +65,6 @@ from .haar import (  # noqa: F401
 )
 from .signals import (  # noqa: F401
     NoiseModel,
-    SignalSpec,
     bi_isotonic_signal,
     gaussian_noise,
     island_signal,

@@ -149,11 +149,12 @@ def cmd_experiment(args) -> int:
         raw = raw if isinstance(raw, list) else [raw]
         configs = [E.ExperimentConfig.from_json_dict(d) for d in raw]
 
+    # every config runs before anything is written, so a failure leaves no output
+    runs = [(cfg, E.run_experiment(cfg, threads=args.threads)) for cfg in configs]
     out_dir = pathlib.Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     all_records = []
-    for cfg in configs:
-        records = E.run_experiment(cfg, threads=args.threads)
+    for cfg, records in runs:
         all_records.extend(records)
         ns, means, errs = E.summarize_for_plot(records)
         fit = None
@@ -214,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "cartoon-2d", "isotonic-2d"])
     pe.add_argument("--out", required=True, help="output directory")
     pe.add_argument("--threads", type=int, default=1,
-                    help="worker processes (output bytes are thread-count independent)")
+                    help="worker processes, at least 1 and capped at the cells and the CPUs "
+                         "(output bytes are thread-count independent)")
     pe.set_defaults(func=cmd_experiment)
     return ap
 

@@ -13,8 +13,10 @@ import csv
 import io
 import json
 import numbers
+import os
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -29,6 +31,7 @@ CSV_HEADER = ["family", "n", "k", "l", "estimator", "lambda_policy",
 FAMILY_PARAMS = {"complete": (), "grid2d": (), "erdos_renyi": ("expected_degree",),
                  "random_regular": ("degree",)}
 ESTIMATORS = ("tv", "identity", "haar")
+SIGNAL_KINDS = ("island", "grid_function", "bi_isotonic", "custom")
 # The oracle search of the island-model study: the grid
 # ORACLE_START * lambda_th * ORACLE_BETA^j for j = 1, 2, ..., stopped
 # ORACLE_LOOKAHEAD steps past its minimum or after ORACLE_MAX_STEPS steps.
@@ -95,8 +98,8 @@ class ExperimentConfig:
                     raise ValueError(f"random_regular degree {d} needs 1 <= d < n and "
                                      f"n * d even, not at n = {n}")
         kind = self.signal.get("kind") if isinstance(self.signal, dict) else None
-        if kind not in sig.SIGNAL_KINDS:
-            raise ValueError(f"signal needs a kind from {', '.join(sig.SIGNAL_KINDS)}, "
+        if kind not in SIGNAL_KINDS:
+            raise ValueError(f"signal needs a kind from {', '.join(SIGNAL_KINDS)}, "
                              f"got {kind!r}")
         if not isinstance(self.signal.get("params", {}), dict):
             raise ValueError(f"signal params must be a JSON object, got {self.signal['params']!r}")
@@ -107,6 +110,7 @@ class ExperimentConfig:
         if "haar" in self.estimators and self.family != "grid2d":
             raise ValueError("haar estimator needs the grid2d family")
         self.rule = tv.LambdaRule.from_json_dict(self.lambda_rule)
+        tv.check_rule_family(self.rule.rule, "grid" if self.family == "grid2d" else self.family)
         self._shapes = self._island_shapes()
 
     def _island_shapes(self) -> list:
@@ -251,16 +255,21 @@ def _substream(master_seed: int, *key: int) -> int:
 
 
 def _signal_for(cfg: ExperimentConfig, size: int, n: int, shape, signal_seed: int) -> np.ndarray:
+    """theta* of one cell as a flat vector, column-major on the grid.
+
+    Grid kinds default to side ``size`` and, for grid functions, d = 2.
+    """
     params = dict(cfg.signal.get("params", {}))
     kind = cfg.signal["kind"]
     if kind == "island":
-        params["k"], params["l"] = shape
-    if kind in ("grid_function", "bi_isotonic") and "N" not in params:
-        params["N"] = size
-    if kind == "grid_function" and "d" not in params:
-        params["d"] = 2
-    s = sig.SignalSpec(kind, params)
-    return sig.realize_signal(s, n=n, seed=signal_seed)
+        return sig.island_signal(n, *shape)
+    if kind == "grid_function":
+        name, d, N = params.pop("name"), params.pop("d", 2), params.pop("N", size)
+        return sig.sample_grid_function(name, d, N, **params)
+    if kind == "bi_isotonic":
+        return sig.bi_isotonic_signal(params.get("N", size), params["variation_sqrt"],
+                                      seed=signal_seed).reshape(-1, order="F")
+    return np.asarray(params["vector"], dtype=float)  # custom
 
 
 def _run_cell_trial(cfg: ExperimentConfig, si: int, ki: int, trial: int) -> list:
@@ -283,8 +292,7 @@ def _run_cell_trial(cfg: ExperimentConfig, si: int, ki: int, trial: int) -> list
 
     def solve_tv(lam, z0):
         r = tv.solve(graph, y, lam, tv.SolverOptions(
-            tol=SOLVER_TOL, max_iter=SOLVER_MAX_ITER, op_norm=op_norm, z0=z0,
-            check_connected=False), D)
+            tol=SOLVER_TOL, max_iter=SOLVER_MAX_ITER, op_norm=op_norm, z0=z0), D)
         return r.theta_hat, r.dual_z, r.converged
 
     records = []
@@ -312,31 +320,27 @@ def _run_cell_trial(cfg: ExperimentConfig, si: int, ki: int, trial: int) -> list
     return records
 
 
-def _run_cell_trial_packed(args) -> list:
-    cfg_dict, si, ki, trial = args
-    cfg = ExperimentConfig.from_json_dict(cfg_dict)
-    return _run_cell_trial(cfg, si, ki, trial)
-
-
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
     """Run all (size, shape, trial) cells; deterministic in cfg alone.
 
     Records are sorted by (size index, shape index, trial, estimator), so
-    the output is independent of ``threads``.
+    the output is independent of ``threads``.  At most
+    ``min(threads, cells, os.cpu_count())`` worker processes run.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     tasks = [(si, ki, trial)
              for si in range(len(cfg.sizes))
              for ki in range(len(cfg._shapes))
              for trial in range(cfg.trials)]
-    if threads > 1:
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         # imported here so that `import graphtv` does not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        cfg_dict = cfg.to_json_dict()
-        packed = [(cfg_dict, si, ki, trial) for si, ki, trial in tasks]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(_run_cell_trial_packed, packed,
-                                   chunksize=max(1, len(packed) // (4 * threads))))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_run_cell_trial, repeat(cfg), *zip(*tasks),
+                                   chunksize=max(1, len(tasks) // (4 * workers))))
     else:
         chunks = [_run_cell_trial(cfg, si, ki, trial) for si, ki, trial in tasks]
     records = []
@@ -362,6 +366,14 @@ def mean_mse_by(records, key=lambda r: r.n, estimator: str = "tv") -> dict:
     return {k: float(np.mean(v)) for k, v in _mse_groups(records, key, estimator).items()}
 
 
+def _r_squared(obs: np.ndarray, pred: np.ndarray) -> float:
+    """Coefficient of determination in [0, 1]; for constant obs, 1 if fit exactly, else 0."""
+    ss_res = float(np.sum((obs - pred) ** 2))
+    ss_tot = float(np.sum((obs - obs.mean()) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else (1.0 if ss_res == 0 else 0.0)
+    return float(np.clip(r2, 0.0, 1.0))
+
+
 def fit_rate(records, model: str, estimator: str = "tv") -> RateFit:
     """Fit mean MSE per n to C log(n)/n or to a power law in n."""
     means = mean_mse_by(records, estimator=estimator)
@@ -372,22 +384,14 @@ def fit_rate(records, model: str, estimator: str = "tv") -> RateFit:
     if model == "c_logn_over_n":
         x = np.log(ns) / ns
         C = float(np.dot(x, ms) / np.dot(x, x))
-        pred = C * x
-        ss_res = float(np.sum((ms - pred) ** 2))
-        ss_tot = float(np.sum((ms - ms.mean()) ** 2))
-        r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else (1.0 if ss_res == 0 else 0.0)
-        return RateFit("c_logn_over_n", {"C": C}, float(np.clip(r2, 0.0, 1.0)))
+        return RateFit("c_logn_over_n", {"C": C}, _r_squared(ms, C * x))
     if model == "power_law":
         if np.any(ms <= 0):
             raise ValueError("power-law fit needs strictly positive mean MSE values")
         lx, ly = np.log(ns), np.log(ms)
         b, a = np.polyfit(lx, ly, 1)
-        pred = a + b * lx
-        ss_res = float(np.sum((ly - pred) ** 2))
-        ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-        r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else (1.0 if ss_res == 0 else 0.0)
         return RateFit("power_law", {"exponent": float(b), "log_intercept": float(a)},
-                       float(np.clip(r2, 0.0, 1.0)))
+                       _r_squared(ly, a + b * lx))
     raise ValueError(f"unknown rate model {model!r}")
 
 

@@ -11,29 +11,16 @@ Signal kinds
 * ``bi_isotonic``: random matrices nondecreasing along both axes with a
   prescribed corner-to-corner variation.
 
-Noise is drawn from numpy's default bit generator seeded by a
+The harness picks the builder from a config's signal kind in one place,
+``experiments._signal_for``.  Noise is drawn from numpy's default bit generator seeded by a
 (seed, stream_id) pair, so each trial reads an independent substream and
 every draw is reproducible bit-for-bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-SIGNAL_KINDS = ("island", "grid_function", "bi_isotonic", "custom")
-
-
-@dataclass
-class SignalSpec:
-    """Parametric description of a ground truth theta*."""
-
-    kind: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in SIGNAL_KINDS:
-            raise ValueError(f"unknown signal kind {self.kind!r}")
 
 
 @dataclass
@@ -138,32 +125,3 @@ def bi_isotonic_signal(N: int, variation_sqrt: float, seed: int = 0) -> np.ndarr
     theta = row[:, None] + col[None, :]
     total = theta[-1, -1] - theta[0, 0]
     return theta * (variation_sqrt / total)
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-
-def realize_signal(spec: SignalSpec, n: int | None = None, seed: int = 0) -> np.ndarray:
-    """Materialize theta* for a SignalSpec.
-
-    ``n`` is required for the island model (total vertex count); grid
-    kinds carry their own geometry in ``params``.  Returns a flat vector
-    (column-major for grid kinds).
-    """
-    if spec.kind == "island":
-        if n is None:
-            raise ValueError("island signal needs n")
-        return island_signal(n, spec.params["k"], spec.params["l"])
-    if spec.kind == "grid_function":
-        p = dict(spec.params)
-        name = p.pop("name")
-        d = p.pop("d")
-        N = p.pop("N")
-        return sample_grid_function(name, d, N, **p)
-    if spec.kind == "bi_isotonic":
-        p = spec.params
-        return bi_isotonic_signal(p["N"], p["variation_sqrt"], seed=seed).reshape(-1, order="F")
-    if spec.kind == "custom":
-        return np.asarray(spec.params["vector"], dtype=float)
-    raise ValueError(f"unknown signal kind {spec.kind!r}")

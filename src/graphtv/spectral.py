@@ -267,15 +267,9 @@ def rho_structured_grid(d: int, N: int) -> float:
         raise ValueError("dimension must be >= 1")
     if N < 2:
         raise ValueError("side length must be >= 2")
-    if N**d > STRUCTURED_SIZE_CAP:
-        raise ValueError(f"structured eigensum capped at N^d <= {STRUCTURED_SIZE_CAP}")
+    if max(N**d, N * N) > STRUCTURED_SIZE_CAP:  # the N x N path eigenvectors count too
+        raise ValueError(f"structured eigensum capped at max(N^d, N^2) <= {STRUCTURED_SIZE_CAP}")
     lam, V = path_eigenpairs(N)
-    if d == 1:
-        # single axis: columns indexed by the edge only
-        A = (V[:-1, :] - V[1:, :]) ** 2  # A[i, k] = <v_k, d_i>^2
-        inv2 = np.zeros(N)
-        inv2[1:] = lam[1:] ** -2.0
-        return float(np.sqrt((A @ inv2).max()))
     lam_sum = reduce(np.add.outer, [lam] * d)
     W = np.zeros_like(lam_sum)
     nz = lam_sum > 1e-12

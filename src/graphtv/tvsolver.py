@@ -46,8 +46,13 @@ importing the package does not load ``scipy.optimize``.
 ``solve`` is the one route from a graph to a certified ``DenoiseResult``:
 ``solver_for`` alone picks the taut string for a path, the sort-plus-
 isotonic reduction for a complete graph and ``denoise`` for anything
-else.  The path estimate is certified by ``kkt_certificate``; the K_n
-estimate by ``_complete_certificate``, which reads no incidence matrix.
+else.  It alone warns about a disconnected graph, and only for a custom
+graph or a bare matrix: the named families are connected by
+construction.  The path estimate is certified by ``kkt_certificate``;
+the K_n estimate by ``_complete_certificate``, which reads no incidence
+matrix.  Every certificate counts an edge as a jump above
+``JUMP_RTOL * (1 + ||y||_inf)`` (``_scale``).
+
 On K_n, once theta is sorted into blocks of equal value, every edge
 between blocks carries the sign of its jump, and the in-block entries of
 z must carry the rest of the stationarity condition.  By Gale's
@@ -84,6 +89,8 @@ LAMBDA_RULES = (
 
 # Iterations between the convergence checks of the iterative solvers.
 CHECK_EVERY = 25
+# An edge with |(D theta)_e| above JUMP_RTOL * _scale(y) is a jump, else flat.
+JUMP_RTOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -102,19 +109,13 @@ class DenoiseProblem:
     lam: float
 
     def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=float)
+        self.y = _check_exact_input(self.y, self.lam)
         if not sp.issparse(self.D):
             self.D = sp.csr_matrix(np.asarray(self.D, dtype=float))
         else:
             self.D = self.D.tocsr()
         if self.y.ndim != 1 or self.y.shape[0] != self.D.shape[1]:
             raise ValueError("y must be a vector of length D.shape[1]")
-        if not np.isfinite(self.lam):
-            raise ValueError("lam must be finite")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
-        if not np.all(np.isfinite(self.y)):
-            raise ValueError("y contains NaN or Inf")
         if not np.all(np.isfinite(self.D.data)):
             raise ValueError("D contains NaN or Inf")
 
@@ -125,7 +126,6 @@ class SolverOptions:
     max_iter: int = 50000
     op_norm: float | None = None  # upper bound on lambda_max(D^T D), if precomputed
     z0: np.ndarray | None = None  # warm start for the scaled dual, in [-1, 1]^m
-    check_connected: bool = True
 
     def __post_init__(self):
         if not (np.isfinite(self.tol) and self.tol > 0):
@@ -150,6 +150,11 @@ class DenoiseResult:
     duality_gap: float | None
     fused: bool  # theta_hat is the dual-fused candidate (see ``denoise``)
     solver: str = "dual_fista"  # the route taken, see ``solver_for``
+
+
+def _scale(y: np.ndarray) -> float:
+    """``1 + ||y||_inf`` (1 for an empty y), the scale of every tolerance on a solution."""
+    return 1.0 + (float(np.max(np.abs(y))) if y.size else 0.0)
 
 
 def objective_value(y: np.ndarray, D, lam: float, theta: np.ndarray) -> float:
@@ -291,25 +296,17 @@ def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> Denoi
     flat at the optimum by complementary slackness.  Its gap is
     ``gap + P(fused) - P(theta)``.  The solve stops at the first
     candidate that passes, or at ``opts.max_iter`` with
-    ``converged=False`` and the best candidate found.  A warning is
-    attached when the edges of D (its rows ``a (theta_i - theta_j)``)
-    leave the graph disconnected (the oracle-inequality
-    theory assumes connectivity; the solver itself is still exact per
-    component, and fusion never crosses components).
+    ``converged=False`` and the best candidate found.  On a disconnected
+    graph the solution is exact per component and keeps the mean of y on
+    each; fusion never crosses components.  :func:`solve` warns about a
+    disconnected custom graph.
     """
     opts = opts or SolverOptions()
     y, D, lam = problem.y, problem.D, problem.lam
     m, n = D.shape
-    scale = 1.0 + (float(np.max(np.abs(y))) if y.size else 0.0)
+    scale = _scale(y)
     fuse_rows, fuse_i, fuse_j = _fusion_graph(D)
-    if opts.check_connected and m > 0 and _components(n, fuse_i, fuse_j).max() > 0:
-        warnings.warn(
-            "graph is disconnected: theoretical lambda rules assume a connected "
-            "graph; the solution preserves the mean per component",
-            UserWarning,
-            stacklevel=2,
-        )
-    jump_tol = 1e-8 * scale
+    jump_tol = JUMP_RTOL * scale
     if m == 0 or lam == 0.0:
         theta = y.copy()
         Dtheta = D @ theta  # z = sign(D theta) on jumps, as for any result
@@ -414,8 +411,7 @@ def kkt_certificate(problem: DenoiseProblem, theta: np.ndarray,
     if m == 0:
         return np.zeros(0), float(np.max(np.abs(r_base)))
     Dtheta = D @ theta
-    jump_tol = 1e-8 * (1.0 + float(np.max(np.abs(y))))
-    jumps = np.abs(Dtheta) > jump_tol
+    jumps = np.abs(Dtheta) > JUMP_RTOL * _scale(y)
     z = np.zeros(m)
     z[jumps] = np.sign(Dtheta[jumps])
     if lam == 0.0:
@@ -620,7 +616,7 @@ def _complete_certificate(y: np.ndarray, lam: float,
     t = theta[order]
     tv = float(np.dot(2.0 * np.arange(1, n + 1) - 1.0 - n, t))
     grad = (2.0 / n) * (t - y[order])
-    starts = np.flatnonzero(np.r_[True, np.diff(t) > 1e-8 * (1.0 + float(np.max(np.abs(y))))])
+    starts = np.flatnonzero(np.r_[True, np.diff(t) > JUMP_RTOL * _scale(y)])
     jumps = float(len(starts) > 1)
     if lam == 0.0:
         return float(np.max(np.abs(grad))), jumps, tv
@@ -667,7 +663,11 @@ def solve(g, y, lam: float, opts: SolverOptions | None = None, D=None) -> Denois
     ``converged`` when their certificate passes the bounds of
     :func:`denoise`: residual within ``opts.tol * (1 + ||y||_inf)`` and
     dual feasibility within ``1 + opts.tol``.  They take no iterations
-    and have no duality gap.
+    and have no duality gap.  The named families are connected by
+    construction; for a custom Graph or a bare matrix a warning is
+    attached when the rows ``a (theta_i - theta_j)`` of D leave the
+    vertices disconnected, since the oracle-inequality theory assumes a
+    connected graph.
     """
     opts = opts or SolverOptions()
     solver = solver_for(g)
@@ -684,14 +684,19 @@ def solve(g, y, lam: float, opts: SolverOptions | None = None, D=None) -> Denois
             D = G.incidence(g) if isinstance(g, G.Graph) else g
         problem = DenoiseProblem(y, D, lam)
         if solver == "dual_fista":
+            if not isinstance(g, G.Graph) or g.family == "custom":
+                _, i, j = _fusion_graph(problem.D)
+                if problem.D.shape[0] and _components(len(problem.y), i, j).max() > 0:
+                    warnings.warn("graph is disconnected: theoretical lambda rules assume a "
+                                  "connected graph; the solution preserves the mean per "
+                                  "component", UserWarning, stacklevel=2)
             return denoise(problem, opts)
         y = problem.y
         theta = denoise_path_exact(y, lam)
         z, resid = kkt_certificate(problem, theta)
         feasibility = float(np.max(np.abs(z), initial=0.0))
         objective = objective_value(y, problem.D, lam, theta)
-    scale = 1.0 + float(np.max(np.abs(y)))
-    converged = resid <= opts.tol * scale and feasibility <= 1.0 + opts.tol
+    converged = resid <= opts.tol * _scale(y) and feasibility <= 1.0 + opts.tol
     return DenoiseResult(theta, z, 0, resid, feasibility, objective, bool(converged),
                          None, False, solver)
 
@@ -760,12 +765,18 @@ def check_json_fields(cls, d, what: str) -> None:
             raise ValueError(f"{what} key {f.name!r} must be {f.type}, got {d[f.name]!r}")
 
 
-def _expected_degree(graph) -> float:
-    if graph.family == "erdos_renyi":
-        return float(graph.params["p"] * graph.n)
-    if graph.family == "random_regular":
-        return float(graph.params["d"])
-    raise ValueError("random_gap rule needs an erdos_renyi or random_regular graph")
+# The lambda rules that read a parameter of the graph family, and the
+# families that carry it.
+RULE_FAMILIES = {"random_gap": ("erdos_renyi", "random_regular"),
+                 "cycle_power": ("cycle_power",)}
+
+
+def check_rule_family(rule: str, family: str) -> None:
+    """Reject lambda rule ``rule`` on a ``family`` graph when RULE_FAMILIES names others."""
+    families = RULE_FAMILIES.get(rule)
+    if families is not None and family not in families:
+        raise ValueError(f"lambda rule {rule!r} needs a graph of family "
+                         f"{' or '.join(families)}, not {family}")
 
 
 def lambda_value(rule: LambdaRule, graph=None) -> float:
@@ -776,6 +787,7 @@ def lambda_value(rule: LambdaRule, graph=None) -> float:
         return float(rule.value)
     if graph is None:
         raise ValueError("lambda_value needs a graph for non-manual rules")
+    check_rule_family(rule.rule, graph.family)
     n, m = graph.n, graph.m
     c, s, dl = rule.constant_c, rule.sigma, rule.delta
     if rule.rule == "theorem_general":
@@ -787,7 +799,8 @@ def lambda_value(rule: LambdaRule, graph=None) -> float:
     if rule.rule == "complete":
         return c * s * np.sqrt(np.log(np.e * n / dl)) / (n * n)
     if rule.rule == "random_gap":
-        dn = _expected_degree(graph)
+        # the expected degree
+        dn = float(graph.params["p"] * n if graph.family == "erdos_renyi" else graph.params["d"])
         return c * s * np.sqrt(np.log(np.e * dn * n / dl)) / (dn * n)
     if rule.rule == "cycle_power":
         k = graph.params["k"]

@@ -309,6 +309,15 @@ class TestDenoiseCommand:
                     "--out", str(tmp_path / "t.txt")]) == 2
         assert "needs a graph" in capsys.readouterr().err
 
+    def test_cycle_power_rule_off_cycle_power_is_usage_error(self, tmp_path, capsys):
+        yp = self._write_y(tmp_path, np.zeros(16))
+        out = tmp_path / "out" / "theta.txt"
+        assert run(["denoise", "--graph", "grid", "--d", "2", "--N", "4", "--y", str(yp),
+                    "--lambda-rule", "cycle_power", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("graphtv: lambda rule 'cycle_power' needs") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_oracle_requires_path(self, tmp_path):
         yp = self._write_y(tmp_path, np.zeros(4))
         assert run(["denoise", "--graph", "grid", "--d", "2", "--N", "2",
@@ -403,6 +412,9 @@ class TestExperimentCommand:
         {"signal": {"kind": "island", "params": [2, 2]}},
         {"signal": {"kind": "grid_function", "params": "pc_halfplane"}},
         {"signal": {"kind": ["island"], "params": {"k": 2, "l": 2}}},
+        {"lambda_rule": {"rule": "random_gap", "sigma": 0.5, "delta": 0.1}},
+        {"lambda_rule": {"rule": "cycle_power"}},
+        {"family": "grid2d", "sizes": [4], "lambda_rule": {"rule": "random_gap"}},
     ], ids=["unknown-family", "er-no-degree", "rr-no-degree", "signal-no-kind",
             "unknown-kind", "unknown-estimator", "haar-off-grid", "unknown-key",
             "retired-key", "unknown-rule-key", "unknown-rule", "size-below-2", "nan-sigma",
@@ -410,12 +422,25 @@ class TestExperimentCommand:
             "rr-degree-not-below-n", "rule-missing", "trials-not-int", "islands-past-n",
             "empty-kl-values", "size-not-int", "expected-degree-not-number",
             "rr-degree-not-int", "signal-params-list", "signal-params-string",
-            "signal-kind-not-string"])
+            "signal-kind-not-string", "random-gap-on-complete", "cycle-power-on-complete",
+            "random-gap-on-grid"])
     def test_bad_config_fails_before_running(self, tmp_path, capsys, change):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**self.CFG, **change}))
         out = tmp_path / "run"
         assert run(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("graphtv: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_usage_error(self, tmp_path, capsys, threads):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.CFG))
+        out = tmp_path / "run"
+        assert run(["experiment", "--config", str(cfg), "--out", str(out),
+                    "--threads", threads]) == 2
         err = capsys.readouterr().err
         assert err.startswith("graphtv: ") and err.count("\n") == 1
         assert not out.exists()

@@ -106,6 +106,38 @@ class TestRunExperiment:
         b = E.run_experiment(tiny_config(), threads=2)
         assert a == b
 
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            E.run_experiment(tiny_config(), threads=threads)
+
+    @pytest.mark.parametrize("threads, cpus, workers", [
+        (64, 4, 4), (64, 16, 8), (3, 16, 3), (2, 1, None), (8, None, None),
+    ])
+    def test_workers_capped_at_cells_and_cpus(self, monkeypatch, threads, cpus, workers):
+        # an in-process stand-in for the pool records the worker count it is asked for
+        import concurrent.futures
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(E.os, "cpu_count", lambda: cpus)
+        cfg = tiny_config()  # 2 sizes x 4 trials = 8 cells
+        assert E.run_experiment(cfg, threads=threads) == E.run_experiment(cfg)
+        assert seen == ([] if workers is None else [workers])
+
     @pytest.mark.parametrize("policy", ["theoretical", "oracle"])
     def test_complete_family_builds_no_incidence(self, policy, monkeypatch):
         # the exact solver and the closed-form rho never read D

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graphtv import experiments as E
 from graphtv import graphs as G
 from graphtv import signals as sig
 
@@ -140,22 +141,30 @@ class TestNoise:
 
 
 class TestSignalSpec:
+    """The ``signal`` spec of an experiment config, realized by ``experiments._signal_for``."""
+
+    @staticmethod
+    def _config(kind, params, family="grid2d", size=4):
+        return E.ExperimentConfig(name="s", family=family, sizes=[size],
+                                  signal={"kind": kind, "params": params})
+
     def test_realize_island(self):
-        s = sig.SignalSpec("island", {"k": 2, "l": 2})
-        v = sig.realize_signal(s, n=10)
+        cfg = self._config("island", {"k": 2, "l": 2}, family="complete", size=10)
+        v = E._signal_for(cfg, 10, 10, cfg._shapes[0], signal_seed=0)
         assert v.tolist() == [60, 60, 70, 70, 50, 50, 50, 50, 50, 50]
 
     def test_realize_grid_function(self):
-        s = sig.SignalSpec("grid_function", {"name": "pc_halfplane", "d": 2, "N": 4,
-                                             "height": 1.0})
-        assert sig.realize_signal(s).shape == (16,)
+        cfg = self._config("grid_function", {"name": "pc_halfplane", "height": 1.0})
+        v = E._signal_for(cfg, 4, 16, cfg._shapes[0], signal_seed=0)
+        assert v.shape == (16,)  # side and d = 2 default from the grid2d size
+        assert np.array_equal(v, sig.sample_grid_function("pc_halfplane", 2, 4, height=1.0))
 
     def test_realize_bi_isotonic_flattens_column_major(self):
-        s = sig.SignalSpec("bi_isotonic", {"N": 5, "variation_sqrt": 2.0})
-        v = sig.realize_signal(s, seed=4)
+        cfg = self._config("bi_isotonic", {"variation_sqrt": 2.0}, size=5)
+        v = E._signal_for(cfg, 5, 25, cfg._shapes[0], signal_seed=4)
         m = sig.bi_isotonic_signal(5, 2.0, seed=4)
         assert np.array_equal(v, m.reshape(-1, order="F"))
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            sig.SignalSpec("mystery", {})
+        with pytest.raises(ValueError, match="signal needs a kind"):
+            self._config("mystery", {})

@@ -148,6 +148,14 @@ class TestRho:
         dense = S.rho_dense(G.incidence(G.build_path(12)))
         assert abs(dense - S.rho_structured_grid(1, 12)) <= 1e-10
 
+    def test_one_dimensional_cap_counts_the_eigenvectors(self, monkeypatch):
+        # N^d = 2050 is small, but the path eigenvectors are 2050 x 2050
+        def no_eigenpairs(N):
+            raise AssertionError("path eigenpairs allocated")
+        monkeypatch.setattr(S, "path_eigenpairs", no_eigenpairs)
+        with pytest.raises(ValueError, match="capped"):
+            S.rho_structured_grid(1, 2050)
+
     def test_hypercube_bounded_by_one(self):
         for d in range(1, 11):
             assert S.rho_structured_grid(d, 2) <= 1.0 + 1e-12

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -80,9 +82,18 @@ class TestDenoiseBasics:
         g = G.Graph(4, np.array([[0, 1], [2, 3]]))
         y = np.array([0.0, 2.0, 10.0, 20.0])
         with pytest.warns(UserWarning, match="disconnected"):
-            res = T.denoise(T.DenoiseProblem(y, G.incidence(g), 100.0))
+            res = T.solve(g, y, 100.0)
         assert np.allclose(res.theta_hat[:2], 1.0, atol=1e-6)
         assert np.allclose(res.theta_hat[2:], 15.0, atol=1e-6)
+
+    def test_only_solve_warns_on_a_disconnected_matrix(self):
+        D = G.incidence(G.Graph(4, np.array([[0, 1], [2, 3]])))
+        y = np.array([0.0, 2.0, 10.0, 20.0])
+        with pytest.warns(UserWarning, match="disconnected"):
+            T.solve(D, y, 100.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            T.denoise(T.DenoiseProblem(y, D, 100.0))
 
     def test_mean_preserved(self):
         rng = np.random.default_rng(2)
@@ -553,6 +564,14 @@ class TestLambdaRules:
         assert T.lambda_value(rule, g) == pytest.approx(
             np.sqrt(np.log(np.e * 100 / 0.1)) / denom, rel=1e-12)
 
+    @pytest.mark.parametrize("rule, g", [
+        ("random_gap", G.build_complete(6)), ("random_gap", G.build_grid(2, 3)),
+        ("cycle_power", G.build_grid(2, 3)), ("cycle_power", G.Graph(3, np.array([[0, 1]]))),
+    ], ids=["random-gap-complete", "random-gap-grid", "cycle-power-grid", "cycle-power-custom"])
+    def test_rule_off_its_families_is_rejected(self, rule, g):
+        with pytest.raises(ValueError, match=f"lambda rule '{rule}' needs"):
+            T.lambda_value(T.LambdaRule(rule), g)
+
     def test_manual_passthrough(self):
         rule = T.LambdaRule("manual", value=0.0421)
         assert T.lambda_value(rule) == 0.0421
@@ -643,7 +662,7 @@ class TestFusedCandidateAgainstOracles:
 
     def _solve(self, g, y, lam):
         problem = T.DenoiseProblem(y, G.incidence(g), lam)
-        res = T.denoise(problem, T.SolverOptions(tol=self.tol, check_connected=False))
+        res = T.denoise(problem, T.SolverOptions(tol=self.tol))
         return problem, res
 
     @settings(max_examples=150, deadline=None)
@@ -874,7 +893,7 @@ class TestForestCertificate:
     def test_forests_exact(self, inst):
         D, y, lam = inst
         problem = T.DenoiseProblem(y, D, lam)
-        res = T.denoise(problem, T.SolverOptions(tol=1e-12, check_connected=False))
+        res = T.denoise(problem, T.SolverOptions(tol=1e-12))
         assert res.converged
         self._check_exact(problem, res.theta_hat)
 
@@ -1049,7 +1068,7 @@ class TestSolveRoute:
         n = g.shape[1] if sp.issparse(g) else g.n
         y = np.random.default_rng(n).normal(size=n) * 3 + 5
         tol = 1e-6
-        res = T.solve(g, y, lam, T.SolverOptions(tol=tol, check_connected=False))
+        res = T.solve(g, y, lam, T.SolverOptions(tol=tol))
         assert T.solver_for(g) == res.solver == solver
         assert res.converged
         assert res.stationarity_residual <= tol * (1 + np.max(np.abs(y)))
