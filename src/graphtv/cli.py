@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("spectral", help="compute rho/kappa constants for a graph")
     _add_graph_args(ps)
-    ps.add_argument("--method", choices=["auto", "dense", "structured"], default="auto")
+    ps.add_argument("--method", choices=["auto", "dense"], default="auto")
     ps.add_argument("--out", required=True)
     ps.set_defaults(func=cmd_spectral)
 
@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_args(pd)
     pd.add_argument("--y", required=True, help="observation vector file")
     pd.add_argument("--lambda-rule", dest="lambda_rule", default="theorem_general",
-                    choices=list(tv.LAMBDA_RULES))
+                    choices=[r for r in tv.LAMBDA_RULES if r != "manual"])
     pd.add_argument("--sigma", type=float, default=1.0)
     pd.add_argument("--delta", type=float, default=0.1)
     pd.add_argument("--constant-c", dest="constant_c", type=float, default=1.0)

@@ -112,23 +112,48 @@ class ExperimentConfig:
         self.rule = tv.LambdaRule.from_json_dict(self.lambda_rule)
         tv.check_rule_family(self.rule.rule, "grid" if self.family == "grid2d" else self.family)
         self._shapes = self._island_shapes()
+        # theta* depends on the size and the island shape alone: realized
+        # here once per pair, so a bad signal fails before any cell runs
+        self._theta = [[self._theta_star(si, ki) for ki in range(len(self._shapes))]
+                       for si in range(len(self.sizes))]
 
     def _island_shapes(self) -> list:
         """(k, l) per island-shape index: ``kl_values``, the island signal's, or (None, None)."""
-        if self.kl_values is None and self.signal["kind"] != "island":
+        kind = self.signal["kind"]
+        if kind != "island":
+            if self.kl_values is not None:
+                raise ValueError(f"kl_values sweeps island shapes, but the signal kind is {kind!r}")
             return [(None, None)]
         params = self.signal.get("params", {})
         pairs = [[params.get("k"), params.get("l")]] if self.kl_values is None else self.kl_values
         if not pairs:
             raise ValueError("kl_values must be nonempty when given")
-        n = min(self.sizes) ** (2 if self.family == "grid2d" else 1)
         for pair in pairs:
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                     and all(isinstance(x, numbers.Integral) for x in pair)
-                    and pair[0] >= 0 and pair[1] >= 1 and pair[0] * pair[1] <= n):
-                raise ValueError(f"island shape (k, l) = {pair!r} needs integers k >= 0 and "
-                                 f"l >= 1 with k*l <= n = {n} at every size")
+                    and pair[0] >= 0 and pair[1] >= 1):
+                raise ValueError(f"island shape (k, l) = {pair!r} needs integers k >= 0 and l >= 1")
         return [(int(k), int(l)) for k, l in pairs]
+
+    def _theta_star(self, si: int, ki: int) -> np.ndarray:
+        """theta* at size index si and shape index ki, one finite value per vertex."""
+        size, kind = int(self.sizes[si]), self.signal["kind"]
+        n = size * size if self.family == "grid2d" else size
+        if n > G.SIZE_CAP:  # refused before theta* is allocated, as every graph builder does
+            raise ValueError(f"size {size} has {n} vertices, past the supported {G.SIZE_CAP}")
+        try:
+            theta = _signal_for(self, size, n, self._shapes[ki],
+                                _substream(self.master_seed, si, ki, 2))
+        except KeyError as exc:
+            raise ValueError(f"{kind} signal needs params[{exc.args[0]!r}]") from None
+        except TypeError as exc:
+            raise ValueError(f"{kind} signal params do not fit: {exc}") from None
+        if theta.shape != (n,):
+            raise ValueError(f"{kind} signal has shape {theta.shape} at size {size}, but the "
+                             f"{self.family} graph has {n} vertices")
+        if not np.all(np.isfinite(theta)):
+            raise ValueError(f"{kind} signal has values that are not finite")
+        return theta
 
     def to_json_dict(self) -> dict:
         d = asdict(self)
@@ -278,21 +303,16 @@ def _run_cell_trial(cfg: ExperimentConfig, si: int, ki: int, trial: int) -> list
     shape = cfg._shapes[ki]  # (k, l) of the island signal, or (None, None)
     stream = (si * len(cfg._shapes) + ki) * cfg.trials + trial
     graph_seed = _substream(cfg.master_seed, si, ki, trial, 1)
-    signal_seed = _substream(cfg.master_seed, si, ki, 2)
 
     graph = _build_graph(cfg.family, size, cfg.family_params, graph_seed)
-    # D and its step bound, once per cell, for the iterative solver only
-    iterative = tv.solver_for(graph) == "dual_fista"
-    D = G.incidence(graph) if iterative else None
     n = graph.n
-    theta_star = _signal_for(cfg, size, n, shape, signal_seed)
+    theta_star = cfg._theta[si][ki]
     noise = sig.gaussian_noise(n, sig.NoiseModel(cfg.sigma, cfg.master_seed, stream))
     y = theta_star + noise
-    op_norm = tv.operator_norm(D) if iterative else None
 
     def solve_tv(lam, z0):
         r = tv.solve(graph, y, lam, tv.SolverOptions(
-            tol=SOLVER_TOL, max_iter=SOLVER_MAX_ITER, op_norm=op_norm, z0=z0), D)
+            tol=SOLVER_TOL, max_iter=SOLVER_MAX_ITER, z0=z0))
         return r.theta_hat, r.dual_z, r.converged
 
     records = []

@@ -53,6 +53,8 @@ class Graph:
     edges: np.ndarray
     family: str = "custom"
     params: dict = field(default_factory=dict)
+    # arrays computed from the read-only edges, kept by tvsolver.DenoiseProblem
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)

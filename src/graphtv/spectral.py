@@ -362,16 +362,15 @@ def _route(g, method: str):
     """The one choice of how rho and lambda_2 are computed.
 
     ``g`` is a Graph or a difference matrix; returns ``(rho, lambda_2,
-    rho_method)``.  ``"auto"``
-    takes the closed form for complete and star graphs, the structured
-    eigensum for grids and hypercubes, the spectral-gap bound for
-    Erdos-Renyi and random regular graphs past ``DENSE_SIZE_CAP`` vertices
-    and the dense pseudoinverse otherwise (always for a matrix).
+    rho_method)``.  ``"auto"`` takes the closed form for complete and star
+    graphs, the structured eigensum for grids and hypercubes, the
+    spectral-gap bound for Erdos-Renyi and random regular graphs past
+    ``DENSE_SIZE_CAP`` vertices and the dense pseudoinverse otherwise
+    (always for a matrix).  ``"dense"`` forces the dense pseudoinverse.
     """
-    if method not in ("auto", "dense", "structured"):
+    if method not in ("auto", "dense"):
         raise ValueError(f"unknown method {method!r}")
     graph = g if isinstance(g, G.Graph) else None
-    structured = graph is not None and graph.family in ("grid", "hypercube")
     if graph is not None and method == "auto":
         n = graph.n
         if graph.family == "complete":
@@ -381,15 +380,11 @@ def _route(g, method: str):
         if n > DENSE_SIZE_CAP and graph.family in ("erdos_renyi", "random_regular"):
             lam2, bound = spectral_gap(G.incidence(graph))
             return bound, lam2, "spectral_gap_bound"
-        method = "structured" if structured else "dense"
-    if graph is not None and method == "structured":
-        if not structured:
-            raise ValueError("structured eigensum is only defined for grid/hypercube, "
-                             f"not {graph.family!r}")
-        N = graph.params.get("N", 2)  # a hypercube is the grid of side 2
-        # smallest positive Kronecker-sum eigenvalue: one axis at lam_1, rest at 0
-        lam2 = float(2.0 - 2.0 * np.cos(np.pi / N))
-        return rho_structured_grid(graph.params["d"], N), lam2, "eigensum_structured"
+        if graph.family in ("grid", "hypercube"):
+            N = graph.params.get("N", 2)  # a hypercube is the grid of side 2
+            # smallest positive Kronecker-sum eigenvalue: one axis at lam_1, rest at 0
+            lam2 = float(2.0 - 2.0 * np.cos(np.pi / N))
+            return rho_structured_grid(graph.params["d"], N), lam2, "eigensum_structured"
     _, sq_norms, lam2 = _dense_spectrum(g if graph is None else G.incidence(graph))
     return float(np.sqrt(sq_norms.max())), lam2, "dense_pseudoinverse"
 
@@ -397,10 +392,10 @@ def _route(g, method: str):
 def spectral_report(g, method: str = "auto") -> SpectralReport:
     """rho, lambda_2 and the kappa bound at |T| = m of a Graph or a difference matrix.
 
-    ``method`` is ``"auto"`` (the route of :func:`rho_estimate`),
-    ``"dense"`` (capped at ``DENSE_SIZE_CAP`` vertices) or ``"structured"``
-    (grids and hypercubes only); a matrix, such as the anchored path of
-    :func:`graphs.build_augmented_path`, always takes the dense route.
+    ``method`` is ``"auto"`` (the route of :func:`rho_estimate`) or
+    ``"dense"`` (capped at ``DENSE_SIZE_CAP`` vertices); a matrix, such as
+    the anchored path of :func:`graphs.build_augmented_path`, always takes
+    the dense route.
     """
     if isinstance(g, G.Graph):
         if g.m == 0:

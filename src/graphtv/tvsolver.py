@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import numbers
 import warnings
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -102,15 +102,27 @@ class DenoiseProblem:
     """One denoising instance: observations y, incidence D, weight lam.
 
     ``lam`` multiplies ``||D theta||_1`` against ``(1/n)||theta - y||_2^2``.
+    ``D`` is a difference matrix, or a Graph whose incidence matrix and step
+    bound ``op_norm = operator_norm(D)`` are built once and kept on it; for
+    a matrix ``op_norm`` is None and :func:`denoise` computes the bound.
     """
 
     y: np.ndarray
     D: sp.spmatrix
     lam: float
+    op_norm: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.y = _check_exact_input(self.y, self.lam)
-        if not sp.issparse(self.D):
+        if isinstance(self.D, G.Graph):
+            derived = self.D._derived
+            if "D" not in derived:
+                derived["D"] = D = G.incidence(self.D)
+                for a in (D.data, D.indices, D.indptr):  # shared by every problem on the Graph
+                    a.setflags(write=False)
+                derived["op_norm"] = operator_norm(D)
+            self.D, self.op_norm = derived["D"], derived["op_norm"]
+        elif not sp.issparse(self.D):
             self.D = sp.csr_matrix(np.asarray(self.D, dtype=float))
         else:
             self.D = self.D.tocsr()
@@ -124,7 +136,6 @@ class DenoiseProblem:
 class SolverOptions:
     tol: float = 1e-6
     max_iter: int = 50000
-    op_norm: float | None = None  # upper bound on lambda_max(D^T D), if precomputed
     z0: np.ndarray | None = None  # warm start for the scaled dual, in [-1, 1]^m
 
     def __post_init__(self):
@@ -132,8 +143,6 @@ class SolverOptions:
             raise ValueError("tol must be finite and positive")
         if not self.max_iter >= 1:
             raise ValueError("max_iter must be >= 1")
-        if self.op_norm is not None and not (np.isfinite(self.op_norm) and self.op_norm > 0):
-            raise ValueError("op_norm must be None or finite and positive")
 
 
 @dataclass
@@ -315,7 +324,7 @@ def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> Denoi
                              objective_value(y, D, lam, theta), True, 0.0, False)
 
     mu = 0.5 * n * lam
-    op = opts.op_norm if opts.op_norm is not None else operator_norm(D)
+    op = problem.op_norm if problem.op_norm is not None else operator_norm(D)
     if op <= 0.0:
         raise ValueError("operator norm of D must be positive")
     step = 1.0 / op
@@ -654,20 +663,19 @@ def solver_for(g) -> str:
     return "dual_fista"
 
 
-def solve(g, y, lam: float, opts: SolverOptions | None = None, D=None) -> DenoiseResult:
+def solve(g, y, lam: float, opts: SolverOptions | None = None) -> DenoiseResult:
     """Denoise y on ``g`` (a Graph or a difference matrix) by the route of :func:`solver_for`.
 
-    ``D``, the incidence matrix of a Graph, and ``opts.op_norm`` are
-    caches for a caller that solves on one graph many times; the
-    complete-graph route reads neither.  The exact routes report
-    ``converged`` when their certificate passes the bounds of
-    :func:`denoise`: residual within ``opts.tol * (1 + ||y||_inf)`` and
-    dual feasibility within ``1 + opts.tol``.  They take no iterations
-    and have no duality gap.  The named families are connected by
-    construction; for a custom Graph or a bare matrix a warning is
-    attached when the rows ``a (theta_i - theta_j)`` of D leave the
-    vertices disconnected, since the oracle-inequality theory assumes a
-    connected graph.
+    A Graph keeps the incidence matrix and step bound of its first
+    :class:`DenoiseProblem`; the complete-graph route builds neither.
+    The exact routes report ``converged`` when their certificate passes
+    the bounds of :func:`denoise`: residual within ``opts.tol * (1 +
+    ||y||_inf)`` and dual feasibility within ``1 + opts.tol``.  They take
+    no iterations and have no duality gap.  The named families are
+    connected by construction; for a custom Graph or a bare matrix a
+    warning is attached when the rows ``a (theta_i - theta_j)`` of D
+    leave the vertices disconnected, since the oracle-inequality theory
+    assumes a connected graph.
     """
     opts = opts or SolverOptions()
     solver = solver_for(g)
@@ -680,9 +688,7 @@ def solve(g, y, lam: float, opts: SolverOptions | None = None, D=None) -> Denois
         resid, feasibility, tv = _complete_certificate(y, lam, theta)
         objective = float(np.mean((theta - y) ** 2)) + lam * tv
     else:
-        if D is None:
-            D = G.incidence(g) if isinstance(g, G.Graph) else g
-        problem = DenoiseProblem(y, D, lam)
+        problem = DenoiseProblem(y, g, lam)
         if solver == "dual_fista":
             if not isinstance(g, G.Graph) or g.family == "custom":
                 _, i, j = _fusion_graph(problem.D)
@@ -737,6 +743,8 @@ class LambdaRule:
                 raise ValueError("delta must lie in (0, 1)")
             if self.constant_c <= 0:
                 raise ValueError("constant_c must be positive")
+            if self.value is not None:
+                raise ValueError(f"value is read only by the manual rule, not {self.rule!r}")
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LambdaRule":

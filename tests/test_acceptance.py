@@ -187,6 +187,7 @@ def _island_curves(policy: str):
     return kn, er
 
 
+@pytest.mark.slow
 def test_c09_island_model_reproduction():
     t0 = time.time()
     details = []
@@ -208,6 +209,7 @@ def test_c09_island_model_reproduction():
     _report(9, t0, "; ".join(details))
 
 
+@pytest.mark.slow
 def test_c10_kl_linearity():
     t0 = time.time()
     kls = [[k, l] for k in range(2, 6) for l in range(3, 10)]
@@ -256,6 +258,7 @@ def test_c11_haar():
                     f"ratio {worst:.2f} <= 10")
 
 
+@pytest.mark.slow
 def test_c12_nonparametric_rate_windows():
     t0 = time.time()
     _, fit_h = E.rate_study_nonparametric("holder", sides=[16, 32, 64, 128],

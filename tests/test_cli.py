@@ -165,6 +165,20 @@ class TestFamilyFlags:
         assert capsys.readouterr().err.startswith("graphtv: missing required flag --")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["spectral", "--graph", "grid", "--d", "2", "--N", "4", "--method", "structured"],
+        ["denoise", "--graph", "path", "--n", "4", "--y", "y.txt", "--lambda-rule", "manual",
+         "--lambda-value", "0.1"],
+    ], ids=["method-structured", "lambda-rule-manual"])
+    def test_retired_choices_are_usage_errors(self, tmp_path, capsys, argv):
+        # auto already takes the eigensum wherever it applies; --lambda-value sets lambda
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--out", str(tmp_path / "out" / "x")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestDenoiseCommand:
     def _write_y(self, tmp_path, y):
@@ -415,6 +429,20 @@ class TestExperimentCommand:
         {"lambda_rule": {"rule": "random_gap", "sigma": 0.5, "delta": 0.1}},
         {"lambda_rule": {"rule": "cycle_power"}},
         {"family": "grid2d", "sizes": [4], "lambda_rule": {"rule": "random_gap"}},
+        {"family": "grid2d", "sizes": [4],
+         "signal": {"kind": "grid_function", "params": {"height": 1.0}}},
+        {"family": "grid2d", "sizes": [4],
+         "signal": {"kind": "grid_function", "params": {"name": "pc_halfplane", "heigth": 1.0}}},
+        {"sizes": [20], "signal": {"kind": "custom", "params": {"vector": [1.0, 2.0, 3.0]}}},
+        {"sizes": [20], "signal": {"kind": "grid_function", "params": {"name": "pc_halfplane"}}},
+        {"family": "grid2d", "sizes": [4], "kl_values": [[1, 2], [2, 3]],
+         "signal": {"kind": "grid_function", "params": {"name": "pc_halfplane"}},
+         "lambda_rule": {"rule": "grid2d", "sigma": 0.5}},
+        {"family": "grid2d", "sizes": [4],
+         "signal": {"kind": "grid_function", "params": {"name": "pc_halfplane"}},
+         "lambda_rule": {"rule": "grid2d", "sigma": 0.5, "value": 0.1}},
+        {"family": "grid2d", "sizes": [4, 5000], "lambda_rule": {"rule": "grid2d"},
+         "signal": {"kind": "grid_function", "params": {"name": "pc_halfplane"}}},
     ], ids=["unknown-family", "er-no-degree", "rr-no-degree", "signal-no-kind",
             "unknown-kind", "unknown-estimator", "haar-off-grid", "unknown-key",
             "retired-key", "unknown-rule-key", "unknown-rule", "size-below-2", "nan-sigma",
@@ -423,7 +451,9 @@ class TestExperimentCommand:
             "empty-kl-values", "size-not-int", "expected-degree-not-number",
             "rr-degree-not-int", "signal-params-list", "signal-params-string",
             "signal-kind-not-string", "random-gap-on-complete", "cycle-power-on-complete",
-            "random-gap-on-grid"])
+            "random-gap-on-grid", "grid-function-no-name", "grid-function-misspelled-key",
+            "custom-vector-wrong-length", "grid-signal-on-complete", "kl-values-off-island",
+            "rule-value-off-manual", "size-past-the-cap"])
     def test_bad_config_fails_before_running(self, tmp_path, capsys, change):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**self.CFG, **change}))

@@ -11,8 +11,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", ["01_spectral_constants.py", "02_denoise_cartoon.py",
-                                  "03_island_model.py", "04_haar_thresholding.py",
-                                  "05_rate_studies.py"])
+                                  pytest.param("03_island_model.py", marks=pytest.mark.slow),
+                                  "04_haar_thresholding.py",
+                                  pytest.param("05_rate_studies.py", marks=pytest.mark.slow)])
 def test_demo_exits_zero(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),

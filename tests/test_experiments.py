@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from test_tvsolver import _count_operator_builds
 
 from graphtv import experiments as E
 from graphtv import graphs as G
@@ -147,6 +148,23 @@ class TestRunExperiment:
         assert all(r.converged for r in rec)
         assert calls == []
 
+    def test_grid_cells_build_one_operator(self, monkeypatch):
+        # the cached grid keeps its incidence matrix and step bound across cells
+        calls = _count_operator_builds(monkeypatch)
+        E._fixed_graph.cache_clear()
+        cfg = tiny_config(family="grid2d", sizes=[6], trials=3, estimators=("tv",),
+                          signal={"kind": "grid_function", "params": {"name": "pc_halfplane"}},
+                          lambda_rule={"rule": "grid2d", "sigma": 0.5, "delta": 0.1})
+        assert all(r.converged for r in E.run_experiment(cfg))
+        assert calls == {"incidence": 1, "operator_norm": 1}
+
+    def test_cells_read_the_theta_realized_at_load(self, monkeypatch):
+        cfg = tiny_config(kl_values=[[2, 2], [3, 1]])
+        expected = E.run_experiment(cfg)
+        assert [len(row) for row in cfg._theta] == [2, 2]
+        monkeypatch.setattr(E, "_signal_for", None)  # the cells never call it
+        assert E.run_experiment(cfg) == expected
+
     def test_sigma_zero_lambda_zero_gives_zero_mse(self):
         cfg = tiny_config(sigma=0.0, estimators=("tv",),
                           lambda_rule={"rule": "manual", "value": 0.0})
@@ -196,6 +214,32 @@ class TestRunExperiment:
         d = {**tiny_config().to_json_dict(), **change}
         with pytest.raises(ValueError, match=f"unknown .*key '{key}'"):
             E.ExperimentConfig.from_json_dict(d)
+
+    @pytest.mark.parametrize("family, size, signal, match", [
+        ("grid2d", 4, {"kind": "grid_function", "params": {"height": 1.0}},
+         r"grid_function signal needs params\['name'\]"),
+        ("grid2d", 4, {"kind": "grid_function", "params": {"name": "pc_halfplane", "heigth": 1}},
+         "grid_function signal params .*'heigth'"),
+        ("grid2d", 4, {"kind": "bi_isotonic", "params": {}},
+         r"bi_isotonic signal needs params\['variation_sqrt'\]"),
+        ("complete", 20, {"kind": "custom", "params": {"vector": [1.0, 2.0, 3.0]}},
+         r"custom signal has shape \(3,\) at size 20, but the complete graph has 20 vertices"),
+        ("complete", 20, {"kind": "grid_function", "params": {"name": "pc_halfplane"}},
+         r"grid_function signal has shape \(400,\)"),
+        ("grid2d", 2, {"kind": "custom", "params": {"vector": [1.0, float("nan"), 0.0, 0.0]}},
+         "custom signal has values that are not finite"),
+        ("complete", 20, {"kind": "island", "params": {"k": 5, "l": 5}}, r"k\*l <= n"),
+    ])
+    def test_bad_signal_fails_at_load(self, family, size, signal, match):
+        with pytest.raises(ValueError, match=match):
+            tiny_config(family=family, sizes=[size], signal=signal,
+                        lambda_rule={"rule": "manual", "value": 0.1})
+
+    def test_kl_values_need_an_island_signal(self):
+        with pytest.raises(ValueError, match="kl_values sweeps island shapes"):
+            tiny_config(family="grid2d", sizes=[4], kl_values=[[1, 2], [2, 3]],
+                        signal={"kind": "grid_function", "params": {"name": "pc_halfplane"}},
+                        lambda_rule={"rule": "grid2d", "sigma": 0.5})
 
     def test_config_json_roundtrip(self):
         cfg = tiny_config()

@@ -243,15 +243,18 @@ class TestReports:
                           "kappa_lower_bound", "family"}
 
     def test_structured_report(self):
-        rep = S.spectral_report(G.build_grid(2, 8), method="structured")
+        rep = S.spectral_report(G.build_grid(2, 8), method="auto")
         assert rep.rho_method == "eigensum_structured"
         dense = S.spectral_report(G.build_grid(2, 8), method="dense")
         assert rep.rho == pytest.approx(dense.rho, abs=1e-8)
         assert rep.spectral_gap == pytest.approx(dense.spectral_gap, abs=1e-9)
 
     def test_structured_rejects_other_families(self):
-        with pytest.raises(ValueError, match="structured"):
-            S.spectral_report(G.build_star(5), method="structured")
+        # "auto" takes the eigensum exactly where it applies, so there is no
+        # separate "structured" method to point at a star
+        with pytest.raises(ValueError, match="^unknown method 'structured'$"):
+            S.spectral_report(G.build_grid(2, 4), method="structured")
+        assert S.spectral_report(G.build_star(5)).rho_method == "closed_form"
 
 
 class TestAutoMethod:
@@ -265,7 +268,11 @@ class TestAutoMethod:
             return
         structured = family in ("grid", "hypercube")
         assert rep.rho_method == ("eigensum_structured" if structured else "dense_pseudoinverse")
-        assert rep.rho == S.spectral_report(g, "structured" if structured else "dense").rho
+        if structured:
+            assert rep.rho == S.rho_structured_grid(g.params["d"], g.params.get("N", 2))
+            assert rep.rho == pytest.approx(S.spectral_report(g, "dense").rho, abs=1e-9)
+        else:
+            assert rep.rho == S.spectral_report(g, "dense").rho
 
 
 class TestOneRoute:
@@ -289,7 +296,7 @@ class TestOneRoute:
         assert dense.rho <= rep.rho == pytest.approx(np.sqrt(2.0) / dense.spectral_gap)
 
     def test_matrix_takes_the_dense_route(self):
-        rep = S.spectral_report(G.build_augmented_path(6), method="structured")
+        rep = S.spectral_report(G.build_augmented_path(6), method="auto")
         assert rep.rho_method == "dense_pseudoinverse" and rep.family == "custom"
         assert rep.rho == pytest.approx(np.sqrt(6), abs=1e-10)
 

@@ -493,7 +493,6 @@ class TestSolverOptions:
     @pytest.mark.parametrize("kwargs", [
         {"tol": np.inf}, {"tol": np.nan}, {"tol": -1.0}, {"tol": 0.0},
         {"max_iter": 0}, {"max_iter": -5},
-        {"op_norm": np.nan}, {"op_norm": np.inf}, {"op_norm": 0.0}, {"op_norm": -1.0},
     ], ids=repr)
     def test_rejects_invalid_options(self, kwargs):
         with pytest.raises(ValueError):
@@ -606,6 +605,12 @@ class TestLambdaRules:
     def test_rejects_non_finite_manual_value(self, bad):
         with pytest.raises(ValueError, match="finite"):
             T.LambdaRule("manual", value=bad)
+
+    @pytest.mark.parametrize("rule", ["grid2d", "theorem_general"])
+    def test_value_off_the_manual_rule_is_rejected(self, rule):
+        # the family rules never read value, so a value beside them is a mistake
+        with pytest.raises(ValueError, match="value is read only by the manual rule"):
+            T.LambdaRule(rule, sigma=0.5, value=0.1)
 
 
 def _certificate_holds(problem, res, tol):
@@ -1109,3 +1114,59 @@ class TestSolveRoute:
             T.solve(g, np.zeros(12), np.nan)
         with pytest.raises(ValueError, match="length"):
             T.solve(g, np.zeros(11), 0.1)
+
+
+def _count_operator_builds(monkeypatch):
+    """Count the calls of ``graphs.incidence`` and ``tvsolver.operator_norm``."""
+    calls = {"incidence": 0, "operator_norm": 0}
+    for module, name in ((T.G, "incidence"), (T, "operator_norm")):
+        def counted(*args, _inner=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestGraphKeepsItsOperator:
+    """A Graph keeps the incidence matrix and step bound of its first DenoiseProblem."""
+
+    def test_five_solves_build_one_of_each(self, monkeypatch):
+        calls = _count_operator_builds(monkeypatch)
+        g = G.build_grid(2, 6)
+        y = np.random.default_rng(0).normal(size=g.n) * 3
+        for lam in (0.01, 0.02, 0.04, 0.08, 0.16):
+            assert T.solve(g, y, lam).converged
+        assert calls == {"incidence": 1, "operator_norm": 1}
+
+    def test_bare_matrix_solve_computes_its_bound(self, monkeypatch):
+        g = G.build_grid(2, 6)
+        D = G.incidence(g)
+        y = np.random.default_rng(1).normal(size=g.n) * 3
+        calls = _count_operator_builds(monkeypatch)
+        res = T.solve(D, y, 0.05)
+        assert res.converged and res.solver == "dual_fista"
+        assert calls == {"incidence": 0, "operator_norm": 1}
+        assert np.array_equal(res.theta_hat, T.solve(g, y, 0.05).theta_hat)
+
+    @pytest.mark.parametrize("case", ["grid", "star", "cycle_power", "erdos_renyi", "path"])
+    def test_graph_problem_matches_matrix_problem(self, case):
+        g = G.build_family(case, n=30, d=2, N=6, k=2, p=0.2, seed=4)
+        y = np.random.default_rng(2).normal(size=g.n) * 3 + 1
+        D = G.incidence(g)
+        kept = T.DenoiseProblem(y, g, 0.03)
+        assert kept.op_norm == T.operator_norm(D)
+        assert (kept.D != D).nnz == 0
+        a = T.denoise(kept)
+        b = T.denoise(T.DenoiseProblem(y, D, 0.03))
+        assert np.array_equal(a.theta_hat, b.theta_hat)
+        assert a.iterations == b.iterations and a.converged == b.converged
+
+    def test_incidence_stays_a_fresh_matrix(self):
+        # a caller may mutate what incidence returns; the kept matrix is another one
+        g = G.build_path(6)
+        kept = T.DenoiseProblem(np.zeros(6), g, 0.1).D
+        fresh = G.incidence(g)
+        assert fresh is not kept
+        fresh.data[:] = 0.0
+        assert np.array_equal(T.DenoiseProblem(np.zeros(6), g, 0.1).D.toarray(),
+                              G.incidence(g).toarray())
