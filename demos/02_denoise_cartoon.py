@@ -1,9 +1,9 @@
 """TV denoising of a cartoon image on the 2D grid, against Haar thresholding.
 
 A disk of height 10 over a gently sloped background is observed in
-Gaussian noise.  The TV denoiser with the 2D-grid lambda rule preserves
-the sharp boundary; bivariate Haar soft thresholding is the classical
-comparison method.
+Gaussian noise.  The TV denoiser, with lambda from the 2-D grid's
+corollary rule, preserves the sharp boundary; bivariate Haar soft
+thresholding is the classical comparison method.
 """
 import numpy as np
 
@@ -19,9 +19,9 @@ y = theta + noise
 
 g = gtv.build_grid(2, N)
 D = gtv.incidence(g)
-rule = tvsolver.LambdaRule("grid2d", sigma=sigma, delta=0.1)
+rule = tvsolver.LambdaRule("corollary", sigma=sigma, delta=0.1)
 lam = tvsolver.lambda_value(rule, g)
-print(f"grid {N}x{N}, sigma={sigma}, lambda(grid2d rule) = {lam:.5f}")
+print(f"grid {N}x{N}, sigma={sigma}, lambda(corollary rule) = {lam:.5f}")
 
 res = tvsolver.denoise(tvsolver.DenoiseProblem(y, D, lam))
 print(f"solver: {res.iterations} iterations, converged={res.converged}, "

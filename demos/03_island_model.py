@@ -17,8 +17,8 @@ island = {"kind": "island", "params": {"k": 3, "l": 3}}
 
 curves = {}
 for family, rule, fp in [
-    ("complete", {"rule": "theorem_general", "sigma": 0.5, "delta": 0.1}, {}),
-    ("erdos_renyi", {"rule": "random_gap", "sigma": 0.5, "delta": 0.1, "constant_c": 2.0},
+    ("complete", {"rule": "theorem_general", "delta": 0.1}, {}),
+    ("erdos_renyi", {"rule": "corollary", "delta": 0.1, "constant_c": 2.0},
      {"expected_degree": 16}),
 ]:
     for policy in ("theoretical", "oracle"):
@@ -48,7 +48,7 @@ cfg = E.ExperimentConfig(
     name="demo-kl", family="erdos_renyi", family_params={"expected_degree": 16},
     sizes=[100], signal=island, kl_values=kls, sigma=0.5, trials=15,
     lambda_policy="theoretical",
-    lambda_rule={"rule": "random_gap", "sigma": 0.5, "delta": 0.1, "constant_c": 2.0},
+    lambda_rule={"rule": "corollary", "delta": 0.1, "constant_c": 2.0},
     master_seed=7)
 records = E.run_experiment(cfg)
 means = E.mean_mse_by(records, key=lambda r: (r.k, r.l))

@@ -31,7 +31,10 @@ CSV_HEADER = ["family", "n", "k", "l", "estimator", "lambda_policy",
 FAMILY_PARAMS = {"complete": (), "grid2d": (), "erdos_renyi": ("expected_degree",),
                  "random_regular": ("degree",)}
 ESTIMATORS = ("tv", "identity", "haar")
-SIGNAL_KINDS = ("island", "grid_function", "bi_isotonic", "custom")
+# signal kind -> the params keys it reads; a grid function also reads the
+# keywords of its function, which refuses any other
+SIGNAL_PARAMS = {"island": ("k", "l"), "grid_function": ("name",),
+                 "bi_isotonic": ("variation_sqrt",), "custom": ("vector",)}
 # The oracle search of the island-model study: the grid
 # ORACLE_START * lambda_th * ORACLE_BETA^j for j = 1, 2, ..., stopped
 # ORACLE_LOOKAHEAD steps past its minimum or after ORACLE_MAX_STEPS steps.
@@ -55,7 +58,9 @@ class ExperimentConfig:
     ``sizes`` holds vertex counts for exchangeable families and side
     lengths for ``grid2d``.  ``kl_values`` optionally sweeps island
     shapes at fixed size (Figure-3 style); when absent the island shape
-    comes from ``signal.params``.
+    comes from ``signal.params``.  ``lambda_rule`` holds the
+    :class:`tvsolver.LambdaRule` fields but ``sigma``: the rule reads the
+    noise level ``sigma``.
     """
 
     name: str
@@ -69,7 +74,7 @@ class ExperimentConfig:
     estimators: tuple = ("tv",)
     lambda_policy: str = "theoretical"  # "theoretical" | "oracle"
     lambda_rule: dict = field(default_factory=lambda: {"rule": "theorem_general",
-                                                       "sigma": 0.5, "delta": 0.1})
+                                                       "delta": 0.1})
     master_seed: int = 20170301
 
     def __post_init__(self):
@@ -87,6 +92,9 @@ class ExperimentConfig:
         for key in FAMILY_PARAMS[self.family]:
             if key not in self.family_params:
                 raise ValueError(f"family {self.family!r} needs family_params[{key!r}]")
+        for key in self.family_params:
+            if key not in FAMILY_PARAMS[self.family]:
+                raise ValueError(f"family {self.family!r} does not read family_params[{key!r}]")
         if self.family == "erdos_renyi":
             degree = self.family_params["expected_degree"]
             if not (isinstance(degree, numbers.Real) and np.isfinite(degree) and degree > 0):
@@ -98,19 +106,28 @@ class ExperimentConfig:
                     raise ValueError(f"random_regular degree {d} needs 1 <= d < n and "
                                      f"n * d even, not at n = {n}")
         kind = self.signal.get("kind") if isinstance(self.signal, dict) else None
-        if kind not in SIGNAL_KINDS:
-            raise ValueError(f"signal needs a kind from {', '.join(SIGNAL_KINDS)}, "
+        if not isinstance(kind, str) or kind not in SIGNAL_PARAMS:
+            raise ValueError(f"signal needs a kind from {', '.join(SIGNAL_PARAMS)}, "
                              f"got {kind!r}")
         if not isinstance(self.signal.get("params", {}), dict):
             raise ValueError(f"signal params must be a JSON object, got {self.signal['params']!r}")
+        for key in self.signal:
+            if key not in ("kind", "params"):
+                raise ValueError(f"unknown signal key {key!r}")
+        if kind != "grid_function":
+            for key in self.signal.get("params", {}):
+                if key not in SIGNAL_PARAMS[kind]:
+                    raise ValueError(f"{kind} signal does not read params[{key!r}]")
         self.estimators = tuple(self.estimators)
         for estimator in self.estimators:
             if estimator not in ESTIMATORS:
                 raise ValueError(f"unknown estimator {estimator!r}")
         if "haar" in self.estimators and self.family != "grid2d":
             raise ValueError("haar estimator needs the grid2d family")
-        self.rule = tv.LambdaRule.from_json_dict(self.lambda_rule)
-        tv.check_rule_family(self.rule.rule, "grid" if self.family == "grid2d" else self.family)
+        tv.check_json_fields(tv.LambdaRule, self.lambda_rule, "lambda_rule")
+        if "sigma" in self.lambda_rule:
+            raise ValueError("lambda_rule key 'sigma' is not read: lambda reads the config's sigma")
+        self.rule = tv.LambdaRule(**self.lambda_rule, sigma=self.sigma)
         self._shapes = self._island_shapes()
         # theta* depends on the size and the island shape alone: realized
         # here once per pair, so a bad signal fails before any cell runs
@@ -282,17 +299,16 @@ def _substream(master_seed: int, *key: int) -> int:
 def _signal_for(cfg: ExperimentConfig, size: int, n: int, shape, signal_seed: int) -> np.ndarray:
     """theta* of one cell as a flat vector, column-major on the grid.
 
-    Grid kinds default to side ``size`` and, for grid functions, d = 2.
+    Grid kinds are sampled on the 2-D grid of side ``size``.
     """
     params = dict(cfg.signal.get("params", {}))
     kind = cfg.signal["kind"]
     if kind == "island":
         return sig.island_signal(n, *shape)
     if kind == "grid_function":
-        name, d, N = params.pop("name"), params.pop("d", 2), params.pop("N", size)
-        return sig.sample_grid_function(name, d, N, **params)
+        return sig.sample_grid_function(params.pop("name"), 2, size, **params)
     if kind == "bi_isotonic":
-        return sig.bi_isotonic_signal(params.get("N", size), params["variation_sqrt"],
+        return sig.bi_isotonic_signal(size, params["variation_sqrt"],
                                       seed=signal_seed).reshape(-1, order="F")
     return np.asarray(params["vector"], dtype=float)  # custom
 
@@ -449,20 +465,20 @@ GRID_SIGNALS = {
 
 def _grid_study(name: str, kind: str, sides, trials: int, sigma: float,
                 master_seed: int) -> ExperimentConfig:
-    """Grid-graph TV denoising of a GRID_SIGNALS kind with the 2D lambda rule."""
+    """Grid-graph TV denoising of a GRID_SIGNALS kind with the 2-D grid's corollary rule."""
     if kind not in GRID_SIGNALS:
         raise ValueError(f"unknown rate-study kind {kind!r}")
     return ExperimentConfig(
         name=name, family="grid2d", sizes=list(sides),
         signal=copy.deepcopy(GRID_SIGNALS[kind]), sigma=sigma, trials=trials,
         lambda_policy="theoretical",
-        lambda_rule={"rule": "grid2d", "sigma": sigma, "delta": 0.1},
+        lambda_rule={"rule": "corollary", "delta": 0.1},
         master_seed=master_seed)
 
 
 def rate_study_nonparametric(kind: str, sides, trials: int = 10, sigma: float = 0.5,
                              master_seed: int = 513, threads: int = 1) -> tuple[list, RateFit]:
-    """Grid-graph TV denoising across side lengths with the 2D lambda rule.
+    """Grid-graph TV denoising across side lengths with the 2-D grid's corollary rule.
 
     ``kind`` is one of holder / cartoon / pc / bi_isotonic; returns the
     records and the fitted power law of mean MSE against n.
@@ -549,8 +565,8 @@ def preset_configs(name: str) -> list[ExperimentConfig]:
     # rho = sqrt(2)/n; random graphs take their corollary rule (expected
     # degree in place of rho), whose free constant is calibrated once so
     # the two families show the matching performance the theory predicts.
-    kn_rule = {"rule": "theorem_general", "sigma": 0.5, "delta": 0.1}
-    er_rule = {"rule": "random_gap", "sigma": 0.5, "delta": 0.1, "constant_c": 2.0}
+    kn_rule = {"rule": "theorem_general", "delta": 0.1}
+    er_rule = {"rule": "corollary", "delta": 0.1, "constant_c": 2.0}
     if name == "island-fig2":
         sizes = [100, 200, 400, 800]
         out = []

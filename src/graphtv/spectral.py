@@ -148,9 +148,8 @@ def _factor(D: sp.csr_matrix, size_cap: int) -> tuple[np.ndarray, list[np.ndarra
     """
     n = D.shape[1]
     if n > size_cap:
-        raise ValueError(
-            f"dense spectral route capped at n={size_cap}; use a structured method"
-        )
+        raise ValueError(f"dense spectral route capped at n={size_cap} vertices, got {n}; "
+                         f"set lambda directly with --lambda-value")
     L = D.T @ D
     groups = _kernel_components(D, L)
     A = L.toarray()

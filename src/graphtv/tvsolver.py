@@ -75,17 +75,7 @@ from scipy.sparse.linalg import spsolve
 from . import graphs as G
 from . import spectral as spec
 
-LAMBDA_RULES = (
-    "theorem_general",
-    "grid2d",
-    "grid_high_dim",
-    "hypercube",
-    "complete",
-    "star",
-    "random_gap",
-    "cycle_power",
-    "manual",
-)
+LAMBDA_RULES = ("theorem_general", "corollary", "manual")
 
 # Iterations between the convergence checks of the iterative solvers.
 CHECK_EVERY = 25
@@ -716,10 +706,12 @@ class LambdaRule:
     """Recipe for the regularization weight.
 
     ``theorem_general`` is the sharp generic choice
-    ``sigma * rho * sqrt(2 log(e m / delta)) / n``; the family rules plug
-    in each family's known growth of rho and carry a tunable leading
-    constant ``constant_c``.  ``manual`` passes ``value`` through
-    unchanged.
+    ``sigma * rho * sqrt(2 log(e m / delta)) / n``; ``corollary`` plugs in
+    the known growth of rho for the graph's family (see
+    :func:`lambda_value`).  Both carry a tunable leading constant
+    ``constant_c``.  ``manual`` passes ``value`` through unchanged.  An
+    experiment config sets ``sigma`` from its noise level, and ``denoise
+    --sigma`` sets it on the command line.
     """
 
     rule: str
@@ -730,7 +722,7 @@ class LambdaRule:
 
     def __post_init__(self):
         if self.rule not in LAMBDA_RULES:
-            raise ValueError(f"unknown lambda rule {self.rule!r}")
+            raise ValueError(f"unknown lambda rule {self.rule!r}; have {', '.join(LAMBDA_RULES)}")
         for name in ("sigma", "delta", "constant_c", "value"):
             x = getattr(self, name)
             if x is not None and not np.isfinite(x):
@@ -745,11 +737,6 @@ class LambdaRule:
                 raise ValueError("constant_c must be positive")
             if self.value is not None:
                 raise ValueError(f"value is read only by the manual rule, not {self.rule!r}")
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "LambdaRule":
-        check_json_fields(cls, d, "lambda_rule")
-        return cls(**d)
 
 
 # The JSON values accepted for each field annotation of a config dataclass.
@@ -773,44 +760,39 @@ def check_json_fields(cls, d, what: str) -> None:
             raise ValueError(f"{what} key {f.name!r} must be {f.type}, got {d[f.name]!r}")
 
 
-# The lambda rules that read a parameter of the graph family, and the
-# families that carry it.
-RULE_FAMILIES = {"random_gap": ("erdos_renyi", "random_regular"),
-                 "cycle_power": ("cycle_power",)}
-
-
-def check_rule_family(rule: str, family: str) -> None:
-    """Reject lambda rule ``rule`` on a ``family`` graph when RULE_FAMILIES names others."""
-    families = RULE_FAMILIES.get(rule)
-    if families is not None and family not in families:
-        raise ValueError(f"lambda rule {rule!r} needs a graph of family "
-                         f"{' or '.join(families)}, not {family}")
-
-
 def lambda_value(rule: LambdaRule, graph=None) -> float:
-    """Evaluate a LambdaRule for a graph; the generic rule reads ``spectral.rho_estimate``."""
+    """Evaluate a LambdaRule for a graph.
+
+    ``theorem_general`` reads rho from ``spectral.rho_estimate``.
+    ``corollary`` takes the formula of the graph's family: the 2-D grid;
+    grids with d >= 3, hypercubes and stars; complete graphs; Erdos-Renyi
+    and random regular graphs, through the expected degree; cycle powers.
+    A path, a 1-D grid or a custom graph has none and raises ``ValueError``.
+    """
     if rule.rule == "manual":
         if rule.value is None:
             raise ValueError("manual rule needs a value")
         return float(rule.value)
     if graph is None:
         raise ValueError("lambda_value needs a graph for non-manual rules")
-    check_rule_family(rule.rule, graph.family)
     n, m = graph.n, graph.m
     c, s, dl = rule.constant_c, rule.sigma, rule.delta
     if rule.rule == "theorem_general":
         return c * s * spec.rho_estimate(graph) * np.sqrt(2.0 * np.log(np.e * m / dl)) / n
-    if rule.rule == "grid2d":
+    family, d = graph.family, graph.params.get("d")
+    if family == "grid" and d == 2:
         return c * s * np.sqrt(np.log(n) * np.log(np.e * n / dl)) / n
-    if rule.rule in ("grid_high_dim", "hypercube", "star"):
+    if family in ("hypercube", "star") or (family == "grid" and d >= 3):
         return c * s * np.sqrt(np.log(np.e * n / dl)) / n
-    if rule.rule == "complete":
+    if family == "complete":
         return c * s * np.sqrt(np.log(np.e * n / dl)) / (n * n)
-    if rule.rule == "random_gap":
+    if family in ("erdos_renyi", "random_regular"):
         # the expected degree
-        dn = float(graph.params["p"] * n if graph.family == "erdos_renyi" else graph.params["d"])
+        dn = float(graph.params["p"] * n if family == "erdos_renyi" else d)
         return c * s * np.sqrt(np.log(np.e * dn * n / dl)) / (dn * n)
-    if rule.rule == "cycle_power":
+    if family == "cycle_power":
         k = graph.params["k"]
         return c * s * np.sqrt(np.log(np.e * n / dl)) / min(np.sqrt(n) * k**3, n)
-    raise ValueError(f"unknown lambda rule {rule.rule!r}")
+    what = "1-D grid" if family == "grid" else f"{family} graph"
+    raise ValueError(f"the corollary rule has no lambda for a {what}; use the "
+                     f"theorem_general rule or set lambda directly (--lambda-value)")

@@ -173,14 +173,13 @@ def _island_curves(policy: str):
     kn_cfg = E.ExperimentConfig(
         name=f"acc-kn-{policy}", family="complete", sizes=sizes, signal=island,
         sigma=0.5, trials=50, lambda_policy=policy,
-        lambda_rule={"rule": "theorem_general", "sigma": 0.5, "delta": 0.1},
+        lambda_rule={"rule": "theorem_general", "delta": 0.1},
         master_seed=20170301)
     er_cfg = E.ExperimentConfig(
         name=f"acc-er-{policy}", family="erdos_renyi",
         family_params={"expected_degree": 16}, sizes=sizes, signal=island,
         sigma=0.5, trials=50, lambda_policy=policy,
-        lambda_rule={"rule": "random_gap", "sigma": 0.5, "delta": 0.1,
-                     "constant_c": 2.0},
+        lambda_rule={"rule": "corollary", "delta": 0.1, "constant_c": 2.0},
         master_seed=20170302)
     kn = E.run_experiment(kn_cfg)
     er = E.run_experiment(er_cfg)
@@ -217,8 +216,7 @@ def test_c10_kl_linearity():
         name="acc-fig3", family="erdos_renyi", family_params={"expected_degree": 16},
         sizes=[100], signal={"kind": "island", "params": {"k": 2, "l": 3}},
         kl_values=kls, sigma=0.5, trials=50, lambda_policy="theoretical",
-        lambda_rule={"rule": "random_gap", "sigma": 0.5, "delta": 0.1,
-                     "constant_c": 2.0},
+        lambda_rule={"rule": "corollary", "delta": 0.1, "constant_c": 2.0},
         master_seed=20170303)
     rec = E.run_experiment(cfg)
     res = E.kl_linearity_check(rec)
@@ -286,7 +284,7 @@ def test_c13_determinism(tmp_path):
         "name": "det", "family": "complete", "sizes": [30, 60],
         "signal": {"kind": "island", "params": {"k": 2, "l": 3}},
         "sigma": 0.5, "trials": 5, "lambda_policy": "theoretical",
-        "lambda_rule": {"rule": "theorem_general", "sigma": 0.5, "delta": 0.1},
+        "lambda_rule": {"rule": "theorem_general", "delta": 0.1},
         "master_seed": 13,
     }
     cfg_path = tmp_path / "cfg.json"

@@ -169,9 +169,12 @@ class TestFamilyFlags:
         ["spectral", "--graph", "grid", "--d", "2", "--N", "4", "--method", "structured"],
         ["denoise", "--graph", "path", "--n", "4", "--y", "y.txt", "--lambda-rule", "manual",
          "--lambda-value", "0.1"],
-    ], ids=["method-structured", "lambda-rule-manual"])
+        ["denoise", "--graph", "grid", "--d", "2", "--N", "4", "--y", "y.txt",
+         "--lambda-rule", "grid2d"],
+    ], ids=["method-structured", "lambda-rule-manual", "lambda-rule-grid2d"])
     def test_retired_choices_are_usage_errors(self, tmp_path, capsys, argv):
-        # auto already takes the eigensum wherever it applies; --lambda-value sets lambda
+        # auto already takes the eigensum wherever it applies; --lambda-value sets
+        # lambda; the corollary rule reads the family from the graph
         with pytest.raises(SystemExit) as exc:
             run([*argv, "--out", str(tmp_path / "out" / "x")])
         assert exc.value.code == 2
@@ -306,7 +309,7 @@ class TestDenoiseCommand:
     def test_non_finite_sigma_is_usage_error(self, tmp_path):
         yp = self._write_y(tmp_path, np.zeros(4))
         assert run(["denoise", "--graph", "path", "--n", "4", "--y", str(yp),
-                    "--lambda-rule", "star", "--sigma", "nan",
+                    "--lambda-rule", "theorem_general", "--sigma", "nan",
                     "--out", str(tmp_path / "t.txt")]) == 2
 
     def test_length_mismatch(self, tmp_path):
@@ -324,13 +327,48 @@ class TestDenoiseCommand:
         assert "needs a graph" in capsys.readouterr().err
 
     def test_cycle_power_rule_off_cycle_power_is_usage_error(self, tmp_path, capsys):
+        # the family rules are retired choices; the corollary rule reads the family
         yp = self._write_y(tmp_path, np.zeros(16))
         out = tmp_path / "out" / "theta.txt"
-        assert run(["denoise", "--graph", "grid", "--d", "2", "--N", "4", "--y", str(yp),
-                    "--lambda-rule", "cycle_power", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("graphtv: lambda rule 'cycle_power' needs") and err.count("\n") == 1
+        with pytest.raises(SystemExit) as exc:
+            run(["denoise", "--graph", "grid", "--d", "2", "--N", "4", "--y", str(yp),
+                 "--lambda-rule", "cycle_power", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'cycle_power'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("graph, what", [
+        (["--graph", "path", "--n", "16"], "path graph"),
+        (["--graph", "grid", "--d", "1", "--N", "16"], "1-D grid"),
+        (["--graph", "custom", "--edges", "edges.txt"], "custom graph"),
+    ], ids=["path", "grid-1d", "custom"])
+    def test_corollary_off_its_families_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                         graph, what):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "edges.txt").write_text("".join(f"{i} {i + 1}\n" for i in range(1, 16)))
+        yp = self._write_y(tmp_path, np.zeros(16))
+        out = tmp_path / "out" / "theta.txt"
+        assert run(["denoise", *graph, "--y", str(yp), "--lambda-rule", "corollary",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"graphtv: the corollary rule has no lambda for a {what}; use the theorem_general "
+            "rule or set lambda directly (--lambda-value)\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("graph, family_lambda", [
+        (["--graph", "grid", "--d", "2", "--N", "4"],
+         lambda n: np.sqrt(np.log(n) * np.log(np.e * n / 0.1)) / n),
+        (["--graph", "star", "--n", "16"], lambda n: np.sqrt(np.log(np.e * n / 0.1)) / n),
+        (["--graph", "complete", "--n", "16"],
+         lambda n: np.sqrt(np.log(np.e * n / 0.1)) / (n * n)),
+    ], ids=["grid2d", "star", "complete"])
+    def test_corollary_reads_the_family(self, tmp_path, graph, family_lambda):
+        yp = self._write_y(tmp_path, np.zeros(16))
+        out = tmp_path / "theta.txt"
+        assert run(["denoise", *graph, "--y", str(yp), "--lambda-rule", "corollary",
+                    "--sigma", "0.5", "--out", str(out)]) == 0
+        rep = json.loads((tmp_path / "theta.txt.report.json").read_text())
+        assert rep["lambda"] == pytest.approx(0.5 * family_lambda(16), rel=1e-12)
 
     def test_oracle_requires_path(self, tmp_path):
         yp = self._write_y(tmp_path, np.zeros(4))
@@ -345,7 +383,7 @@ class TestExperimentCommand:
         "signal": {"kind": "island", "params": {"k": 2, "l": 2}},
         "sigma": 0.5, "trials": 3,
         "lambda_policy": "theoretical",
-        "lambda_rule": {"rule": "theorem_general", "sigma": 0.5, "delta": 0.1},
+        "lambda_rule": {"rule": "theorem_general", "delta": 0.1},
         "master_seed": 5,
     }
 
@@ -395,6 +433,24 @@ class TestExperimentCommand:
         rows = (out / "records.csv").read_text().splitlines()[1:]
         assert all(row.split(",")[9] == "0.0" for row in rows)
 
+    @pytest.mark.parametrize("change, rule, graph", [
+        ({}, "theorem_general", G.build_complete(20)),
+        ({"family": "grid2d", "sizes": [5], "lambda_rule": {"rule": "corollary"},
+          "signal": {"kind": "grid_function", "params": {"name": "pc_halfplane"}}},
+         "corollary", G.build_grid(2, 5)),
+    ], ids=["default-rule", "corollary"])
+    def test_lambda_reads_the_config_sigma(self, tmp_path, change, rule, graph):
+        d = {k: v for k, v in self.CFG.items() if k != "lambda_rule"}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**d, "sigma": 2.0, "sizes": [20], "trials": 1, **change}))
+        out = tmp_path / "run"
+        assert run(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+        lam = T.lambda_value(T.LambdaRule(rule, sigma=2.0, delta=0.1), graph)
+        rows = (out / "records.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[6]) for row in rows] == [lam]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "sigma" not in manifest["configs"][0]["lambda_rule"]
+
     def test_needs_config_or_preset(self, tmp_path):
         assert run(["experiment", "--out", str(tmp_path / "x")]) == 2
 
@@ -408,7 +464,7 @@ class TestExperimentCommand:
         {"estimators": ["haar"]},  # haar needs grid2d
         {"trails": 1},
         {"oracle_beta": 0.7},
-        {"lambda_rule": {"rule": "theorem_general", "sigma": 0.5, "delat": 0.5}},
+        {"lambda_rule": {"rule": "theorem_general", "delat": 0.5}},
         {"lambda_rule": {"rule": "nope"}},
         {"sizes": [1]},
         {"sigma": float("nan")},
@@ -426,7 +482,7 @@ class TestExperimentCommand:
         {"signal": {"kind": "island", "params": [2, 2]}},
         {"signal": {"kind": "grid_function", "params": "pc_halfplane"}},
         {"signal": {"kind": ["island"], "params": {"k": 2, "l": 2}}},
-        {"lambda_rule": {"rule": "random_gap", "sigma": 0.5, "delta": 0.1}},
+        {"lambda_rule": {"rule": "random_gap", "delta": 0.1}},
         {"lambda_rule": {"rule": "cycle_power"}},
         {"family": "grid2d", "sizes": [4], "lambda_rule": {"rule": "random_gap"}},
         {"family": "grid2d", "sizes": [4],
@@ -437,12 +493,26 @@ class TestExperimentCommand:
         {"sizes": [20], "signal": {"kind": "grid_function", "params": {"name": "pc_halfplane"}}},
         {"family": "grid2d", "sizes": [4], "kl_values": [[1, 2], [2, 3]],
          "signal": {"kind": "grid_function", "params": {"name": "pc_halfplane"}},
-         "lambda_rule": {"rule": "grid2d", "sigma": 0.5}},
+         "lambda_rule": {"rule": "corollary"}},
         {"family": "grid2d", "sizes": [4],
          "signal": {"kind": "grid_function", "params": {"name": "pc_halfplane"}},
-         "lambda_rule": {"rule": "grid2d", "sigma": 0.5, "value": 0.1}},
-        {"family": "grid2d", "sizes": [4, 5000], "lambda_rule": {"rule": "grid2d"},
+         "lambda_rule": {"rule": "corollary", "value": 0.1}},
+        {"family": "grid2d", "sizes": [4, 5000], "lambda_rule": {"rule": "corollary"},
          "signal": {"kind": "grid_function", "params": {"name": "pc_halfplane"}}},
+        {"lambda_rule": {"rule": "theorem_general", "sigma": 0.5, "delta": 0.1}},
+        {"family": "grid2d", "sizes": [4],
+         "signal": {"kind": "grid_function", "params": {"name": "pc_halfplane", "N": 4}}},
+        {"family": "grid2d", "sizes": [8],  # 4^3 = 8^2 vertices
+         "signal": {"kind": "grid_function", "params": {"name": "pc_halfplane", "d": 3, "N": 4}}},
+        {"family": "grid2d", "sizes": [4],
+         "signal": {"kind": "bi_isotonic", "params": {"variation_sqrt": 1.0, "N": 4}}},
+        {"family_params": {"degree": 8}},
+        {"signal": {"kind": "island", "params": {"k": 2, "l": 2, "heigth": 1.0}}},
+        {"sizes": [20], "signal": {"kind": "custom", "params": {"vector": [0.0] * 20,
+                                                                 "scale": 2.0}}},
+        {"family": "grid2d", "sizes": [4],
+         "signal": {"kind": "bi_isotonic", "params": {"variation_sqrt": 1.0, "seed": 3}}},
+        {"signal": {"kind": "island", "params": {"k": 2, "l": 2}, "parms": {"k": 5}}},
     ], ids=["unknown-family", "er-no-degree", "rr-no-degree", "signal-no-kind",
             "unknown-kind", "unknown-estimator", "haar-off-grid", "unknown-key",
             "retired-key", "unknown-rule-key", "unknown-rule", "size-below-2", "nan-sigma",
@@ -453,7 +523,9 @@ class TestExperimentCommand:
             "signal-kind-not-string", "random-gap-on-complete", "cycle-power-on-complete",
             "random-gap-on-grid", "grid-function-no-name", "grid-function-misspelled-key",
             "custom-vector-wrong-length", "grid-signal-on-complete", "kl-values-off-island",
-            "rule-value-off-manual", "size-past-the-cap"])
+            "rule-value-off-manual", "size-past-the-cap", "rule-sigma", "grid-function-N",
+            "grid-function-d", "bi-isotonic-N", "family-param-unread", "island-param-unread",
+            "custom-param-unread", "bi-isotonic-param-unread", "unknown-signal-key"])
     def test_bad_config_fails_before_running(self, tmp_path, capsys, change):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**self.CFG, **change}))

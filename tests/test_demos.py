@@ -1,11 +1,15 @@
 """Every demo runs end to end: 01 builds every family through the ``auto``
-spectral route, 03 runs the harness families, 05 the grid rate studies."""
+spectral route, 03 runs the harness families, 05 the grid rate studies.
+The README's quick start runs and its command-line examples parse."""
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
 import pytest
+
+from graphtv import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -30,3 +34,17 @@ def test_readme_quick_start_runs():
     exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["report"].rho_method == "eigensum_structured"
     assert namespace["res"].converged
+
+
+def test_readme_commands_parse():
+    # a retired flag or choice in the README's examples fails here
+    src = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = src.split("## Command line", 1)[1].split("```\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert len(commands) == 7 and all(argv[0] == "graphtv" for argv in commands)
+    parser = cli.build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv[1:])  # exits on an unknown flag or choice
+        assert args.command == argv[1]

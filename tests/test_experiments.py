@@ -80,7 +80,7 @@ def tiny_config(**overrides):
         signal={"kind": "island", "params": {"k": 2, "l": 2}},
         sigma=0.5, trials=4, estimators=("tv", "identity"),
         lambda_policy="theoretical",
-        lambda_rule={"rule": "theorem_general", "sigma": 0.5, "delta": 0.1},
+        lambda_rule={"rule": "theorem_general", "delta": 0.1},
         master_seed=5,
     )
     base.update(overrides)
@@ -154,7 +154,7 @@ class TestRunExperiment:
         E._fixed_graph.cache_clear()
         cfg = tiny_config(family="grid2d", sizes=[6], trials=3, estimators=("tv",),
                           signal={"kind": "grid_function", "params": {"name": "pc_halfplane"}},
-                          lambda_rule={"rule": "grid2d", "sigma": 0.5, "delta": 0.1})
+                          lambda_rule={"rule": "corollary", "delta": 0.1})
         assert all(r.converged for r in E.run_experiment(cfg))
         assert calls == {"incidence": 1, "operator_norm": 1}
 
@@ -173,8 +173,7 @@ class TestRunExperiment:
 
     def test_sigma_zero_theoretical_rule_gives_zero_mse(self):
         cfg = tiny_config(sigma=0.0, estimators=("tv",),
-                          lambda_rule={"rule": "theorem_general", "sigma": 0.0,
-                                       "delta": 0.1})
+                          lambda_rule={"rule": "theorem_general", "delta": 0.1})
         rec = E.run_experiment(cfg)
         assert all(r.mse == 0.0 for r in rec)
 
@@ -198,7 +197,7 @@ class TestRunExperiment:
                           signal={"kind": "grid_function",
                                   "params": {"name": "pc_halfplane", "height": 5.0}},
                           estimators=("tv", "haar", "identity"),
-                          lambda_rule={"rule": "grid2d", "sigma": 0.5, "delta": 0.1},
+                          lambda_rule={"rule": "corollary", "delta": 0.1},
                           trials=2)
         rec = E.run_experiment(cfg)
         assert len(rec) == 6
@@ -207,8 +206,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize("change, key", [
         ({"trails": 1, "zzz": 2}, "trails"),
         ({"oracle_beta": 0.7}, "oracle_beta"),  # retired: the grid ratio is ORACLE_BETA
-        ({"lambda_rule": {"rule": "theorem_general", "sigma": 0.5, "delat": 0.5}}, "delat"),
-        ({"lambda_rule": {"rule": "random_gap", "degree": 8.0}}, "degree"),
+        ({"lambda_rule": {"rule": "theorem_general", "delat": 0.5}}, "delat"),
+        ({"lambda_rule": {"rule": "corollary", "degree": 8.0}}, "degree"),
     ])
     def test_unknown_key_is_an_error(self, change, key):
         d = {**tiny_config().to_json_dict(), **change}
@@ -239,7 +238,7 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="kl_values sweeps island shapes"):
             tiny_config(family="grid2d", sizes=[4], kl_values=[[1, 2], [2, 3]],
                         signal={"kind": "grid_function", "params": {"name": "pc_halfplane"}},
-                        lambda_rule={"rule": "grid2d", "sigma": 0.5})
+                        lambda_rule={"rule": "corollary"})
 
     def test_config_json_roundtrip(self):
         cfg = tiny_config()

@@ -87,7 +87,7 @@ class TestPseudoinverse:
 
     def test_size_cap(self, monkeypatch):
         monkeypatch.setattr(S, "DENSE_SIZE_CAP", 5)
-        with pytest.raises(ValueError, match="structured"):
+        with pytest.raises(ValueError, match="capped at n=5 vertices, got 10; .* --lambda-value"):
             S.pseudoinverse_columns_dense(G.incidence(G.build_path(10)))
 
 

@@ -530,7 +530,7 @@ class TestLambdaRules:
 
     def test_grid2d_formula(self):
         g = G.build_grid(2, 10)
-        rule = T.LambdaRule("grid2d", sigma=0.5, delta=0.1)
+        rule = T.LambdaRule("corollary", sigma=0.5, delta=0.1)
         n = 100
         expected = 0.5 * np.sqrt(np.log(n) * np.log(10 * np.e * n)) / n
         assert T.lambda_value(rule, g) == pytest.approx(expected, rel=1e-12)
@@ -540,25 +540,26 @@ class TestLambdaRules:
         delta, sigma = 0.2, 1.5
         log_en = np.log(np.e * n / delta)
         cases = [
-            ("complete", G.build_complete(n), sigma * np.sqrt(log_en) / n**2),
-            ("star", G.build_star(n), sigma * np.sqrt(log_en) / n),
-            ("hypercube", G.build_hypercube(6), sigma * np.sqrt(log_en) / n),
-            ("grid_high_dim", G.build_grid(3, 4), sigma * np.sqrt(log_en) / n),
+            (G.build_complete(n), sigma * np.sqrt(log_en) / n**2),
+            (G.build_star(n), sigma * np.sqrt(log_en) / n),
+            (G.build_hypercube(6), sigma * np.sqrt(log_en) / n),
+            (G.build_grid(3, 4), sigma * np.sqrt(log_en) / n),
+            (G.build_grid(6, 2), sigma * np.sqrt(log_en) / n),
         ]
-        for rule_name, g, expected in cases:
-            rule = T.LambdaRule(rule_name, sigma=sigma, delta=delta)
-            assert T.lambda_value(rule, g) == pytest.approx(expected, rel=1e-12), rule_name
+        rule = T.LambdaRule("corollary", sigma=sigma, delta=delta)
+        for g, expected in cases:
+            assert T.lambda_value(rule, g) == pytest.approx(expected, rel=1e-12), g.family
 
     def test_random_gap_uses_expected_degree(self):
-        g = G.build_erdos_renyi(50, 16 / 50, seed=0)
-        rule = T.LambdaRule("random_gap", sigma=1.0, delta=0.1)
+        rule = T.LambdaRule("corollary", sigma=1.0, delta=0.1)
         dn = 16.0
         expected = np.sqrt(np.log(np.e * dn * 50 / 0.1)) / (dn * 50)
-        assert T.lambda_value(rule, g) == pytest.approx(expected, rel=1e-12)
+        for g in (G.build_erdos_renyi(50, 16 / 50, seed=0), G.build_random_regular(50, 16, seed=0)):
+            assert T.lambda_value(rule, g) == pytest.approx(expected, rel=1e-12), g.family
 
     def test_cycle_power_min(self):
         g = G.build_cycle_power(100, 3)
-        rule = T.LambdaRule("cycle_power", sigma=1.0, delta=0.1)
+        rule = T.LambdaRule("corollary", sigma=1.0, delta=0.1)
         denom = min(np.sqrt(100) * 27, 100)
         assert T.lambda_value(rule, g) == pytest.approx(
             np.sqrt(np.log(np.e * 100 / 0.1)) / denom, rel=1e-12)
@@ -568,7 +569,8 @@ class TestLambdaRules:
         ("cycle_power", G.build_grid(2, 3)), ("cycle_power", G.Graph(3, np.array([[0, 1]]))),
     ], ids=["random-gap-complete", "random-gap-grid", "cycle-power-grid", "cycle-power-custom"])
     def test_rule_off_its_families_is_rejected(self, rule, g):
-        with pytest.raises(ValueError, match=f"lambda rule '{rule}' needs"):
+        # the family rules are retired: the corollary rule reads the family from g
+        with pytest.raises(ValueError, match=f"unknown lambda rule '{rule}'"):
             T.lambda_value(T.LambdaRule(rule), g)
 
     def test_manual_passthrough(self):
@@ -578,7 +580,7 @@ class TestLambdaRules:
     def test_sigma_zero_gives_zero_lambda(self):
         # noiseless regime: every theoretical rule collapses to lambda = 0
         g = G.build_grid(2, 4)
-        assert T.lambda_value(T.LambdaRule("grid2d", sigma=0.0), g) == 0.0
+        assert T.lambda_value(T.LambdaRule("corollary", sigma=0.0), g) == 0.0
         assert T.lambda_value(T.LambdaRule("theorem_general", sigma=0.0), g) == 0.0
 
     def test_theorem_general_reads_rho_estimate(self):
@@ -591,24 +593,24 @@ class TestLambdaRules:
         with pytest.raises(ValueError):
             T.LambdaRule("no_such_rule")
         with pytest.raises(ValueError):
-            T.LambdaRule("grid2d", sigma=-1.0)
+            T.LambdaRule("corollary", sigma=-1.0)
         with pytest.raises(ValueError):
-            T.LambdaRule("grid2d", delta=1.5)
+            T.LambdaRule("corollary", delta=1.5)
 
     @pytest.mark.parametrize("field", ["sigma", "delta", "constant_c"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_parameters(self, field, bad):
         with pytest.raises(ValueError, match="finite"):
-            T.LambdaRule("grid2d", **{field: bad})
+            T.LambdaRule("corollary", **{field: bad})
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_manual_value(self, bad):
         with pytest.raises(ValueError, match="finite"):
             T.LambdaRule("manual", value=bad)
 
-    @pytest.mark.parametrize("rule", ["grid2d", "theorem_general"])
+    @pytest.mark.parametrize("rule", ["corollary", "theorem_general"])
     def test_value_off_the_manual_rule_is_rejected(self, rule):
-        # the family rules never read value, so a value beside them is a mistake
+        # the theoretical rules never read value, so a value beside them is a mistake
         with pytest.raises(ValueError, match="value is read only by the manual rule"):
             T.LambdaRule(rule, sigma=0.5, value=0.1)
 
