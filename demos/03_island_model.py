@@ -19,7 +19,7 @@ curves = {}
 for family, rule, fp in [
     ("complete", {"rule": "theorem_general", "delta": 0.1}, {}),
     ("erdos_renyi", {"rule": "corollary", "delta": 0.1, "constant_c": 2.0},
-     {"expected_degree": 16}),
+     {"p": [16 / n for n in sizes]}),  # expected degree 16 at every n
 ]:
     for policy in ("theoretical", "oracle"):
         cfg = E.ExperimentConfig(
@@ -45,7 +45,7 @@ print()
 print("linear dependence on the island mass k*l (n=100, Erdos-Renyi d=16):")
 kls = [[k, l] for k in (2, 4) for l in (3, 6, 9)]
 cfg = E.ExperimentConfig(
-    name="demo-kl", family="erdos_renyi", family_params={"expected_degree": 16},
+    name="demo-kl", family="erdos_renyi", family_params={"p": 16 / 100},
     sizes=[100], signal=island, kl_values=kls, sigma=0.5, trials=15,
     lambda_policy="theoretical",
     lambda_rule={"rule": "corollary", "delta": 0.1, "constant_c": 2.0},

@@ -123,6 +123,8 @@ def cmd_denoise(args) -> int:
         raise UsageError(f"y has {y.shape[0]} entries but the graph has {n} vertices")
     lam = args.lambda_value
     if lam is None:  # a rule needs a graph, so --augmented fails here, before any spectral work
+        if args.sigma is None:
+            raise UsageError("missing required flag --sigma (or set --lambda-value)")
         rule = tv.LambdaRule(args.lambda_rule, sigma=args.sigma, delta=args.delta,
                              constant_c=args.constant_c)
         lam = float(tv.lambda_value(rule, graph))
@@ -196,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--y", required=True, help="observation vector file")
     pd.add_argument("--lambda-rule", dest="lambda_rule", default="theorem_general",
                     choices=[r for r in tv.LAMBDA_RULES if r != "manual"])
-    pd.add_argument("--sigma", type=float, default=1.0)
+    pd.add_argument("--sigma", type=float, help="noise level; required without --lambda-value")
     pd.add_argument("--delta", type=float, default=0.1)
     pd.add_argument("--constant-c", dest="constant_c", type=float, default=1.0)
     pd.add_argument("--lambda-value", dest="lambda_value", type=float,

@@ -27,9 +27,6 @@ from . import tvsolver as tv
 
 CSV_HEADER = ["family", "n", "k", "l", "estimator", "lambda_policy",
               "lambda_value", "trial", "seed", "mse", "converged"]
-# harness family -> the family_params keys it needs
-FAMILY_PARAMS = {"complete": (), "grid2d": (), "erdos_renyi": ("expected_degree",),
-                 "random_regular": ("degree",)}
 ESTIMATORS = ("tv", "identity", "haar")
 # signal kind -> the params keys it reads; a grid function also reads the
 # keywords of its function, which refuses any other
@@ -55,8 +52,11 @@ SOLVER_MAX_ITER = 200000
 class ExperimentConfig:
     """One sweep: a graph family, a signal, a lambda policy, seeded trials.
 
-    ``sizes`` holds vertex counts for exchangeable families and side
-    lengths for ``grid2d``.  ``kl_values`` optionally sweeps island
+    ``family`` is a key of :data:`graphs.FAMILIES` and ``family_params``
+    holds its CLI flags but ``seed``, which the cells draw from
+    ``master_seed``.  ``sizes`` fills the one flag they leave out, and a
+    flag given as a list holds one value per size (``{"d": 2}`` on
+    ``grid``: side lengths).  ``kl_values`` optionally sweeps island
     shapes at fixed size (Figure-3 style); when absent the island shape
     comes from ``signal.params``.  ``lambda_rule`` holds the
     :class:`tvsolver.LambdaRule` fields but ``sigma``: the rule reads the
@@ -64,7 +64,7 @@ class ExperimentConfig:
     """
 
     name: str
-    family: str  # complete | erdos_renyi | random_regular | grid2d
+    family: str  # a key of graphs.FAMILIES
     sizes: list
     signal: dict
     family_params: dict = field(default_factory=dict)
@@ -82,29 +82,13 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError("sigma must be finite and nonnegative")
-        if not self.sizes or not all(isinstance(size, numbers.Integral) and size >= 2
-                                     for size in self.sizes):
-            raise ValueError("sizes must be a nonempty list of integers >= 2")
+        if not self.sizes or not all(isinstance(size, numbers.Integral) and size >= 1
+                                     and not isinstance(size, bool) for size in self.sizes):
+            raise ValueError("sizes must be a nonempty list of positive integers")
         if self.lambda_policy not in ("theoretical", "oracle"):
             raise ValueError(f"unknown lambda policy {self.lambda_policy!r}")
-        if self.family not in FAMILY_PARAMS:
-            raise ValueError(f"unknown family {self.family!r}; have {', '.join(FAMILY_PARAMS)}")
-        for key in FAMILY_PARAMS[self.family]:
-            if key not in self.family_params:
-                raise ValueError(f"family {self.family!r} needs family_params[{key!r}]")
-        for key in self.family_params:
-            if key not in FAMILY_PARAMS[self.family]:
-                raise ValueError(f"family {self.family!r} does not read family_params[{key!r}]")
-        if self.family == "erdos_renyi":
-            degree = self.family_params["expected_degree"]
-            if not (isinstance(degree, numbers.Real) and np.isfinite(degree) and degree > 0):
-                raise ValueError("expected_degree must be finite and positive")
-        if self.family == "random_regular":
-            d = self.family_params["degree"]
-            for n in self.sizes:
-                if not (isinstance(d, numbers.Integral) and 1 <= d < n) or n * d % 2:
-                    raise ValueError(f"random_regular degree {d} needs 1 <= d < n and "
-                                     f"n * d even, not at n = {n}")
+        self._params = self._family_flags()
+        self._seeded = "seed" in G.FAMILIES[self.family][1]
         kind = self.signal.get("kind") if isinstance(self.signal, dict) else None
         if not isinstance(kind, str) or kind not in SIGNAL_PARAMS:
             raise ValueError(f"signal needs a kind from {', '.join(SIGNAL_PARAMS)}, "
@@ -122,8 +106,9 @@ class ExperimentConfig:
         for estimator in self.estimators:
             if estimator not in ESTIMATORS:
                 raise ValueError(f"unknown estimator {estimator!r}")
-        if "haar" in self.estimators and self.family != "grid2d":
-            raise ValueError("haar estimator needs the grid2d family")
+        if "haar" in self.estimators and not (self.family == "grid" and all(
+                dict(params)["d"] == 2 for params in self._params)):
+            raise ValueError("haar estimator needs the 2-D grid: family grid with d = 2")
         tv.check_json_fields(tv.LambdaRule, self.lambda_rule, "lambda_rule")
         if "sigma" in self.lambda_rule:
             raise ValueError("lambda_rule key 'sigma' is not read: lambda reads the config's sigma")
@@ -133,6 +118,29 @@ class ExperimentConfig:
         # here once per pair, so a bad signal fails before any cell runs
         self._theta = [[self._theta_star(si, ki) for ki in range(len(self._shapes))]
                        for si in range(len(self.sizes))]
+
+    def _family_flags(self) -> list:
+        """The family's flags at each size, as sorted (name, value) pairs, checked."""
+        if self.family not in G.FAMILIES:
+            raise ValueError(f"unknown graph family {self.family!r}; have {', '.join(G.FAMILIES)}")
+        flags = [name for name in G.FAMILIES[self.family][1] if name != "seed"]
+        for key, value in self.family_params.items():
+            if key not in flags:
+                raise ValueError(f"family {self.family!r} does not read family_params[{key!r}]")
+            if isinstance(value, list) and len(value) != len(self.sizes):
+                raise ValueError(f"family_params[{key!r}] holds {len(value)} values, "
+                                 f"not one per size")
+        free = [name for name in flags if name not in self.family_params]
+        if len(free) != 1:
+            raise ValueError(f"family_params of {self.family!r} must leave out one of its flags "
+                             f"{', '.join(flags)} for sizes to fill, not {len(free)}")
+        out = []
+        for si, size in enumerate(self.sizes):
+            params = {free[0]: int(size), **{key: value[si] if isinstance(value, list) else value
+                                             for key, value in self.family_params.items()}}
+            out.append(tuple(sorted((name, G.check_flag(self.family, name, value))
+                                    for name, value in params.items())))
+        return out
 
     def _island_shapes(self) -> list:
         """(k, l) per island-shape index: ``kl_values``, the island signal's, or (None, None)."""
@@ -155,11 +163,12 @@ class ExperimentConfig:
     def _theta_star(self, si: int, ki: int) -> np.ndarray:
         """theta* at size index si and shape index ki, one finite value per vertex."""
         size, kind = int(self.sizes[si]), self.signal["kind"]
-        n = size * size if self.family == "grid2d" else size
+        graph = None if self._seeded else _seedless_graph(self.family, self._params[si])
+        n = dict(self._params[si])["n"] if self._seeded else graph.n  # a random family's n flag
         if n > G.SIZE_CAP:  # refused before theta* is allocated, as every graph builder does
             raise ValueError(f"size {size} has {n} vertices, past the supported {G.SIZE_CAP}")
         try:
-            theta = _signal_for(self, size, n, self._shapes[ki],
+            theta = _signal_for(self, graph, n, self._shapes[ki],
                                 _substream(self.master_seed, si, ki, 2))
         except KeyError as exc:
             raise ValueError(f"{kind} signal needs params[{exc.args[0]!r}]") from None
@@ -210,20 +219,10 @@ class RateFit:
 
 
 @lru_cache(maxsize=64)
-def _fixed_graph(family: str, size: int):
-    """The families without a seed, built once per process and size."""
-    if family == "grid2d":
-        return G.build_family("grid", d=2, N=size)
-    return G.build_family(family, n=size)
-
-
-def _build_graph(family: str, size: int, family_params: dict, graph_seed: int):
-    if family == "erdos_renyi":
-        p = min(1.0, family_params["expected_degree"] / size)
-        return G.build_family(family, n=size, p=p, seed=graph_seed)
-    if family == "random_regular":
-        return G.build_family(family, n=size, d=family_params["degree"], seed=graph_seed)
-    return _fixed_graph(family, size)
+def _seedless_graph(family: str, params: tuple) -> G.Graph:
+    """A family without a seed flag at the flags ``params``, built once per process: configs
+    and cells share it and its operator (one copy per config holds K_800 twice in island-fig2)."""
+    return G.build_family(family, **dict(params))
 
 
 # ---------------------------------------------------------------------------
@@ -296,31 +295,30 @@ def _substream(master_seed: int, *key: int) -> int:
                .generate_state(1, np.uint64)[0])
 
 
-def _signal_for(cfg: ExperimentConfig, size: int, n: int, shape, signal_seed: int) -> np.ndarray:
-    """theta* of one cell as a flat vector, column-major on the grid.
-
-    Grid kinds are sampled on the 2-D grid of side ``size``.
-    """
+def _signal_for(cfg: ExperimentConfig, graph, n: int, shape, signal_seed: int) -> np.ndarray:
+    """theta* of one cell as a flat vector; grid kinds sample the grid ``graph`` column-major."""
     params = dict(cfg.signal.get("params", {}))
     kind = cfg.signal["kind"]
     if kind == "island":
         return sig.island_signal(n, *shape)
+    if kind == "custom":
+        return np.asarray(params["vector"], dtype=float)
+    if cfg.family != "grid":
+        raise ValueError(f"{kind} signal needs the grid family, not {cfg.family!r}")
+    d, N = graph.params["d"], graph.params["N"]
     if kind == "grid_function":
-        return sig.sample_grid_function(params.pop("name"), 2, size, **params)
-    if kind == "bi_isotonic":
-        return sig.bi_isotonic_signal(size, params["variation_sqrt"],
-                                      seed=signal_seed).reshape(-1, order="F")
-    return np.asarray(params["vector"], dtype=float)  # custom
+        return sig.sample_grid_function(params.pop("name"), d, N, **params)
+    return sig.bi_isotonic_signal(N, params["variation_sqrt"],
+                                  seed=signal_seed).reshape(-1, order="F")
 
 
 def _run_cell_trial(cfg: ExperimentConfig, si: int, ki: int, trial: int) -> list:
     """All estimator records for one (size, island shape, trial) cell."""
-    size = int(cfg.sizes[si])
     shape = cfg._shapes[ki]  # (k, l) of the island signal, or (None, None)
     stream = (si * len(cfg._shapes) + ki) * cfg.trials + trial
-    graph_seed = _substream(cfg.master_seed, si, ki, trial, 1)
-
-    graph = _build_graph(cfg.family, size, cfg.family_params, graph_seed)
+    graph = (G.build_family(cfg.family, **dict(cfg._params[si]),
+                            seed=_substream(cfg.master_seed, si, ki, trial, 1))
+             if cfg._seeded else _seedless_graph(cfg.family, cfg._params[si]))
     n = graph.n
     theta_star = cfg._theta[si][ki]
     noise = sig.gaussian_noise(n, sig.NoiseModel(cfg.sigma, cfg.master_seed, stream))
@@ -336,7 +334,8 @@ def _run_cell_trial(cfg: ExperimentConfig, si: int, ki: int, trial: int) -> list
         if estimator == "identity":
             theta_hat, lam_used, converged = y.copy(), 0.0, True
         elif estimator == "haar":
-            theta_hat = H.haar_denoise_2d(y.reshape(size, size, order="F"),
+            N = graph.params["N"]
+            theta_hat = H.haar_denoise_2d(y.reshape(N, N, order="F"),
                                           cfg.sigma).reshape(-1, order="F")
             lam_used, converged = 0.0, True
         else:  # tv
@@ -469,7 +468,7 @@ def _grid_study(name: str, kind: str, sides, trials: int, sigma: float,
     if kind not in GRID_SIGNALS:
         raise ValueError(f"unknown rate-study kind {kind!r}")
     return ExperimentConfig(
-        name=name, family="grid2d", sizes=list(sides),
+        name=name, family="grid", family_params={"d": 2}, sizes=list(sides),
         signal=copy.deepcopy(GRID_SIGNALS[kind]), sigma=sigma, trials=trials,
         lambda_policy="theoretical",
         lambda_rule={"rule": "corollary", "delta": 0.1},
@@ -578,7 +577,7 @@ def preset_configs(name: str) -> list[ExperimentConfig]:
                 master_seed=20170301))
             out.append(ExperimentConfig(
                 name=f"island-fig2-er16-{policy}", family="erdos_renyi",
-                family_params={"expected_degree": 16},
+                family_params={"p": [16 / n for n in sizes]},
                 sizes=sizes, signal=island33, sigma=0.5, trials=50,
                 lambda_policy=policy, lambda_rule=dict(er_rule),
                 master_seed=20170302))
@@ -587,7 +586,7 @@ def preset_configs(name: str) -> list[ExperimentConfig]:
         kls = [[k, l] for k in range(2, 6) for l in range(3, 10)]
         return [ExperimentConfig(
             name="island-fig3-er16", family="erdos_renyi",
-            family_params={"expected_degree": 16},
+            family_params={"p": 16 / 100},
             sizes=[100], signal={"kind": "island", "params": {"k": 2, "l": 3}},
             kl_values=kls, sigma=0.5, trials=50,
             lambda_policy="theoretical", lambda_rule=dict(er_rule),

@@ -10,6 +10,7 @@ and ``-1`` at the higher one, one row per edge.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -319,20 +320,34 @@ FAMILIES = {
 }
 
 
-def build_family(family: str, **params) -> Graph:
-    """Build ``family`` from the parameters it requires; others are ignored.
+# The JSON values accepted for each annotation of a builder flag or a config field.
+JSON_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real, "dict": dict,
+              "list": list, "tuple": (list, tuple), "list | None": (list, type(None)),
+              "float | None": (numbers.Real, type(None))}
 
-    Raises ``ValueError`` for an unknown family or a required parameter
-    that is missing or None.  The builder is looked up by name at call
-    time, so a replaced module attribute is the one that runs.
+
+def check_flag(family: str, name: str, value):
+    """``value`` as flag ``name`` of ``family``; ValueError if None, a bool or mistyped."""
+    if value is None:
+        raise ValueError(f"missing required flag --{name}")
+    builder, required = FAMILIES[family]
+    kind = dict(zip(required, globals()[builder].__annotations__.values())).get(name)
+    if kind in JSON_TYPES and (isinstance(value, bool) or not isinstance(value, JSON_TYPES[kind])):
+        raise ValueError(f"flag --{name} of {family} must be {kind}, got {value!r}")
+    return value
+
+
+def build_family(family: str, **params) -> Graph:
+    """Build ``family`` from the flags it requires, each through :func:`check_flag`.
+
+    Others are ignored.  The builder is looked up by name at call time, so
+    a replaced module attribute is the one that runs.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown graph family {family!r}; have {', '.join(FAMILIES)}")
     builder, required = FAMILIES[family]
-    for name in required:
-        if params.get(name) is None:
-            raise ValueError(f"missing required flag --{name}")
-    return globals()[builder](*(params[name] for name in required))
+    args = [check_flag(family, name, params.get(name)) for name in required]
+    return globals()[builder](*args)
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +369,6 @@ def incidence(g: Graph) -> sp.csr_matrix:
     return sp.csr_matrix((data, (rows, cols)), shape=(m, g.n))
 
 
-def adjacency(g: Graph) -> sp.csr_matrix:
-    i, j = g.edges[:, 0], g.edges[:, 1]
-    data = np.ones(2 * g.m)
-    return sp.csr_matrix((data, (np.concatenate([i, j]), np.concatenate([j, i]))),
-                         shape=(g.n, g.n))
-
-
 def degrees(g: Graph) -> np.ndarray:
     deg = np.zeros(g.n, dtype=np.int64)
     np.add.at(deg, g.edges[:, 0], 1)
@@ -372,14 +380,23 @@ def max_degree(g: Graph) -> int:
     return int(degrees(g).max()) if g.m else 0
 
 
+def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Component label of each of n vertices joined by the edges (i, j).
+
+    The link matrix is built in csr form directly: row i holds the j of its
+    edges.  Edges usually come in row order, so the sort is skipped.
+    """
+    if np.any(i[1:] < i[:-1]):
+        order = np.argsort(i, kind="stable")
+        i, j = i[order], j[order]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(i, minlength=n))))
+    links = sp.csr_matrix((np.ones(len(j)), np.ascontiguousarray(j), indptr), shape=(n, n))
+    return connected_components(links, directed=False)[1]
+
+
 def is_connected(g: Graph) -> bool:
     """True iff the graph has a single connected component."""
-    if g.n == 1:
-        return True
-    if g.m == 0:
-        return False
-    ncomp, _ = connected_components(adjacency(g), directed=False)
-    return ncomp == 1
+    return bool(_components(g.n, g.edges[:, 0], g.edges[:, 1]).max() == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +419,9 @@ def parse_edge_list(text: str, n: int | None = None) -> Graph:
         pairs.append((i - 1, j - 1))
     if not pairs:
         raise ValueError("edge list is empty")
-    edges = np.unique(_canonical_edges(pairs), axis=0)
-    nv = n if n is not None else int(edges.max()) + 1
-    return Graph(nv, edges, family="custom", params={})
+    nv = n if n is not None else max(max(pair) for pair in pairs) + 1
+    _check_size("custom graph", nv, len(pairs))
+    return Graph(nv, np.unique(_canonical_edges(pairs), axis=0), family="custom", params={})
 
 
 def read_edge_list(path, n: int | None = None) -> Graph:

@@ -88,13 +88,15 @@ def circulant_eigenvalues(n: int, k: int) -> np.ndarray:
     """Laplacian eigenvalues of the cycle power C_n^k.
 
     The Laplacian is circulant, so for m = 0..n-1:
-    ``lam_m = 2 * sum_{l=1..k} (1 - cos(2 pi l m / n))``.
+    ``lam_m = 2 * sum_{l=1..k} w_l (1 - cos(2 pi l m / n))``, w_l = 1 but for
+    w_k = 1/2 at n = 2k, where the opposite vertex is a single neighbour.
     """
     if n < 3 or k < 1 or 2 * k > n:
         raise ValueError("require n >= 3 and 1 <= k <= n/2")
     m = np.arange(n)[:, None]
     l = np.arange(1, k + 1)[None, :]
-    return 2.0 * np.sum(1.0 - np.cos(2.0 * np.pi * l * m / n), axis=1)
+    w = np.where(2 * l == n, 0.5, 1.0)
+    return 2.0 * np.sum(w * (1.0 - np.cos(2.0 * np.pi * l * m / n)), axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -63,13 +63,11 @@ block and the k largest demands of a block of b vertices sum to at most
 """
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
 from . import graphs as G
@@ -205,21 +203,6 @@ def _fusion_graph(D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows[keep], D.indices[first[keep]], D.indices[first[keep] + 1]
 
 
-def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Component label of each of n vertices joined by the edges (i, j).
-
-    The link matrix is built in csr form directly: row i holds the j of
-    its edges.  ``_fusion_graph`` returns edges in row order, so i is
-    usually nondecreasing already and the sort is skipped.
-    """
-    if np.any(i[1:] < i[:-1]):
-        order = np.argsort(i, kind="stable")
-        i, j = i[order], j[order]
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(i, minlength=n))))
-    links = sp.csr_matrix((np.ones(len(j)), np.ascontiguousarray(j), indptr), shape=(n, n))
-    return connected_components(links, directed=False)[1]
-
-
 def _forest_dual(DF, DFt, b: np.ndarray) -> np.ndarray | None:
     """Solve ``DF^T w = b`` off one vertex per tree if the rows of DF form a forest, else None.
 
@@ -235,7 +218,7 @@ def _forest_dual(DF, DFt, b: np.ndarray) -> np.ndarray | None:
     _, i, j = _fusion_graph(DF)
     if len(i) < m:
         return None
-    tree = _components(n, i, j)
+    tree = G._components(n, i, j)
     roots = np.unique(tree, return_index=True)[1]
     if m != n - len(roots):
         return None
@@ -341,7 +324,7 @@ def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> Denoi
         for fused in (False, True):
             if fused:
                 flat = np.abs(u[fuse_rows]) < mu
-                piece = _components(n, fuse_i[flat], fuse_j[flat])
+                piece = G._components(n, fuse_i[flat], fuse_j[flat])
                 theta_f = (np.bincount(piece, weights=theta) / np.bincount(piece))[piece]
                 Dtheta = D @ theta_f
                 fit_f = float(np.mean((theta_f - y) ** 2))
@@ -682,7 +665,7 @@ def solve(g, y, lam: float, opts: SolverOptions | None = None) -> DenoiseResult:
         if solver == "dual_fista":
             if not isinstance(g, G.Graph) or g.family == "custom":
                 _, i, j = _fusion_graph(problem.D)
-                if problem.D.shape[0] and _components(len(problem.y), i, j).max() > 0:
+                if problem.D.shape[0] and G._components(len(problem.y), i, j).max() > 0:
                     warnings.warn("graph is disconnected: theoretical lambda rules assume a "
                                   "connected graph; the solution preserves the mean per "
                                   "component", UserWarning, stacklevel=2)
@@ -739,12 +722,6 @@ class LambdaRule:
                 raise ValueError(f"value is read only by the manual rule, not {self.rule!r}")
 
 
-# The JSON values accepted for each field annotation of a config dataclass.
-JSON_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real, "dict": dict,
-              "list": list, "tuple": (list, tuple), "list | None": (list, type(None)),
-              "float | None": (numbers.Real, type(None))}
-
-
 def check_json_fields(cls, d, what: str) -> None:
     """Reject a JSON object with unknown, missing or mistyped fields of dataclass ``cls``."""
     if not isinstance(d, dict):
@@ -756,7 +733,7 @@ def check_json_fields(cls, d, what: str) -> None:
         if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
             raise ValueError(f"missing {what} key {f.name!r}")
         if f.name in d and (isinstance(d[f.name], bool)
-                            or not isinstance(d[f.name], JSON_TYPES[f.type])):
+                            or not isinstance(d[f.name], G.JSON_TYPES[f.type])):
             raise ValueError(f"{what} key {f.name!r} must be {f.type}, got {d[f.name]!r}")
 
 

@@ -177,7 +177,7 @@ def _island_curves(policy: str):
         master_seed=20170301)
     er_cfg = E.ExperimentConfig(
         name=f"acc-er-{policy}", family="erdos_renyi",
-        family_params={"expected_degree": 16}, sizes=sizes, signal=island,
+        family_params={"p": [16 / n for n in sizes]}, sizes=sizes, signal=island,
         sigma=0.5, trials=50, lambda_policy=policy,
         lambda_rule={"rule": "corollary", "delta": 0.1, "constant_c": 2.0},
         master_seed=20170302)
@@ -213,7 +213,7 @@ def test_c10_kl_linearity():
     t0 = time.time()
     kls = [[k, l] for k in range(2, 6) for l in range(3, 10)]
     cfg = E.ExperimentConfig(
-        name="acc-fig3", family="erdos_renyi", family_params={"expected_degree": 16},
+        name="acc-fig3", family="erdos_renyi", family_params={"p": 16 / 100},
         sizes=[100], signal={"kind": "island", "params": {"k": 2, "l": 3}},
         kl_values=kls, sigma=0.5, trials=50, lambda_policy="theoretical",
         lambda_rule={"rule": "corollary", "delta": 0.1, "constant_c": 2.0},

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import pathlib
@@ -126,6 +128,18 @@ class TestSpectralCommand:
                     "--p", "0.001", "--seed", "0",
                     "--out", str(tmp_path / "x.json")]) == 3
 
+
+    def test_custom_graph_size_cap_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # refused from the edge list's counts, before any spectral work
+        def no_report(*args, **kwargs):
+            raise AssertionError("spectral work on an oversized graph")
+        monkeypatch.setattr(spec, "spectral_report", no_report)
+        (tmp_path / "e.txt").write_text("1 2\n2 3\n")
+        out = tmp_path / "out" / "x.json"
+        assert run(["spectral", "--graph", "custom", "--edges", str(tmp_path / "e.txt"),
+                    "--n", "2000000000", "--out", str(out)]) == 2
+        assert "past the supported" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_memory_error_is_numerical_error(self, tmp_path, monkeypatch, capsys):
         def out_of_memory(n):
@@ -312,6 +326,19 @@ class TestDenoiseCommand:
                     "--lambda-rule", "theorem_general", "--sigma", "nan",
                     "--out", str(tmp_path / "t.txt")]) == 2
 
+    @pytest.mark.parametrize("graph", [["--graph", "path", "--n", "4"],
+                                       ["--graph", "path", "--n", "4", "--augmented"],
+                                       ["--graph", "complete", "--n", "4"]])
+    def test_rule_without_sigma_is_usage_error(self, tmp_path, capsys, graph):
+        # the rules scale with the noise level, which has no default
+        yp = self._write_y(tmp_path, np.zeros(4))
+        out = tmp_path / "out" / "t.txt"
+        assert run(["denoise", *graph, "--y", str(yp), "--lambda-rule", "theorem_general",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "graphtv: missing required flag --sigma (or set --lambda-value)\n")
+        assert not (tmp_path / "out").exists()
+
     def test_length_mismatch(self, tmp_path):
         yp = self._write_y(tmp_path, np.array([1.0, 2.0]))
         assert run(["denoise", "--graph", "path", "--n", "3", "--y", str(yp),
@@ -323,7 +350,7 @@ class TestDenoiseCommand:
         monkeypatch.setattr(spec, "_dense_spectrum", no_spectrum)
         yp = self._write_y(tmp_path, np.zeros(4))
         assert run(["denoise", "--graph", "path", "--n", "4", "--augmented", "--y", str(yp),
-                    "--out", str(tmp_path / "t.txt")]) == 2
+                    "--sigma", "1", "--out", str(tmp_path / "t.txt")]) == 2
         assert "needs a graph" in capsys.readouterr().err
 
     def test_cycle_power_rule_off_cycle_power_is_usage_error(self, tmp_path, capsys):
@@ -349,7 +376,7 @@ class TestDenoiseCommand:
         yp = self._write_y(tmp_path, np.zeros(16))
         out = tmp_path / "out" / "theta.txt"
         assert run(["denoise", *graph, "--y", str(yp), "--lambda-rule", "corollary",
-                    "--out", str(out)]) == 2
+                    "--sigma", "1", "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             f"graphtv: the corollary rule has no lambda for a {what}; use the theorem_general "
             "rule or set lambda directly (--lambda-value)\n")
@@ -435,7 +462,8 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize("change, rule, graph", [
         ({}, "theorem_general", G.build_complete(20)),
-        ({"family": "grid2d", "sizes": [5], "lambda_rule": {"rule": "corollary"},
+        ({"family": "grid", "family_params": {"d": 2}, "sizes": [5],
+          "lambda_rule": {"rule": "corollary"},
           "signal": {"kind": "grid_function", "params": {"name": "pc_halfplane"}}},
          "corollary", G.build_grid(2, 5)),
     ], ids=["default-rule", "corollary"])
@@ -451,17 +479,37 @@ class TestExperimentCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "sigma" not in manifest["configs"][0]["lambda_rule"]
 
+    def test_hypercube_island_study(self, tmp_path):
+        # a rate study on a family outside the presets is a config: sizes fill d
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**self.CFG, "name": "cube", "family": "hypercube",
+                                   "sizes": [4, 5, 6], "trials": 2,
+                                   "lambda_rule": {"rule": "corollary", "delta": 0.1}}))
+        out = tmp_path / "run"
+        assert run(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = list(csv.DictReader(io.StringIO((out / "records.csv").read_text())))
+        assert [(row["family"], int(row["n"])) for row in rows] == [
+            ("hypercube", n) for n in (16, 16, 32, 32, 64, 64)]
+        for row in rows:
+            n = int(row["n"])
+            assert float(row["lambda_value"]) == pytest.approx(
+                0.5 * np.sqrt(np.log(np.e * n / 0.1)) / n, rel=1e-12)
+            assert row["converged"] == "true"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["configs"][0]["family"] == "hypercube"
+        assert (out / "cube.fit.json").exists()
+
     def test_needs_config_or_preset(self, tmp_path):
         assert run(["experiment", "--out", str(tmp_path / "x")]) == 2
 
     @pytest.mark.parametrize("change", [
         {"family": "hexagonal"},
-        {"family": "erdos_renyi"},  # no family_params["expected_degree"]
-        {"family": "random_regular", "family_params": {"expected_degree": 4}},
+        {"family": "erdos_renyi"},  # no family_params["p"]: sizes fill n or p, not both
+        {"family": "random_regular", "family_params": {"p": 0.2}},
         {"signal": {"params": {"k": 2, "l": 2}}},
         {"signal": {"kind": "wave"}},
         {"estimators": ["tv", "lasso"]},
-        {"estimators": ["haar"]},  # haar needs grid2d
+        {"estimators": ["haar"]},  # haar needs the 2-D grid
         {"trails": 1},
         {"oracle_beta": 0.7},
         {"lambda_rule": {"rule": "theorem_general", "delat": 0.5}},
@@ -469,50 +517,63 @@ class TestExperimentCommand:
         {"sizes": [1]},
         {"sigma": float("nan")},
         {"sigma": -1.0},
-        {"family": "erdos_renyi", "family_params": {"expected_degree": -4}},
-        {"family": "random_regular", "family_params": {"degree": 3}, "sizes": [20, 21]},
-        {"family": "random_regular", "family_params": {"degree": 20}, "sizes": [20]},
+        {"family": "erdos_renyi", "family_params": {"p": -0.2}},
+        {"family": "random_regular", "family_params": {"d": 3}, "sizes": [20, 21]},
+        {"family": "random_regular", "family_params": {"d": 20}, "sizes": [20]},
         {"lambda_rule": {"sigma": 0.5}},
         {"trials": "1"},
         {"signal": {"kind": "island", "params": {"k": 10, "l": 10}}, "sizes": [20, 400]},
         {"kl_values": []},
         {"sizes": ["20"]},
-        {"family": "erdos_renyi", "family_params": {"expected_degree": "4"}},
-        {"family": "random_regular", "family_params": {"degree": "3"}, "sizes": [20]},
+        {"family": "erdos_renyi", "family_params": {"p": "0.2"}},
+        {"family": "random_regular", "family_params": {"d": "3"}, "sizes": [20]},
         {"signal": {"kind": "island", "params": [2, 2]}},
         {"signal": {"kind": "grid_function", "params": "pc_halfplane"}},
         {"signal": {"kind": ["island"], "params": {"k": 2, "l": 2}}},
         {"lambda_rule": {"rule": "random_gap", "delta": 0.1}},
         {"lambda_rule": {"rule": "cycle_power"}},
-        {"family": "grid2d", "sizes": [4], "lambda_rule": {"rule": "random_gap"}},
-        {"family": "grid2d", "sizes": [4],
+        {"family": "grid", "family_params": {"d": 2}, "sizes": [4],
+         "lambda_rule": {"rule": "random_gap"}},
+        {"family": "grid", "family_params": {"d": 2}, "sizes": [4],
          "signal": {"kind": "grid_function", "params": {"height": 1.0}}},
-        {"family": "grid2d", "sizes": [4],
+        {"family": "grid", "family_params": {"d": 2}, "sizes": [4],
          "signal": {"kind": "grid_function", "params": {"name": "pc_halfplane", "heigth": 1.0}}},
         {"sizes": [20], "signal": {"kind": "custom", "params": {"vector": [1.0, 2.0, 3.0]}}},
         {"sizes": [20], "signal": {"kind": "grid_function", "params": {"name": "pc_halfplane"}}},
-        {"family": "grid2d", "sizes": [4], "kl_values": [[1, 2], [2, 3]],
+        {"family": "grid", "family_params": {"d": 2}, "sizes": [4], "kl_values": [[1, 2], [2, 3]],
          "signal": {"kind": "grid_function", "params": {"name": "pc_halfplane"}},
          "lambda_rule": {"rule": "corollary"}},
-        {"family": "grid2d", "sizes": [4],
+        {"family": "grid", "family_params": {"d": 2}, "sizes": [4],
          "signal": {"kind": "grid_function", "params": {"name": "pc_halfplane"}},
          "lambda_rule": {"rule": "corollary", "value": 0.1}},
-        {"family": "grid2d", "sizes": [4, 5000], "lambda_rule": {"rule": "corollary"},
+        {"family": "grid", "family_params": {"d": 2}, "sizes": [4, 5000],
+         "lambda_rule": {"rule": "corollary"},
          "signal": {"kind": "grid_function", "params": {"name": "pc_halfplane"}}},
         {"lambda_rule": {"rule": "theorem_general", "sigma": 0.5, "delta": 0.1}},
-        {"family": "grid2d", "sizes": [4],
+        {"family": "grid", "family_params": {"d": 2}, "sizes": [4],
          "signal": {"kind": "grid_function", "params": {"name": "pc_halfplane", "N": 4}}},
-        {"family": "grid2d", "sizes": [8],  # 4^3 = 8^2 vertices
+        {"family": "grid", "family_params": {"d": 2}, "sizes": [8],  # 4^3 = 8^2 vertices
          "signal": {"kind": "grid_function", "params": {"name": "pc_halfplane", "d": 3, "N": 4}}},
-        {"family": "grid2d", "sizes": [4],
+        {"family": "grid", "family_params": {"d": 2}, "sizes": [4],
          "signal": {"kind": "bi_isotonic", "params": {"variation_sqrt": 1.0, "N": 4}}},
-        {"family_params": {"degree": 8}},
+        {"family_params": {"d": 8}},
         {"signal": {"kind": "island", "params": {"k": 2, "l": 2, "heigth": 1.0}}},
         {"sizes": [20], "signal": {"kind": "custom", "params": {"vector": [0.0] * 20,
                                                                  "scale": 2.0}}},
-        {"family": "grid2d", "sizes": [4],
+        {"family": "grid", "family_params": {"d": 2}, "sizes": [4],
          "signal": {"kind": "bi_isotonic", "params": {"variation_sqrt": 1.0, "seed": 3}}},
         {"signal": {"kind": "island", "params": {"k": 2, "l": 2}, "parms": {"k": 5}}},
+        {"family": "grid", "family_params": {"d": True}, "sizes": [4],
+         "signal": {"kind": "grid_function", "params": {"name": "pc_halfplane"}}},
+        {"family": "erdos_renyi", "family_params": {"p": None}},
+        {"family": "erdos_renyi", "family_params": {"p": [0.5]}},
+        {"family": "erdos_renyi", "family_params": {"p": 0.5, "seed": 3}},
+        {"family": "grid", "family_params": {"d": 2, "N": 4},
+         "signal": {"kind": "grid_function", "params": {"name": "pc_halfplane"}}},
+        {"family": "cycle_power"},
+        {"family": "grid", "family_params": {"d": 3}, "sizes": [4], "estimators": ["haar"],
+         "signal": {"kind": "grid_function", "params": {"name": "pc_halfplane"}}},
+        {"family": "cycle_power", "family_params": {"k": 11}},
     ], ids=["unknown-family", "er-no-degree", "rr-no-degree", "signal-no-kind",
             "unknown-kind", "unknown-estimator", "haar-off-grid", "unknown-key",
             "retired-key", "unknown-rule-key", "unknown-rule", "size-below-2", "nan-sigma",
@@ -525,7 +586,10 @@ class TestExperimentCommand:
             "custom-vector-wrong-length", "grid-signal-on-complete", "kl-values-off-island",
             "rule-value-off-manual", "size-past-the-cap", "rule-sigma", "grid-function-N",
             "grid-function-d", "bi-isotonic-N", "family-param-unread", "island-param-unread",
-            "custom-param-unread", "bi-isotonic-param-unread", "unknown-signal-key"])
+            "custom-param-unread", "bi-isotonic-param-unread", "unknown-signal-key",
+            "flag-bool", "flag-null", "p-list-length", "family-param-seed",
+            "no-flag-for-sizes", "two-flags-for-sizes", "haar-off-2d-grid",
+            "seedless-family-refused-at-load"])
     def test_bad_config_fails_before_running(self, tmp_path, capsys, change):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**self.CFG, **change}))

@@ -151,11 +151,24 @@ class TestRunExperiment:
     def test_grid_cells_build_one_operator(self, monkeypatch):
         # the cached grid keeps its incidence matrix and step bound across cells
         calls = _count_operator_builds(monkeypatch)
-        E._fixed_graph.cache_clear()
-        cfg = tiny_config(family="grid2d", sizes=[6], trials=3, estimators=("tv",),
+        E._seedless_graph.cache_clear()
+        cfg = tiny_config(family="grid", family_params={"d": 2}, sizes=[6], trials=3,
+                          estimators=("tv",),
                           signal={"kind": "grid_function", "params": {"name": "pc_halfplane"}},
                           lambda_rule={"rule": "corollary", "delta": 0.1})
         assert all(r.converged for r in E.run_experiment(cfg))
+        assert calls == {"incidence": 1, "operator_norm": 1}
+
+    def test_configs_share_a_seedless_graph(self, monkeypatch):
+        # two configs on one grid read one Graph, and its one operator
+        calls = _count_operator_builds(monkeypatch)
+        E._seedless_graph.cache_clear()
+        for name in ("pc_halfplane", "holder_cone"):
+            cfg = tiny_config(family="grid", family_params={"d": 2}, sizes=[6], trials=2,
+                              estimators=("tv",),
+                              signal={"kind": "grid_function", "params": {"name": name}},
+                              lambda_rule={"rule": "corollary", "delta": 0.1})
+            assert all(r.converged for r in E.run_experiment(cfg))
         assert calls == {"incidence": 1, "operator_norm": 1}
 
     def test_cells_read_the_theta_realized_at_load(self, monkeypatch):
@@ -193,7 +206,7 @@ class TestRunExperiment:
         assert {(r.k, r.l) for r in rec} == {(2, 2), (2, 4), (3, 3)}
 
     def test_grid_family_with_haar(self):
-        cfg = tiny_config(family="grid2d", sizes=[8],
+        cfg = tiny_config(family="grid", family_params={"d": 2}, sizes=[8],
                           signal={"kind": "grid_function",
                                   "params": {"name": "pc_halfplane", "height": 5.0}},
                           estimators=("tv", "haar", "identity"),
@@ -224,19 +237,23 @@ class TestRunExperiment:
         ("complete", 20, {"kind": "custom", "params": {"vector": [1.0, 2.0, 3.0]}},
          r"custom signal has shape \(3,\) at size 20, but the complete graph has 20 vertices"),
         ("complete", 20, {"kind": "grid_function", "params": {"name": "pc_halfplane"}},
-         r"grid_function signal has shape \(400,\)"),
+         "grid_function signal needs the grid family, not 'complete'"),
         ("grid2d", 2, {"kind": "custom", "params": {"vector": [1.0, float("nan"), 0.0, 0.0]}},
          "custom signal has values that are not finite"),
         ("complete", 20, {"kind": "island", "params": {"k": 5, "l": 5}}, r"k\*l <= n"),
     ])
     def test_bad_signal_fails_at_load(self, family, size, signal, match):
+        # "grid2d" names the 2-D grid: family grid with d = 2
+        graph = {"family": "grid", "family_params": {"d": 2}} if family == "grid2d" else {
+            "family": family}
         with pytest.raises(ValueError, match=match):
-            tiny_config(family=family, sizes=[size], signal=signal,
+            tiny_config(**graph, sizes=[size], signal=signal,
                         lambda_rule={"rule": "manual", "value": 0.1})
 
     def test_kl_values_need_an_island_signal(self):
         with pytest.raises(ValueError, match="kl_values sweeps island shapes"):
-            tiny_config(family="grid2d", sizes=[4], kl_values=[[1, 2], [2, 3]],
+            tiny_config(family="grid", family_params={"d": 2}, sizes=[4],
+                        kl_values=[[1, 2], [2, 3]],
                         signal={"kind": "grid_function", "params": {"name": "pc_halfplane"}},
                         lambda_rule={"rule": "corollary"})
 
@@ -244,6 +261,94 @@ class TestRunExperiment:
         cfg = tiny_config()
         back = E.ExperimentConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))
         assert back == cfg
+
+
+# family -> (family_params, the size that fills its remaining flag, vertices)
+FAMILY_CASES = {
+    "path": ({}, 12, 12),
+    "grid": ({"d": 2}, 4, 16),
+    "hypercube": ({}, 4, 16),
+    "complete": ({}, 12, 12),
+    "star": ({}, 12, 12),
+    "cycle_power": ({"k": 2}, 12, 12),
+    "erdos_renyi": ({"p": 0.5}, 12, 12),
+    "random_regular": ({"d": 3}, 12, 12),
+}
+
+
+class TestFamilyTable:
+    """Every family of graphs.FAMILIES runs through the harness under its own key."""
+
+    @pytest.mark.parametrize("family", list(G.FAMILIES))
+    def test_every_family_runs(self, family):
+        family_params, size, n = FAMILY_CASES[family]
+        cfg = tiny_config(family=family, family_params=family_params, sizes=[size], trials=1)
+        rec = E.run_experiment(cfg)
+        assert [(r.family, r.n, r.estimator) for r in rec] == [
+            (family, n, "tv"), (family, n, "identity")]
+        assert all(r.converged for r in rec)
+
+    @pytest.mark.parametrize("family_params, sizes, ns", [
+        ({"d": 2}, [3, 5], [9, 25]),  # sizes are side lengths
+        ({"N": 3}, [1, 2, 3], [3, 9, 27]),  # sizes are dimensions
+    ])
+    def test_sizes_fill_the_flag_the_params_leave_out(self, family_params, sizes, ns):
+        cfg = tiny_config(family="grid", family_params=family_params, sizes=sizes, trials=1,
+                          signal={"kind": "island", "params": {"k": 1, "l": 2}})
+        assert sorted({r.n for r in E.run_experiment(cfg)}) == ns
+
+    def test_random_regular_degree_sweep(self):
+        cfg = tiny_config(family="random_regular", family_params={"n": 20}, sizes=[2, 4, 6],
+                          trials=1, estimators=("tv",))
+        rec = E.run_experiment(cfg)
+        assert [r.n for r in rec] == [20, 20, 20]
+        assert len({r.lambda_value for r in rec}) == 3  # rho differs with the degree
+
+    def test_list_flag_holds_one_value_per_size(self, monkeypatch):
+        seen = []
+        build = G.build_erdos_renyi
+        monkeypatch.setattr(E.G, "build_erdos_renyi",
+                            lambda n, p, seed: seen.append((n, p)) or build(n, p, seed))
+        cfg = tiny_config(family="erdos_renyi", family_params={"p": [0.5, 0.25]}, trials=1)
+        E.run_experiment(cfg)
+        assert seen == [(20, 0.5), (40, 0.25)]
+
+    @pytest.mark.parametrize("change, match", [
+        ({"family": "cycle_power", "family_params": {"k": 11}}, "cycle power requires"),
+        ({"family": "grid", "family_params": {"d": True}}, "--d of grid must be int"),
+        ({"family": "erdos_renyi", "family_params": {"p": "0.5"}},
+         "--p of erdos_renyi must be float"),
+        ({"family": "erdos_renyi", "family_params": {"p": [0.5]}},
+         "holds 1 values, not one per size"),
+        ({"family": "erdos_renyi", "family_params": {"p": 0.5, "seed": 1}},
+         r"does not read family_params\['seed'\]"),
+        ({"family": "grid", "family_params": {"d": 2, "N": 4}}, "for sizes to fill, not 0"),
+        ({"family": "grid"}, "for sizes to fill, not 2"),
+        ({"family": "grid2d"}, "unknown graph family 'grid2d'"),
+        ({"family": "grid", "family_params": {"d": 3}, "estimators": ("haar",),
+          "signal": {"kind": "island", "params": {"k": 1, "l": 1}}},
+         "haar estimator needs the 2-D grid"),
+    ])
+    def test_bad_family_fails_at_load(self, change, match):
+        # the config refuses it: a seedless graph is built, and every flag checked, at load
+        with pytest.raises(ValueError, match=match):
+            tiny_config(**change)
+
+    @pytest.mark.parametrize("name", ["island-fig2", "island-fig3", "holder-2d",
+                                      "cartoon-2d", "isotonic-2d"])
+    def test_presets_json_roundtrip(self, name):
+        for cfg in E.preset_configs(name):
+            back = E.ExperimentConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))
+            assert back == cfg
+            assert back._params == cfg._params
+            assert cfg.family in G.FAMILIES
+
+    def test_er_presets_keep_expected_degree_16(self):
+        # p = 16/n per size, the graphs of the expected-degree-16 presets
+        for cfg in E.preset_configs("island-fig2") + E.preset_configs("island-fig3"):
+            if cfg.family == "erdos_renyi":
+                assert [dict(params)["p"] * dict(params)["n"] for params in cfg._params] == \
+                    pytest.approx([16.0] * len(cfg.sizes), rel=1e-15)
 
 
 class TestFitRate:

@@ -263,7 +263,8 @@ class TestIncidenceInvariants:
         assert np.all(arr.sum(axis=1) == 0)  # D 1 = 0
         assert np.all((arr == 1).sum(axis=1) == 1)
         assert np.all((arr == -1).sum(axis=1) == 1)
-        A = G.adjacency(g).toarray()
+        A = np.zeros((g.n, g.n))
+        A[g.edges[:, 0], g.edges[:, 1]] = A[g.edges[:, 1], g.edges[:, 0]] = 1
         L = np.diag(A.sum(axis=1)) - A
         assert np.array_equal(arr.T @ arr, L)
 
@@ -328,6 +329,12 @@ class TestConnectivity:
     def test_complete_connected(self):
         assert G.is_connected(G.build_complete(9))
 
+    @pytest.mark.parametrize("n, edges, connected", [
+        (1, [], True), (3, [], False), (3, [[0, 2]], False), (3, [[0, 2], [1, 2]], True),
+    ])
+    def test_edgeless_and_isolated_vertices(self, n, edges, connected):
+        assert G.is_connected(G.Graph(n, np.array(edges).reshape(-1, 2))) is connected
+
 
 class TestEdgeListFormat:
     def test_parse_with_comments(self):
@@ -343,6 +350,17 @@ class TestEdgeListFormat:
         back = G.read_edge_list(p)
         assert back.n == g.n
         assert np.array_equal(back.edges, g.edges)
+
+    def test_size_cap_before_the_graph(self, monkeypatch):
+        # refused from the counts alone: a Graph of 2e9 vertices is never built
+        def no_graph(*args, **kwargs):
+            raise AssertionError("graph built")
+        monkeypatch.setattr(G, "Graph", no_graph)
+        with pytest.raises(ValueError, match="custom graph has 1 edges and 2000000000 vertices"):
+            G.parse_edge_list("1 2\n", n=2_000_000_000)
+        monkeypatch.setattr(G, "SIZE_CAP", 2)
+        with pytest.raises(ValueError, match="custom graph has 3 edges and 3 vertices"):
+            G.parse_edge_list("1 2\n2 3\n1 3\n")
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -392,6 +410,24 @@ class TestFamilyTable:
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown graph family 'custom'"):
             G.build_family("custom", n=3)
+
+    @pytest.mark.parametrize("family, params, match", [
+        ("random_regular", {"n": 20, "d": "3", "seed": 1}, "--d of random_regular must be int"),
+        ("erdos_renyi", {"n": 20, "p": "0.5", "seed": 1}, "--p of erdos_renyi must be float"),
+        ("grid", {"d": True, "N": 4}, "--d of grid must be int, got True"),
+        ("complete", {"n": 20.0}, "--n of complete must be int, got 20.0"),
+        ("erdos_renyi", {"n": 20, "p": True, "seed": 1}, "--p of erdos_renyi must be float"),
+        ("erdos_renyi", {"n": 20, "p": 0.5, "seed": 1.5}, "--seed of erdos_renyi must be int"),
+        ("cycle_power", {"n": 8, "k": [2]}, "--k of cycle_power must be int"),
+    ])
+    def test_mistyped_flag(self, family, params, match):
+        # before the builder runs: a bool is refused though it is an int
+        with pytest.raises(ValueError, match=match):
+            G.build_family(family, **params)
+
+    def test_numpy_and_integer_flags_are_taken(self):
+        g = G.build_family("erdos_renyi", n=np.int64(12), p=1, seed=np.uint64(3))
+        assert g.n == 12 and g.m == 66
 
     def test_builder_looked_up_at_call_time(self, monkeypatch):
         monkeypatch.setattr(G, "build_path", lambda N: ("replaced", N))

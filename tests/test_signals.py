@@ -144,24 +144,25 @@ class TestSignalSpec:
     """The ``signal`` spec of an experiment config, realized by ``experiments._signal_for``."""
 
     @staticmethod
-    def _config(kind, params, family="grid2d", size=4):
+    def _config(kind, params, family="grid", size=4):
         return E.ExperimentConfig(name="s", family=family, sizes=[size],
+                                  family_params={"d": 2} if family == "grid" else {},
                                   signal={"kind": kind, "params": params})
 
     def test_realize_island(self):
         cfg = self._config("island", {"k": 2, "l": 2}, family="complete", size=10)
-        v = E._signal_for(cfg, 10, 10, cfg._shapes[0], signal_seed=0)
+        v = E._signal_for(cfg, G.build_complete(10), 10, cfg._shapes[0], signal_seed=0)
         assert v.tolist() == [60, 60, 70, 70, 50, 50, 50, 50, 50, 50]
 
     def test_realize_grid_function(self):
         cfg = self._config("grid_function", {"name": "pc_halfplane", "height": 1.0})
-        v = E._signal_for(cfg, 4, 16, cfg._shapes[0], signal_seed=0)
-        assert v.shape == (16,)  # side and d = 2 default from the grid2d size
+        v = E._signal_for(cfg, G.build_grid(2, 4), 16, cfg._shapes[0], signal_seed=0)
+        assert v.shape == (16,)  # d and the side N from the grid graph
         assert np.array_equal(v, sig.sample_grid_function("pc_halfplane", 2, 4, height=1.0))
 
     def test_realize_bi_isotonic_flattens_column_major(self):
         cfg = self._config("bi_isotonic", {"variation_sqrt": 2.0}, size=5)
-        v = E._signal_for(cfg, 5, 25, cfg._shapes[0], signal_seed=4)
+        v = E._signal_for(cfg, G.build_grid(2, 5), 25, cfg._shapes[0], signal_seed=4)
         m = sig.bi_isotonic_signal(5, 2.0, seed=4)
         assert np.array_equal(v, m.reshape(-1, order="F"))
 

@@ -47,7 +47,8 @@ class TestCirculantEigenvalues:
             assert S.circulant_eigenvalues(n, k)[0] == 0.0
 
     def test_matches_dense_eigensolve(self):
-        for n, k in [(6, 2), (9, 2), (10, 4)]:
+        # n = 2k joins each vertex to its opposite once: (4, 2) is K_4, (6, 3) is K_6
+        for n, k in [(6, 2), (9, 2), (10, 4), (4, 2), (6, 3), (8, 4), (10, 5)]:
             vals = np.sort(S.circulant_eigenvalues(n, k))
             oracle = np.linalg.eigvalsh(dense_laplacian(G.build_cycle_power(n, k)))
             assert np.max(np.abs(vals - oracle)) <= 1e-9

@@ -639,7 +639,7 @@ def _constant_threshold(g, y) -> float:
     that u is dual feasible at every larger lambda, so it bounds the smallest
     such lambda from above (and equals it on a path).
     """
-    _, comp = connected_components(G.adjacency(g), directed=False)
+    comp = G._components(g.n, g.edges[:, 0], g.edges[:, 1])
     centered = y - (np.bincount(comp, weights=y) / np.bincount(comp))[comp]
     u = np.linalg.lstsq(G.incidence(g).T.toarray(), centered, rcond=None)[0]
     return 2.0 / g.n * float(np.max(np.abs(u)))
@@ -683,7 +683,7 @@ class TestFusedCandidateAgainstOracles:
         _, resid = T.kkt_certificate(problem, res.theta_hat)
         assert resid <= self.tol * scale
         # fusion never crosses components: each keeps the mean of its data
-        _, comp = connected_components(G.adjacency(g), directed=False)
+        comp = G._components(g.n, g.edges[:, 0], g.edges[:, 1])
         for c in np.unique(comp):
             assert abs(res.theta_hat[comp == c].mean() - y[comp == c].mean()) <= 1e-12 * scale
 
@@ -766,7 +766,7 @@ class TestCertificateMeaning:
         # on these inputs that is the component count of |D|^T |D|
         _, i, j = T._fusion_graph(D)
         ncomp, _ = connected_components(abs(D.T) @ abs(D), directed=False)
-        assert T._components(D.shape[1], i, j).max() + 1 == ncomp
+        assert G._components(D.shape[1], i, j).max() + 1 == ncomp
 
     def test_augmented_path_certifies(self):
         y = np.random.default_rng(8).normal(size=40)
@@ -777,7 +777,7 @@ class TestCertificateMeaning:
 
 
 def _components_coo(n, i, j):
-    """Reference for ``T._components``: the link matrix through coo."""
+    """Reference for ``G._components``: the link matrix through coo."""
     links = sp.coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
     return connected_components(links, directed=False)[1]
 
@@ -792,13 +792,13 @@ class TestComponents:
         edges = g.edges[rng.random(g.m) < rng.random()]
         edges = rng.permuted(edges[rng.permutation(len(edges))], axis=1)
         i, j = edges[:, 0], edges[:, 1]
-        assert np.array_equal(T._components(g.n, i, j), _components_coo(g.n, i, j))
+        assert np.array_equal(G._components(g.n, i, j), _components_coo(g.n, i, j))
 
     def test_fusion_edges_in_row_order(self):
         # the edges of an incidence matrix come out of _fusion_graph sorted by i
         _, i, j = T._fusion_graph(G.incidence(G.build_grid(2, 9)))
         assert np.all(np.diff(i) >= 0)
-        assert np.array_equal(T._components(81, i[::2], j[::2]),
+        assert np.array_equal(G._components(81, i[::2], j[::2]),
                               _components_coo(81, i[::2], j[::2]))
 
 
