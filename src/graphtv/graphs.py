@@ -230,8 +230,9 @@ def build_erdos_renyi(n: int, p: float, seed: int) -> Graph:
             for start in range(0, total, ER_BLOCK_PAIRS)
         ])
         i = np.searchsorted(row_start, k, side="right") - 1
-        edges = _canonical_edges(np.column_stack([i, k - row_start[i] + i + 1]))
-        g = Graph(n, edges, family="erdos_renyi", params={"p": p, "seed": seed})
+        # increasing k lists the pairs in row-major, hence lexicographic, order
+        g = Graph(n, np.column_stack([i, k - row_start[i] + i + 1]),
+                  family="erdos_renyi", params={"p": p, "seed": seed})
         if is_connected(g):
             return g
     raise GraphGenerationError(
@@ -358,15 +359,13 @@ def incidence(g: Graph) -> sp.csr_matrix:
     """Edge-vertex incidence matrix D (m x n), rows in canonical edge order.
 
     Row e for edge (i, j) with i < j has +1 at column i and -1 at column j,
-    so ``D.T @ D`` is the unnormalized graph Laplacian.
+    so ``D.T @ D`` is the unnormalized graph Laplacian.  Every row holds two
+    entries, so the csr arrays are written directly: indptr 0, 2, 4, ...
+    and the edge list as the column indices.
     """
     m = g.m
-    if m == 0:
-        return sp.csr_matrix((0, g.n))
-    rows = np.repeat(np.arange(m, dtype=np.int64), 2)
-    cols = g.edges.reshape(-1)
-    data = np.tile(np.array([1.0, -1.0]), m)
-    return sp.csr_matrix((data, (rows, cols)), shape=(m, g.n))
+    return sp.csr_matrix((np.tile([1.0, -1.0], m), g.edges.reshape(-1),
+                          np.arange(0, 2 * m + 1, 2)), shape=(m, g.n))
 
 
 def degrees(g: Graph) -> np.ndarray:

@@ -25,7 +25,6 @@ from functools import reduce
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from . import graphs as G
@@ -117,8 +116,10 @@ def _kernel_components(D: sp.csr_matrix, L: sp.spmatrix) -> list[np.ndarray]:
     component of a graph, none for the anchored path.
     """
     n = D.shape[1]
-    count, labels = connected_components(L, directed=False)
-    ind = sp.csr_matrix((np.ones(n), (np.arange(n), labels)), shape=(n, count))
+    L = L.tocoo()
+    off = L.row != L.col
+    labels = G._components(n, L.row[off], L.col[off])
+    ind = sp.csr_matrix((np.ones(n), (np.arange(n), labels)), shape=(n, labels.max() + 1))
     resid = abs(D @ ind).max(axis=0).toarray().ravel()
     scale = (abs(D) @ ind).max(axis=0).toarray().ravel()  # D 1_c = 0 up to rounding
     return [np.flatnonzero(labels == c) for c in np.flatnonzero(resid <= 1e-12 * scale)]

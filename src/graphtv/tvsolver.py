@@ -18,7 +18,11 @@ and the primal iterate theta = y - D^T u preserves the per-component
 mean of y exactly.  Any algorithm achieving the certificate above is a
 valid replacement.  The step size is 1/L for a certified upper bound L
 on the largest eigenvalue of D^T D (``operator_norm``), which is all
-the accelerated gradient method needs.
+the accelerated gradient method needs.  A Graph keeps D, D^T and that
+bound once derived (``DenoiseProblem``), so repeated solves on one graph
+pay for them once.  Convergence is checked every ``CHECK_EVERY``
+iterations, at the last iteration, and once early (``WARM_CHECK``) when
+the solve starts from a warm dual.
 
 The estimates are piecewise constant, and by complementary slackness
 every edge whose dual entry is strictly inside the box (|u_e| < mu) is
@@ -77,6 +81,8 @@ LAMBDA_RULES = ("theorem_general", "corollary", "manual")
 
 # Iterations between the convergence checks of the iterative solvers.
 CHECK_EVERY = 25
+# The extra, early check of a warm-started ``denoise``.
+WARM_CHECK = 10
 # An edge with |(D theta)_e| above JUMP_RTOL * _scale(y) is a jump, else flat.
 JUMP_RTOL = 1e-8
 
@@ -90,26 +96,34 @@ class DenoiseProblem:
     """One denoising instance: observations y, incidence D, weight lam.
 
     ``lam`` multiplies ``||D theta||_1`` against ``(1/n)||theta - y||_2^2``.
-    ``D`` is a difference matrix, or a Graph whose incidence matrix and step
-    bound ``op_norm = operator_norm(D)`` are built once and kept on it; for
-    a matrix ``op_norm`` is None and :func:`denoise` computes the bound.
+    ``D`` is a difference matrix, or a Graph whose incidence matrix, its
+    transpose ``Dt``, the step bound ``op_norm = operator_norm(D, Dt)`` and
+    the ``fusion`` arrays of :func:`_fusion_graph` (its edge list) are built
+    once and kept on it.  For a matrix these three are None and
+    :func:`denoise` derives them on each call.
     """
 
     y: np.ndarray
     D: sp.spmatrix
     lam: float
+    Dt: sp.csr_matrix | None = field(default=None, init=False, repr=False)
     op_norm: float | None = field(default=None, init=False, repr=False)
+    fusion: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.y = _check_exact_input(self.y, self.lam)
         if isinstance(self.D, G.Graph):
-            derived = self.D._derived
+            g, derived = self.D, self.D._derived
             if "D" not in derived:
-                derived["D"] = D = G.incidence(self.D)
-                for a in (D.data, D.indices, D.indptr):  # shared by every problem on the Graph
-                    a.setflags(write=False)
-                derived["op_norm"] = operator_norm(D)
-            self.D, self.op_norm = derived["D"], derived["op_norm"]
+                D = G.incidence(g)
+                Dt = D.T.tocsr()
+                for a in (D.data, D.indices, D.indptr, Dt.data, Dt.indices, Dt.indptr):
+                    a.setflags(write=False)  # shared by every problem on the Graph
+                i, j = np.ascontiguousarray(g.edges.T)  # row e of D reads theta_i - theta_j
+                derived.update(D=D, Dt=Dt, op_norm=operator_norm(D, Dt),
+                               fusion=(slice(None), i, j))
+            self.D, self.Dt, self.op_norm, self.fusion = (
+                derived[key] for key in ("D", "Dt", "op_norm", "fusion"))
         elif not sp.issparse(self.D):
             self.D = sp.csr_matrix(np.asarray(self.D, dtype=float))
         else:
@@ -162,7 +176,7 @@ def objective_value(y: np.ndarray, D, lam: float, theta: np.ndarray) -> float:
     return fit + lam * float(np.abs(D @ theta).sum())
 
 
-def operator_norm(D) -> float:
+def operator_norm(D, Dt=None) -> float:
     """Certified upper bound on the largest eigenvalue of D^T D.
 
     ``||D x|| <= || |D| |x| ||``, so the spectral radius of Q = |D|^T |D|
@@ -171,12 +185,14 @@ def operator_norm(D) -> float:
     graph) the first quotient is at most the Anderson-Morley bound
     max over edges of d_i + d_j; each of eight power steps on Q + I
     (positive even at isolated vertices) can only lower it.  Exact on stars.
+    ``Dt``, the csr transpose of D, saves building |D|^T when the caller
+    has it.
     """
     n = D.shape[1]
     if D.shape[0] == 0 or n == 0:
         return 0.0
     A = sp.csr_matrix(abs(D))
-    At = A.T.tocsr()
+    At = abs(D.T.tocsr() if Dt is None else Dt)
     x = At @ (A @ np.ones(n))
     x[x == 0.0] = 1.0
     bound = np.inf
@@ -269,25 +285,30 @@ def _apg_box(grad, u0: np.ndarray, step: float, bound: float, max_iter: int):
 def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> DenoiseResult:
     """Solve the TV denoising problem and return a certified result.
 
-    Every ``CHECK_EVERY`` iterations the primal iterate theta = y - D^T u
-    is tested: the stationarity certificate must pass at
+    The checks fall on the multiples of ``CHECK_EVERY``, at
+    ``opts.max_iter``, and for a warm start (``opts.z0`` given) also at
+    ``WARM_CHECK``: the schedule depends on nothing but the iteration
+    number and whether a warm start was given.  A check tests the primal
+    iterate theta = y - D^T u: the stationarity certificate must pass at
     ``opts.tol * (1 + ||y||_inf)`` and its duality gap against u at
-    ``opts.tol * (1 + fit)``.  When it fails, the dual-fused candidate
-    is tested the same way: theta averaged over the connected components
-    of the edges whose dual entry is strictly inside the box, which are
-    flat at the optimum by complementary slackness.  Its gap is
-    ``gap + P(fused) - P(theta)``.  The solve stops at the first
-    candidate that passes, or at ``opts.max_iter`` with
-    ``converged=False`` and the best candidate found.  On a disconnected
-    graph the solution is exact per component and keeps the mean of y on
-    each; fusion never crosses components.  :func:`solve` warns about a
-    disconnected custom graph.
+    ``opts.tol * (1 + fit)``.  A theta whose gap alone fails is not
+    evaluated further.  When theta fails, the dual-fused candidate is
+    tested the same way, always in full: theta averaged over the
+    connected components of the edges whose dual entry is strictly inside
+    the box, which are flat at the optimum by complementary slackness.
+    Its gap is ``gap + P(fused) - P(theta)``.  The solve stops at the
+    first candidate that passes, or at ``opts.max_iter`` with
+    ``converged=False`` and the best fully evaluated candidate.  A
+    :class:`DenoiseProblem` on a Graph brings D, D^T, the step bound and
+    the fusion edges kept on the Graph; for a bare matrix they are derived
+    here, on each call.  On a disconnected graph the solution is exact per
+    component and keeps the mean of y on each; fusion never crosses
+    components.  :func:`solve` warns about a disconnected custom graph.
     """
     opts = opts or SolverOptions()
     y, D, lam = problem.y, problem.D, problem.lam
     m, n = D.shape
     scale = _scale(y)
-    fuse_rows, fuse_i, fuse_j = _fusion_graph(D)
     jump_tol = JUMP_RTOL * scale
     if m == 0 or lam == 0.0:
         theta = y.copy()
@@ -297,20 +318,24 @@ def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> Denoi
                              objective_value(y, D, lam, theta), True, 0.0, False)
 
     mu = 0.5 * n * lam
-    op = problem.op_norm if problem.op_norm is not None else operator_norm(D)
+    if problem.Dt is None:  # a bare matrix: derive what a Graph keeps
+        Dt = D.T.tocsr()
+        op, (fuse_rows, fuse_i, fuse_j) = operator_norm(D, Dt), _fusion_graph(D)
+    else:
+        Dt, op, (fuse_rows, fuse_i, fuse_j) = problem.Dt, problem.op_norm, problem.fusion
     if op <= 0.0:
         raise ValueError("operator norm of D must be positive")
     step = 1.0 / op
-    Dt = D.T.tocsr()
 
-    if opts.z0 is not None:
+    warm = opts.z0 is not None
+    if warm:
         u0 = mu * np.clip(np.asarray(opts.z0, dtype=float), -1.0, 1.0)
     else:
         u0 = np.zeros(m)
-    best = None  # (score, residual, gap, theta, z, fused) of the best candidate so far
+    best = None  # (score, residual, gap, theta, z, fused) of the best full candidate so far
     converged = False
     for it, _, u in _apg_box(lambda v: D @ (Dt @ v - y), u0, step, mu, opts.max_iter):
-        if it % CHECK_EVERY != 0 and it != opts.max_iter:
+        if it % CHECK_EVERY != 0 and it != opts.max_iter and not (warm and it == WARM_CHECK):
             continue
         theta = y - Dt @ u
         Dtheta = D @ theta
@@ -332,12 +357,14 @@ def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> Denoi
                 # P(theta_f) minus the dual value of u, without a ||y||^2 cancellation
                 gap = np.maximum(0.0, gap + (fit_f - fit) + lam * (tv_f - tv))
                 theta, fit = theta_f, fit_f
+            elif gap / (1.0 + fit) > opts.tol:
+                continue  # its gap alone fails theta: skip the residual
             jumps = np.abs(Dtheta) > jump_tol
             zq = z.copy()
             zq[jumps] = np.sign(Dtheta[jumps])
             resid = float(np.max(np.abs((2.0 / n) * (theta - y) + lam * (Dt @ zq))))
             # np.max and np.maximum propagate NaN, which never passes the test
-            score = float(np.max([resid / scale, gap / (1.0 + fit)]))
+            score = float(np.maximum(resid / scale, gap / (1.0 + fit)))
             if best is None or score < best[0]:
                 best = (score, resid, float(gap), theta, zq, fused)
             if score <= opts.tol and np.all(np.isfinite(theta)):
@@ -404,11 +431,11 @@ def kkt_certificate(problem: DenoiseProblem, theta: np.ndarray,
         return z, float(np.max(np.abs(r0)))
 
     DF = D[free].tocsr()
-    op = operator_norm(DF)
+    DFt = DF.T.tocsr()
+    op = operator_norm(DF, DFt)
     if op <= 0.0:
         return z, float(np.max(np.abs(r0)))
     step = 1.0 / (lam * lam * op)
-    DFt = DF.T.tocsr()
     w_forest = _forest_dual(DF, DFt, -r0 / lam)
     best_w = np.zeros(DF.shape[0]) if w_forest is None else np.clip(w_forest, -1.0, 1.0)
     best_resid = float(np.max(np.abs(r0 + lam * (DFt @ best_w))))
@@ -639,8 +666,9 @@ def solver_for(g) -> str:
 def solve(g, y, lam: float, opts: SolverOptions | None = None) -> DenoiseResult:
     """Denoise y on ``g`` (a Graph or a difference matrix) by the route of :func:`solver_for`.
 
-    A Graph keeps the incidence matrix and step bound of its first
-    :class:`DenoiseProblem`; the complete-graph route builds neither.
+    A Graph keeps the incidence matrix, its transpose and the step bound
+    of its first :class:`DenoiseProblem`; the complete-graph route builds
+    none of them.
     The exact routes report ``converged`` when their certificate passes
     the bounds of :func:`denoise`: residual within ``opts.tol * (1 +
     ||y||_inf)`` and dual feasibility within ``1 + opts.tol``.  They take
@@ -664,7 +692,7 @@ def solve(g, y, lam: float, opts: SolverOptions | None = None) -> DenoiseResult:
         problem = DenoiseProblem(y, g, lam)
         if solver == "dual_fista":
             if not isinstance(g, G.Graph) or g.family == "custom":
-                _, i, j = _fusion_graph(problem.D)
+                _, i, j = problem.fusion or _fusion_graph(problem.D)
                 if problem.D.shape[0] and G._components(len(problem.y), i, j).max() > 0:
                     warnings.warn("graph is disconnected: theoretical lambda rules assume a "
                                   "connected graph; the solution preserves the mean per "

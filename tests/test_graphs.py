@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -218,6 +219,16 @@ class TestRandomFamilies:
             tracemalloc.stop()
         assert peak < 20e6
 
+    # sha256 of the little-endian int64 edge array, recorded when the ER
+    # builder still sorted its pairs with _canonical_edges
+    @pytest.mark.parametrize("n,p,seed,m,digest", [
+        (100, 0.16, 1, 814, "23b2066498c18d0a"), (200, 0.08, 7, 1562, "ad26fb36640d3f96"),
+        (400, 0.04, 13, 3236, "53122c4fffeafa45"), (1500, 0.004, 2, 4606, "4f68299831334b83")])
+    def test_er_edges_pinned(self, n, p, seed, m, digest):
+        edges = G.build_erdos_renyi(n, p, seed).edges
+        assert len(edges) == m
+        assert hashlib.sha256(edges.astype("<i8").tobytes()).hexdigest()[:16] == digest
+
     def test_regular_unique_cubic_on_four(self):
         g = G.build_random_regular(4, 3, seed=1)
         assert np.array_equal(g.edges, G.build_complete(4).edges)
@@ -267,6 +278,33 @@ class TestIncidenceInvariants:
         A[g.edges[:, 0], g.edges[:, 1]] = A[g.edges[:, 1], g.edges[:, 0]] = 1
         L = np.diag(A.sum(axis=1)) - A
         assert np.array_equal(arr.T @ arr, L)
+
+    @staticmethod
+    def _incidence_coo(g):
+        """The COO build ``incidence`` replaced: two entries per row, summed into csr."""
+        if g.m == 0:
+            return sp.csr_matrix((0, g.n))
+        rows = np.repeat(np.arange(g.m, dtype=np.int64), 2)
+        data = np.tile(np.array([1.0, -1.0]), g.m)
+        return sp.csr_matrix((data, (rows, g.edges.reshape(-1))), shape=(g.m, g.n))
+
+    def test_direct_csr_matches_coo_build(self):
+        # random edge subsets of K_n, the edgeless graph included, and the families
+        rng = np.random.default_rng(11)
+        graphs = [G.Graph(1, np.zeros((0, 2))), G.Graph(5, np.zeros((0, 2))),
+                  G.build_grid(2, 9), G.build_cycle_power(12, 6),
+                  G.build_erdos_renyi(300, 0.05, seed=2)]
+        for _ in range(60):
+            n = int(rng.integers(1, 30))
+            edges = G.build_complete(n).edges if n > 1 else np.zeros((0, 2))
+            graphs.append(G.Graph(n, edges[rng.random(len(edges)) < rng.random()]))
+        assert any(g.m == 0 for g in graphs[2:])
+        for g in graphs:
+            D, ref = G.incidence(g), self._incidence_coo(g)
+            assert D.shape == ref.shape
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(D, name), getattr(ref, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (name, g.n, g.m)
 
     def test_grid_2x2_degrees(self):
         L = laplacian_dense(G.build_grid(2, 2))

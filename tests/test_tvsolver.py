@@ -1148,6 +1148,11 @@ class TestGraphKeepsItsOperator:
         res = T.solve(D, y, 0.05)
         assert res.converged and res.solver == "dual_fista"
         assert calls == {"incidence": 0, "operator_norm": 1}
+        # a problem on a matrix keeps nothing: each denoise derives its bound again
+        problem = T.DenoiseProblem(y, D, 0.05)
+        assert problem.Dt is None and problem.op_norm is None and problem.fusion is None
+        assert T.denoise(problem).converged and T.denoise(problem).converged
+        assert calls == {"incidence": 0, "operator_norm": 3}
         assert np.array_equal(res.theta_hat, T.solve(g, y, 0.05).theta_hat)
 
     @pytest.mark.parametrize("case", ["grid", "star", "cycle_power", "erdos_renyi", "path"])
@@ -1172,3 +1177,146 @@ class TestGraphKeepsItsOperator:
         fresh.data[:] = 0.0
         assert np.array_equal(T.DenoiseProblem(np.zeros(6), g, 0.1).D.toarray(),
                               G.incidence(g).toarray())
+
+    def test_two_solves_share_one_transpose(self, monkeypatch):
+        calls = _count_operator_builds(monkeypatch)
+        g = G.build_erdos_renyi(60, 0.15, seed=3)
+        y = np.random.default_rng(3).normal(size=g.n)
+        first, second = T.DenoiseProblem(y, g, 0.02), T.DenoiseProblem(-y, g, 0.05)
+        assert first.Dt is second.Dt and first.D is second.D
+        assert (first.Dt != first.D.T).nnz == 0 and first.Dt.format == "csr"
+        assert T.denoise(first).converged and T.denoise(second).converged
+        assert calls == {"incidence": 1, "operator_norm": 1}
+
+    def test_denoise_multiplies_by_the_kept_transpose(self):
+        g = G.build_grid(2, 5)
+        problem = T.DenoiseProblem(np.random.default_rng(5).normal(size=g.n), g, 0.05)
+        plain = T.denoise(problem)
+        products = []
+
+        class Spy:  # the kept D^T, counting its products
+            def __matmul__(self, v, _Dt=problem.Dt):
+                products.append(1)
+                return _Dt @ v
+
+        problem.Dt = Spy()
+        res = T.denoise(problem)
+        assert len(products) > plain.iterations
+        assert np.array_equal(res.theta_hat, plain.theta_hat)
+
+
+def _denoise_reference(problem, opts):
+    """A plain copy of ``denoise``'s check loop that evaluates every candidate in full.
+
+    It checks on the schedule of ``denoise``: the multiples of
+    ``CHECK_EVERY``, ``max_iter`` and, for a warm start, ``WARM_CHECK``.
+    It derives D^T, the step bound and the fusion edges from the matrix on
+    each call and labels the flat pieces through coo.  An unfused theta
+    whose gap alone fails is no fallback: ``denoise`` does not evaluate it.
+    Returns ``(theta, z, iterations, residual, gap, fused, converged)``.
+    """
+    y, D, lam = problem.y, problem.D, problem.lam
+    m, n = D.shape
+    scale = 1.0 + float(np.max(np.abs(y)))
+    Dt = D.T.tocsr()
+    mu = 0.5 * n * lam
+    rows, fuse_i, fuse_j = T._fusion_graph(D)
+    warm = opts.z0 is not None
+    u0 = mu * np.clip(np.asarray(opts.z0, dtype=float), -1.0, 1.0) if warm else np.zeros(m)
+    best = None
+    for it, _, u in T._apg_box(lambda v: D @ (Dt @ v - y), u0, 1.0 / T.operator_norm(D),
+                               mu, opts.max_iter):
+        if not (it % T.CHECK_EVERY == 0 or it == opts.max_iter
+                or (warm and it == T.WARM_CHECK)):
+            continue
+        theta = y - Dt @ u
+        Dtheta = D @ theta
+        fit = float(np.mean((theta - y) ** 2))
+        tv = float(np.abs(Dtheta).sum())
+        gap = np.maximum(0.0, lam * tv - (2.0 / n) * float(Dtheta @ u))
+        flat = np.abs(u[rows]) < mu
+        piece = _components_coo(n, fuse_i[flat], fuse_j[flat])
+        theta_f = (np.bincount(piece, weights=theta) / np.bincount(piece))[piece]
+        fit_f = float(np.mean((theta_f - y) ** 2))
+        tv_f = float(np.abs(D @ theta_f).sum())
+        gap_f = np.maximum(0.0, gap + (fit_f - fit) + lam * (tv_f - tv))
+        for fused, th, gp, ft in ((False, theta, gap, fit), (True, theta_f, gap_f, fit_f)):
+            Dth = D @ th
+            jumps = np.abs(Dth) > T.JUMP_RTOL * scale
+            zq = u / mu
+            zq[jumps] = np.sign(Dth[jumps])
+            resid = float(np.max(np.abs((2.0 / n) * (th - y) + lam * (Dt @ zq))))
+            score = float(np.max([resid / scale, gp / (1.0 + ft)]))
+            if (fused or gp / (1.0 + ft) <= opts.tol) and (best is None or score < best[0]):
+                best = (score, th, zq, resid, float(gp), fused)
+            if score <= opts.tol and np.all(np.isfinite(th)):
+                return th, zq, it, resid, float(gp), fused, True
+    return (*best[1:3], it, *best[3:], False)
+
+
+def _reference_case(case):
+    """(problem, y) with a two-level signal under noise on one of four difference operators."""
+    rng = np.random.default_rng(7)
+    if case == "anchored_path":
+        D = G.build_augmented_path(40)
+    else:
+        D = G.build_family(case, n=50, d=2, N=7, p=0.15, seed=5)
+    n = D.n if isinstance(D, G.Graph) else D.shape[1]
+    y = 2.0 * (np.arange(n) < n // 3) + 0.3 * rng.normal(size=n)
+    return D, y
+
+
+class TestDenoiseMatchesReference:
+    """``denoise`` equals the full-evaluation reference bit for bit, converged or not."""
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("case", ["erdos_renyi", "grid", "star", "anchored_path"])
+    def test_bit_for_bit(self, case, warm):
+        D, y = _reference_case(case)
+        outcomes = []
+        # the smallest lam ends in an unfused pass on the anchored path; the
+        # warm starts from 1.05 lam pass at WARM_CHECK on the grid and path
+        for lam in (0.0005, 0.004, 0.02):
+            z0 = T.solve(D, y, 1.05 * lam).dual_z if warm else None
+            for max_iter in (7, 10, 24, 60, 50000):
+                opts = T.SolverOptions(max_iter=max_iter, z0=z0)
+                problem = T.DenoiseProblem(y, D, lam)
+                res = T.denoise(problem, opts)
+                theta, z, it, resid, gap, fused, converged = _denoise_reference(problem, opts)
+                assert np.array_equal(res.theta_hat, theta) and np.array_equal(res.dual_z, z)
+                assert (res.iterations, res.stationarity_residual, res.duality_gap,
+                        res.fused, res.converged) == (it, resid, gap, fused, converged)
+                if not converged:
+                    # the reported residual is that of the returned pair
+                    n = len(y)
+                    Dt = problem.D.T.tocsr()
+                    assert res.stationarity_residual == float(np.max(np.abs(
+                        (2.0 / n) * (res.theta_hat - y) + lam * (Dt @ res.dual_z))))
+                outcomes.append(converged)
+        assert any(outcomes) and not all(outcomes)
+
+
+class TestCheckSchedule:
+    """Cold solves check at the multiples of CHECK_EVERY, warm ones also at WARM_CHECK."""
+
+    def test_constants(self):
+        assert (T.CHECK_EVERY, T.WARM_CHECK) == (25, 10)
+
+    def test_warm_start_at_the_dual_stops_at_the_warm_check(self):
+        g = G.build_star(12)
+        problem = T.DenoiseProblem(np.random.default_rng(1).normal(size=g.n), g, 0.02)
+        exact = T.denoise(problem, T.SolverOptions(tol=1e-13))
+        assert exact.converged
+        warm = T.denoise(problem, T.SolverOptions(z0=exact.dual_z))
+        cold = T.denoise(problem)
+        assert warm.converged and warm.iterations == T.WARM_CHECK
+        assert cold.converged and cold.iterations == T.CHECK_EVERY
+        for z0 in (exact.dual_z, None):
+            assert T.denoise(problem, T.SolverOptions(max_iter=7, z0=z0)).iterations == 7
+
+    def test_cold_solve_skips_the_warm_check(self):
+        # this cold solve would pass a check at WARM_CHECK, yet waits for CHECK_EVERY
+        D, y = _reference_case("anchored_path")
+        problem = T.DenoiseProblem(y, D, 0.0005)
+        assert T.denoise(problem, T.SolverOptions(max_iter=T.WARM_CHECK)).converged
+        assert T.denoise(problem).iterations == T.CHECK_EVERY
