@@ -115,7 +115,8 @@ def cmd_denoise(args) -> int:
     g = _graph_from_args(args)
     graph = g if isinstance(g, G.Graph) else None  # None for --augmented
     if args.oracle == "taut-string" and tv.solver_for(g) != "taut_string":
-        raise UsageError("--oracle taut-string requires --graph path (not augmented)")
+        raise UsageError("--oracle taut-string requires --graph path (not augmented) "
+                         "or a 1-D --graph grid")
     opts = tv.SolverOptions(tol=args.tol, max_iter=args.max_iter)
     y = read_vector(args.y)
     n = g.shape[1] if graph is None else g.n
@@ -204,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--lambda-value", dest="lambda_value", type=float,
                     help="explicit lambda (overrides the rule)")
     pd.add_argument("--oracle", choices=["taut-string"],
-                    help="the exact path solver; implied on --graph path, refused elsewhere")
+                    help="the exact path solver; implied on --graph path and a 1-D grid, "
+                         "refused elsewhere")
     pd.add_argument("--tol", type=float, default=1e-6)
     pd.add_argument("--max-iter", dest="max_iter", type=int, default=50000)
     pd.add_argument("--out", required=True)

@@ -221,7 +221,7 @@ class RateFit:
 @lru_cache(maxsize=64)
 def _seedless_graph(family: str, params: tuple) -> G.Graph:
     """A family without a seed flag at the flags ``params``, built once per process: configs
-    and cells share it and its operator (one copy per config holds K_800 twice in island-fig2)."""
+    and cells share it and what its solves keep on it (a grid's operator, for one)."""
     return G.build_family(family, **dict(params))
 
 

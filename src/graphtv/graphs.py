@@ -11,7 +11,6 @@ and ``-1`` at the higher one, one row per edge.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,7 +32,6 @@ class GraphGenerationError(RuntimeError):
     """Raised when a randomized builder exhausts its retry budget."""
 
 
-@dataclass
 class Graph:
     """Undirected simple graph with a canonical edge list.
 
@@ -42,34 +40,53 @@ class Graph:
     n : int
         Number of vertices, labeled ``0 .. n-1``.
     edges : np.ndarray
-        Integer array of shape ``(m, 2)``; each row ``(i, j)`` with
+        Read-only int64 array of shape ``(m, 2)``; each row ``(i, j)`` with
         ``i < j``, rows sorted lexicographically, no duplicates.
+    m : int
+        Number of edges.
     family : str
         Family tag: a key of :data:`FAMILIES`, or ``custom``.
     params : dict
         Family parameters (e.g. ``{"d": 2, "N": 8}`` for a grid).
+
+    ``edges=None`` stands for K_n (``family="complete"``, as
+    :func:`build_complete` makes it): m is n(n-1)/2, and the edge list is
+    built on its first read, so the routes that read only n (the sort and
+    isotonic solve, the lambda rules, the closed-form spectral constants)
+    never allocate its m rows.  Graphs compare by identity, since a Graph
+    keeps a cache (``_derived``) and comparing by value would build a
+    lazy edge list.
     """
 
-    n: int
-    edges: np.ndarray
-    family: str = "custom"
-    params: dict = field(default_factory=dict)
-    # arrays computed from the read-only edges, kept by tvsolver.DenoiseProblem
-    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        _validate_edges(self.n, self.edges)
-        self.edges.setflags(write=False)
+    def __init__(self, n: int, edges, family: str = "custom", params: dict | None = None):
+        if n < 1:
+            raise ValueError("graph needs at least one vertex")
+        self.n, self.family = n, family
+        self.params = {} if params is None else params
+        # arrays computed from the read-only edges, the edge list itself
+        # included; tvsolver.DenoiseProblem keeps its operator here
+        self._derived = {}
+        if edges is None:
+            if family != "complete":
+                raise ValueError("only a complete graph builds its edge list on first read")
+            self.m = n * (n - 1) // 2
+            return
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        _validate_edges(n, edges)
+        edges.setflags(write=False)
+        self.m = edges.shape[0]
+        self._derived["edges"] = edges
 
     @property
-    def m(self) -> int:
-        return self.edges.shape[0]
+    def edges(self) -> np.ndarray:
+        if "edges" not in self._derived:  # K_n: triu_indices lists its pairs in canonical order
+            edges = np.column_stack(np.triu_indices(self.n, 1)).astype(np.int64, copy=False)
+            edges.setflags(write=False)
+            self._derived["edges"] = edges
+        return self._derived["edges"]
 
 
 def _validate_edges(n: int, edges: np.ndarray) -> None:
-    if n < 1:
-        raise ValueError("graph needs at least one vertex")
     if edges.size == 0:
         return
     if edges.min() < 0 or edges.max() >= n:
@@ -171,12 +188,11 @@ def build_hypercube(d: int) -> Graph:
 
 
 def build_complete(n: int) -> Graph:
-    """Complete graph K_n."""
+    """Complete graph K_n, whose edge list is built on its first read (see :class:`Graph`)."""
     if n < 2:
         raise ValueError("complete graph needs n >= 2")
     _check_size(f"complete graph K_{n}", n, n * (n - 1) // 2)
-    i, j = np.triu_indices(n, k=1)
-    return Graph(n, _canonical_edges(np.column_stack([i, j])), family="complete", params={})
+    return Graph(n, None, family="complete")
 
 
 def build_star(n: int) -> Graph:

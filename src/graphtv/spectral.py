@@ -397,12 +397,16 @@ def spectral_report(g, method: str = "auto") -> SpectralReport:
     ``method`` is ``"auto"`` (the route of :func:`rho_estimate`) or
     ``"dense"`` (capped at ``DENSE_SIZE_CAP`` vertices); a matrix, such as
     the anchored path of :func:`graphs.build_augmented_path`, always takes
-    the dense route.
+    the dense route.  On K_n nothing reads the edge list: the route is
+    the closed form and the degree is n - 1.
     """
     if isinstance(g, G.Graph):
         if g.m == 0:
             raise ValueError("spectral report needs at least one edge")
-        n, m, max_degree, family = g.n, g.m, G.max_degree(g), g.family
+        n, m, family = g.n, g.m, g.family
+        # K_n's degree is read off n, so its edge list is never built
+        complete = family == "complete" and m == n * (n - 1) // 2
+        max_degree = n - 1 if complete else G.max_degree(g)
     else:
         D = _as_sparse(g)
         m, n = D.shape

@@ -48,14 +48,14 @@ in-house pool-adjacent-violators pass in numpy (``_isotonic``), so that
 importing the package does not load ``scipy.optimize``.
 
 ``solve`` is the one route from a graph to a certified ``DenoiseResult``:
-``solver_for`` alone picks the taut string for a path, the sort-plus-
-isotonic reduction for a complete graph and ``denoise`` for anything
-else.  It alone warns about a disconnected graph, and only for a custom
-graph or a bare matrix: the named families are connected by
+``solver_for`` alone picks the taut string for a path or a 1-D grid, the
+sort-plus-isotonic reduction for a complete graph and ``denoise`` for
+anything else.  It alone warns about a disconnected graph, and only for
+a custom graph or a bare matrix: the named families are connected by
 construction.  The path estimate is certified by ``kkt_certificate``;
 the K_n estimate by ``_complete_certificate``, which reads no incidence
-matrix.  Every certificate counts an edge as a jump above
-``JUMP_RTOL * (1 + ||y||_inf)`` (``_scale``).
+matrix and no edge list.  Every certificate counts an edge as a jump
+above ``JUMP_RTOL * (1 + ||y||_inf)`` (``_scale``).
 
 On K_n, once theta is sorted into blocks of equal value, every edge
 between blocks carries the sign of its jump, and the in-block entries of
@@ -114,16 +114,15 @@ class DenoiseProblem:
         self.y = _check_exact_input(self.y, self.lam)
         if isinstance(self.D, G.Graph):
             g, derived = self.D, self.D._derived
-            if "D" not in derived:
-                D = G.incidence(g)
+            D = _kept_incidence(g)
+            if "Dt" not in derived:
                 Dt = D.T.tocsr()
-                for a in (D.data, D.indices, D.indptr, Dt.data, Dt.indices, Dt.indptr):
+                for a in (Dt.data, Dt.indices, Dt.indptr):
                     a.setflags(write=False)  # shared by every problem on the Graph
                 i, j = np.ascontiguousarray(g.edges.T)  # row e of D reads theta_i - theta_j
-                derived.update(D=D, Dt=Dt, op_norm=operator_norm(D, Dt),
-                               fusion=(slice(None), i, j))
+                derived.update(Dt=Dt, op_norm=operator_norm(D, Dt), fusion=(slice(None), i, j))
             self.D, self.Dt, self.op_norm, self.fusion = (
-                derived[key] for key in ("D", "Dt", "op_norm", "fusion"))
+                D, derived["Dt"], derived["op_norm"], derived["fusion"])
         elif not sp.issparse(self.D):
             self.D = sp.csr_matrix(np.asarray(self.D, dtype=float))
         else:
@@ -132,6 +131,16 @@ class DenoiseProblem:
             raise ValueError("y must be a vector of length D.shape[1]")
         if not np.all(np.isfinite(self.D.data)):
             raise ValueError("D contains NaN or Inf")
+
+
+def _kept_incidence(g: G.Graph) -> sp.csr_matrix:
+    """The read-only incidence matrix of g, built on first use and kept on the Graph."""
+    if "D" not in g._derived:
+        D = G.incidence(g)
+        for a in (D.data, D.indices, D.indptr):
+            a.setflags(write=False)
+        g._derived["D"] = D
+    return g._derived["D"]
 
 
 @dataclass
@@ -652,13 +661,14 @@ def solver_for(g) -> str:
     """The solver :func:`solve` takes for ``g``, a Graph or a difference matrix.
 
     ``"sort_isotonic"`` for a complete graph, ``"taut_string"`` for a
-    path and ``"dual_fista"`` (:func:`denoise`) for anything else, the
-    anchored path and custom graphs included.
+    path or a 1-D grid (the same edge list) and ``"dual_fista"``
+    (:func:`denoise`) for anything else, the anchored path and custom
+    graphs included.
     """
     if isinstance(g, G.Graph):
         if g.family == "complete" and g.m == g.n * (g.n - 1) // 2:
             return "sort_isotonic"
-        if g.family == "path":
+        if g.family == "path" or (g.family == "grid" and g.params.get("d") == 1):
             return "taut_string"
     return "dual_fista"
 
@@ -666,9 +676,11 @@ def solver_for(g) -> str:
 def solve(g, y, lam: float, opts: SolverOptions | None = None) -> DenoiseResult:
     """Denoise y on ``g`` (a Graph or a difference matrix) by the route of :func:`solver_for`.
 
-    A Graph keeps the incidence matrix, its transpose and the step bound
-    of its first :class:`DenoiseProblem`; the complete-graph route builds
-    none of them.
+    A Graph keeps what its routes derive: ``dual_fista`` the incidence
+    matrix, its transpose and the step bound of its first
+    :class:`DenoiseProblem`, the taut string the incidence matrix alone
+    (its certificate reads nothing else), and the complete-graph route
+    nothing, not even the edge list of a K_n from :func:`graphs.build_complete`.
     The exact routes report ``converged`` when their certificate passes
     the bounds of :func:`denoise`: residual within ``opts.tol * (1 +
     ||y||_inf)`` and dual feasibility within ``1 + opts.tol``.  They take
@@ -688,16 +700,17 @@ def solve(g, y, lam: float, opts: SolverOptions | None = None) -> DenoiseResult:
         z = None
         resid, feasibility, tv = _complete_certificate(y, lam, theta)
         objective = float(np.mean((theta - y) ** 2)) + lam * tv
-    else:
+    elif solver == "dual_fista":
         problem = DenoiseProblem(y, g, lam)
-        if solver == "dual_fista":
-            if not isinstance(g, G.Graph) or g.family == "custom":
-                _, i, j = problem.fusion or _fusion_graph(problem.D)
-                if problem.D.shape[0] and G._components(len(problem.y), i, j).max() > 0:
-                    warnings.warn("graph is disconnected: theoretical lambda rules assume a "
-                                  "connected graph; the solution preserves the mean per "
-                                  "component", UserWarning, stacklevel=2)
-            return denoise(problem, opts)
+        if not isinstance(g, G.Graph) or g.family == "custom":
+            _, i, j = problem.fusion or _fusion_graph(problem.D)
+            if problem.D.shape[0] and G._components(len(problem.y), i, j).max() > 0:
+                warnings.warn("graph is disconnected: theoretical lambda rules assume a "
+                              "connected graph; the solution preserves the mean per "
+                              "component", UserWarning, stacklevel=2)
+        return denoise(problem, opts)
+    else:
+        problem = DenoiseProblem(y, _kept_incidence(g), lam)  # kkt_certificate reads only D
         y = problem.y
         theta = denoise_path_exact(y, lam)
         z, resid = kkt_certificate(problem, theta)

@@ -221,24 +221,26 @@ class TestDenoiseCommand:
         assert np.max(np.abs(theta - 2.5)) <= 1e-6
 
     def test_oracle_mode_matches_solver_objective(self, tmp_path):
-        # the path takes the taut string with or without --oracle; both
-        # match the iterative solver on the same problem
+        # the path and the 1-D grid take the taut string with or without
+        # --oracle; both match the iterative solver on the same problem
         rng = np.random.default_rng(4)
         y = rng.normal(size=30) * 2
         yp = self._write_y(tmp_path, y)
         problem = T.DenoiseProblem(y, G.incidence(G.build_path(30)), 0.08)
         ref = T.denoise(problem, T.SolverOptions(tol=1e-9))
-        args = ["denoise", "--graph", "path", "--n", "30", "--y", str(yp),
-                "--lambda-value", "0.08", "--tol", "1e-9"]
-        for extra in ([], ["--oracle", "taut-string"]):
-            out = tmp_path / f"theta{len(extra)}.txt"
-            assert run(args + extra + ["--out", str(out)]) == 0
-            theta = cli.read_vector(out)
-            assert np.array_equal(theta, T.denoise_path_exact(y, 0.08))
-            obj = T.objective_value(y, problem.D, 0.08, theta)
-            assert abs(obj - ref.objective) <= 1e-6 * (1 + abs(ref.objective))
-            rep = json.loads(out.with_suffix(".txt.report.json").read_text())
-            assert rep["solver"] == "taut_string" and rep["duality_gap"] is None
+        for graph in (["--graph", "path", "--n", "30"],
+                      ["--graph", "grid", "--d", "1", "--N", "30"]):
+            args = ["denoise", *graph, "--y", str(yp), "--lambda-value", "0.08",
+                    "--tol", "1e-9"]
+            for extra in ([], ["--oracle", "taut-string"]):
+                out = tmp_path / f"theta{len(extra)}.txt"
+                assert run(args + extra + ["--out", str(out)]) == 0
+                theta = cli.read_vector(out)
+                assert np.array_equal(theta, T.denoise_path_exact(y, 0.08))
+                obj = T.objective_value(y, problem.D, 0.08, theta)
+                assert abs(obj - ref.objective) <= 1e-6 * (1 + abs(ref.objective))
+                rep = json.loads(out.with_suffix(".txt.report.json").read_text())
+                assert rep["solver"] == "taut_string" and rep["duality_gap"] is None
 
     def test_complete_graph_takes_the_exact_route(self, tmp_path, monkeypatch):
         def no_incidence(g):
@@ -256,6 +258,19 @@ class TestDenoiseCommand:
         assert set(rep) == {"lambda", "iterations", "stationarity_residual",
                             "dual_feasibility", "objective", "converged", "duality_gap",
                             "fused", "solver"}
+
+    def test_complete_graph_reads_no_edge_list(self, tmp_path, monkeypatch):
+        # K_3000 has 4.5M edges; neither command reads them
+        def no_edges(g):
+            raise AssertionError("edge list built")
+        monkeypatch.setattr(G.Graph, "edges", property(no_edges))
+        yp = self._write_y(tmp_path, np.random.default_rng(8).normal(size=3000))
+        out = tmp_path / "theta.txt"
+        assert run(["denoise", "--graph", "complete", "--n", "3000", "--y", str(yp),
+                    "--sigma", "1", "--out", str(out)]) == 0
+        assert run(["spectral", "--graph", "complete", "--n", "3000",
+                    "--out", str(tmp_path / "k.json")]) == 0
+        assert json.loads((tmp_path / "k.json").read_text())["m"] == 3000 * 2999 // 2
 
     def test_taut_string_certificate_sets_converged(self, tmp_path, monkeypatch):
         yp = self._write_y(tmp_path, np.array([0.0, 4.0, 1.0]))

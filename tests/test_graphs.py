@@ -121,6 +121,30 @@ class TestCompleteStar:
         with pytest.raises(ValueError, match="K_6 has 15 edges"):
             G.build_complete(6)
 
+    def test_complete_edges_built_on_first_read(self, tmp_path):
+        for n in range(2, 41):
+            g = G.build_complete(n)
+            assert g.m == n * (n - 1) // 2 and "edges" not in g._derived
+            edges = g.edges
+            expected = G._canonical_edges(np.column_stack(np.triu_indices(n, 1)))
+            assert np.array_equal(edges, expected) and edges.dtype == expected.dtype == np.int64
+            assert not edges.flags.writeable and g.edges is edges  # kept after the first read
+            eager = G.Graph(n, expected.copy(), family="complete")
+            a, b = G.incidence(g), G.incidence(eager)
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(a, part), getattr(b, part))
+                assert getattr(a, part).dtype == getattr(b, part).dtype
+            assert G.is_connected(g) and G.is_connected(eager)
+            G.write_edge_list(tmp_path / "lazy.txt", g)
+            G.write_edge_list(tmp_path / "eager.txt", eager)
+            assert (tmp_path / "lazy.txt").read_text() == (tmp_path / "eager.txt").read_text()
+
+    def test_only_a_complete_graph_defers_its_edges(self):
+        with pytest.raises(ValueError, match="only a complete graph"):
+            G.Graph(5, None)
+        with pytest.raises(ValueError, match="at least one vertex"):
+            G.Graph(0, None, family="complete")
+
     def test_star_edges(self):
         g = G.build_star(4)
         assert g.edges.tolist() == [[0, 1], [0, 2], [0, 3]]
@@ -131,6 +155,20 @@ class TestCompleteStar:
             assert D[e, 0] == 1.0  # +1 at the center
             assert D[e, e + 1] == -1.0
             assert np.count_nonzero(D[e]) == 2
+
+
+class TestGraphIdentity:
+    """Graphs compare and hash by identity: a value comparison would build K_n's edges."""
+
+    def test_equal_only_to_itself(self):
+        g, h = G.build_path(5), G.build_path(5)
+        assert g == g and g != h and not (g == h)
+        assert len({g, h, g}) == 2
+
+    def test_comparing_complete_graphs_builds_no_edges(self):
+        g, h = G.build_complete(50), G.build_complete(50)
+        assert g != h and {g: 1}[g] == 1
+        assert "edges" not in g._derived and "edges" not in h._derived
 
 
 class TestCyclePower:

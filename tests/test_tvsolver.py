@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -1053,6 +1054,7 @@ class TestCompleteCertificate:
 ROUTE_CASES = {
     "complete": (G.build_complete(12), "sort_isotonic"),
     "path": (G.build_path(12), "taut_string"),
+    "grid-1d": (G.build_grid(1, 12), "taut_string"),  # a path's edge list
     "grid": (G.build_grid(2, 4), "dual_fista"),
     "star": (G.build_star(12), "dual_fista"),
     "cycle_power": (G.build_cycle_power(12, 2), "dual_fista"),
@@ -1100,6 +1102,45 @@ class TestSolveRoute:
         res = T.solve(G.build_complete(300), y, 1e-4)
         assert res.converged and res.solver == "sort_isotonic"
 
+    def test_one_dimensional_grid_is_solved_as_its_path(self):
+        path, grid = G.build_path(40), G.build_grid(1, 40)
+        assert np.array_equal(grid.edges, path.edges)
+        rng = np.random.default_rng(11)
+        for lam in (0.0, 0.002, 0.02, 0.5):
+            y = np.repeat(rng.normal(size=4) * 3, 10) + 0.4 * rng.normal(size=40)
+            a, b = T.solve(grid, y, lam), T.solve(path, y, lam)
+            assert a.solver == b.solver == "taut_string" and a.converged
+            for f in ("theta_hat", "dual_z"):
+                assert np.array_equal(getattr(a, f), getattr(b, f))
+            for f in ("stationarity_residual", "dual_feasibility", "objective", "converged"):
+                assert getattr(a, f) == getattr(b, f)
+
+    def test_complete_graph_reads_only_n(self):
+        # K_3000 has 4.5M edges: an edge list alone is 72 MB, an incidence matrix more
+        y = np.random.default_rng(2).normal(size=3000)
+        rule = T.LambdaRule("theorem_general", sigma=0.5)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            g = G.build_complete(3000)
+            res, lam, rep = T.solve(g, y, 1e-4), T.lambda_value(rule, g), S.spectral_report(g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < 2e6 and "edges" not in g._derived
+        assert res.converged and res.solver == "sort_isotonic"
+        eager = G.Graph(3000, np.column_stack(np.triu_indices(3000, 1)), family="complete")
+        ref = T.solve(eager, y, 1e-4)
+        for f in ("theta_hat", "stationarity_residual", "dual_feasibility", "objective",
+                  "converged", "solver"):
+            assert np.array_equal(getattr(res, f), getattr(ref, f))
+        assert lam == T.lambda_value(rule, eager)
+        assert rep.to_json_dict() == S.spectral_report(eager).to_json_dict()
+
     @pytest.mark.parametrize("case, exact", [("complete", "denoise_complete_exact"),
                                              ("path", "denoise_path_exact")])
     def test_exact_routes_report_a_failed_certificate(self, monkeypatch, case, exact):
@@ -1139,6 +1180,33 @@ class TestGraphKeepsItsOperator:
         for lam in (0.01, 0.02, 0.04, 0.08, 0.16):
             assert T.solve(g, y, lam).converged
         assert calls == {"incidence": 1, "operator_norm": 1}
+
+    def test_path_solve_derives_only_its_incidence(self, monkeypatch):
+        g = G.build_path(300)
+        rng = np.random.default_rng(4)
+        y = np.repeat(rng.normal(size=6) * 2, 50) + 0.3 * rng.normal(size=300)
+        bounds_of = []  # the matrices operator_norm bounds: the certificate's free rows
+
+        def spy(D, Dt=None, _inner=T.operator_norm):
+            bounds_of.append(D)
+            return _inner(D, Dt)
+
+        monkeypatch.setattr(T, "operator_norm", spy)
+        for lam in (0.001, 0.01):
+            res = T.solve(g, y, lam)
+            assert res.converged and res.solver == "taut_string"
+            theta = T.denoise_path_exact(y, lam)
+            z, resid = T.kkt_certificate(T.DenoiseProblem(y, G.incidence(g), lam), theta)
+            assert np.array_equal(res.theta_hat, theta) and np.array_equal(res.dual_z, z)
+            assert res.stationarity_residual == resid
+        assert set(g._derived) == {"edges", "D"}
+        assert all(D is not g._derived["D"] for D in bounds_of)  # no step bound of the graph
+        # denoise on the same Graph still derives (and keeps) its transpose and bound
+        calls = _count_operator_builds(monkeypatch)
+        assert T.denoise(T.DenoiseProblem(y, g, 0.01)).converged
+        assert T.denoise(T.DenoiseProblem(y, g, 0.02)).converged
+        assert calls == {"incidence": 0, "operator_norm": 1}
+        assert set(g._derived) == {"edges", "D", "Dt", "op_norm", "fusion"}
 
     def test_bare_matrix_solve_computes_its_bound(self, monkeypatch):
         g = G.build_grid(2, 6)
