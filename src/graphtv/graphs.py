@@ -409,6 +409,11 @@ def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return connected_components(links, directed=False)[1]
 
 
+def is_complete(g: Graph) -> bool:
+    """True iff g is K_n: tagged ``complete`` with all n(n-1)/2 edges, read off n and m."""
+    return g.family == "complete" and g.m == g.n * (g.n - 1) // 2
+
+
 def is_connected(g: Graph) -> bool:
     """True iff the graph has a single connected component."""
     return bool(_components(g.n, g.edges[:, 0], g.edges[:, 1]).max() == 0)

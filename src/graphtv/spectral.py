@@ -364,20 +364,21 @@ def _route(g, method: str):
     """The one choice of how rho and lambda_2 are computed.
 
     ``g`` is a Graph or a difference matrix; returns ``(rho, lambda_2,
-    rho_method)``.  ``"auto"`` takes the closed form for complete and star
-    graphs, the structured eigensum for grids and hypercubes, the
-    spectral-gap bound for Erdos-Renyi and random regular graphs past
-    ``DENSE_SIZE_CAP`` vertices and the dense pseudoinverse otherwise
-    (always for a matrix).  ``"dense"`` forces the dense pseudoinverse.
+    rho_method)``.  ``"auto"`` takes the closed form for K_n and S_n (by
+    edge count and center, not tag), the structured eigensum for grids and
+    hypercubes, the spectral-gap bound for Erdos-Renyi and random regular
+    graphs past ``DENSE_SIZE_CAP`` vertices and the dense pseudoinverse
+    otherwise (always for a matrix).  ``"dense"`` forces the dense one.
     """
     if method not in ("auto", "dense"):
         raise ValueError(f"unknown method {method!r}")
     graph = g if isinstance(g, G.Graph) else None
     if graph is not None and method == "auto":
         n = graph.n
-        if graph.family == "complete":
+        if G.is_complete(graph):
             return float(np.sqrt(2.0) / n), float(n), "closed_form"
-        if graph.family == "star":  # S_2 is a single edge, with lambda_2 = 2
+        if graph.family == "star" and graph.m == n - 1 == G.max_degree(graph):
+            # S_2 is a single edge, with lambda_2 = 2
             return float(np.sqrt((n * n - n)) / n), 1.0 if n >= 3 else 2.0, "closed_form"
         if n > DENSE_SIZE_CAP and graph.family in ("erdos_renyi", "random_regular"):
             lam2, bound = spectral_gap(G.incidence(graph))
@@ -405,8 +406,7 @@ def spectral_report(g, method: str = "auto") -> SpectralReport:
             raise ValueError("spectral report needs at least one edge")
         n, m, family = g.n, g.m, g.family
         # K_n's degree is read off n, so its edge list is never built
-        complete = family == "complete" and m == n * (n - 1) // 2
-        max_degree = n - 1 if complete else G.max_degree(g)
+        max_degree = n - 1 if G.is_complete(g) else G.max_degree(g)
     else:
         D = _as_sparse(g)
         m, n = D.shape

@@ -26,13 +26,13 @@ the solve starts from a warm dual.
 
 The estimates are piecewise constant, and by complementary slackness
 every edge whose dual entry is strictly inside the box (|u_e| < mu) is
-flat at the optimum.  So each convergence check that theta fails also
-tests the dual-fused candidate: theta averaged over the connected
-components of those edges, with z = u/mu on its flat edges and
-sign(D theta) on its jumps.  Its residual is computed directly and its
-duality gap against u is the gap of theta plus the change in the primal
-objective.  It passes as soon as the flat pieces are found, long before
-every near-flat edge of theta falls below the jump tolerance.
+flat at the optimum.  So each convergence check tests one candidate:
+theta averaged over the connected components of those edges (theta
+itself when there are none), with z = u/mu on its flat edges and
+sign(D theta) on its jumps.  Its duality gap against u is the gap of
+theta plus the change in the primal objective.  It passes as soon as the
+flat pieces are found, long before every near-flat edge of theta falls
+below the jump tolerance.
 
 The certificate of a given theta (``kkt_certificate``) fixes z on the
 jumps and fits the free entries by the same projected-gradient loop.
@@ -154,10 +154,15 @@ class SolverOptions:
             raise ValueError("tol must be finite and positive")
         if not self.max_iter >= 1:
             raise ValueError("max_iter must be >= 1")
+        if self.z0 is not None and not np.all(np.isfinite(self.z0)):
+            raise ValueError("z0 must be finite")
 
 
 @dataclass
 class DenoiseResult:
+    """An estimate, its certificate and the route taken; on ``dual_fista``
+    the dual-fused candidate of the last check of :func:`denoise`."""
+
     theta_hat: np.ndarray
     dual_z: np.ndarray | None  # None on the complete-graph route, which builds no D
     iterations: int
@@ -168,7 +173,6 @@ class DenoiseResult:
     # P(theta_hat) minus the dual value of the iterate it was checked with;
     # None for the exact solvers, which have no dual iterate
     duality_gap: float | None
-    fused: bool  # theta_hat is the dual-fused candidate (see ``denoise``)
     solver: str = "dual_fista"  # the route taken, see ``solver_for``
 
 
@@ -297,17 +301,15 @@ def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> Denoi
     The checks fall on the multiples of ``CHECK_EVERY``, at
     ``opts.max_iter``, and for a warm start (``opts.z0`` given) also at
     ``WARM_CHECK``: the schedule depends on nothing but the iteration
-    number and whether a warm start was given.  A check tests the primal
-    iterate theta = y - D^T u: the stationarity certificate must pass at
-    ``opts.tol * (1 + ||y||_inf)`` and its duality gap against u at
-    ``opts.tol * (1 + fit)``.  A theta whose gap alone fails is not
-    evaluated further.  When theta fails, the dual-fused candidate is
-    tested the same way, always in full: theta averaged over the
-    connected components of the edges whose dual entry is strictly inside
-    the box, which are flat at the optimum by complementary slackness.
-    Its gap is ``gap + P(fused) - P(theta)``.  The solve stops at the
-    first candidate that passes, or at ``opts.max_iter`` with
-    ``converged=False`` and the best fully evaluated candidate.  A
+    number and whether a warm start was given.  A check tests one
+    candidate: the iterate theta = y - D^T u averaged over the connected
+    components of the edges whose dual entry is strictly inside the box,
+    which are flat at the optimum by complementary slackness.  Its
+    certificate must pass at ``opts.tol * (1 + ||y||_inf)`` and its
+    duality gap against u, ``gap(theta) + P(fused) - P(theta)``, at
+    ``opts.tol * (1 + fit)``.  The solve stops at the first check that
+    passes, or at ``opts.max_iter`` with ``converged=False`` and the best
+    candidate.  ``opts.z0`` needs one entry per row of D.  A
     :class:`DenoiseProblem` on a Graph brings D, D^T, the step bound and
     the fusion edges kept on the Graph; for a bare matrix they are derived
     here, on each call.  On a disconnected graph the solution is exact per
@@ -317,6 +319,8 @@ def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> Denoi
     opts = opts or SolverOptions()
     y, D, lam = problem.y, problem.D, problem.lam
     m, n = D.shape
+    if opts.z0 is not None and np.shape(opts.z0) != (m,):
+        raise ValueError(f"z0 must have shape ({m},), one entry per row of D")
     scale = _scale(y)
     jump_tol = JUMP_RTOL * scale
     if m == 0 or lam == 0.0:
@@ -324,7 +328,7 @@ def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> Denoi
         Dtheta = D @ theta  # z = sign(D theta) on jumps, as for any result
         z = np.where(np.abs(Dtheta) > jump_tol, np.sign(Dtheta), 0.0)
         return DenoiseResult(theta, z, 0, 0.0, float(np.max(np.abs(z), initial=0.0)),
-                             objective_value(y, D, lam, theta), True, 0.0, False)
+                             objective_value(y, D, lam, theta), True, 0.0)
 
     mu = 0.5 * n * lam
     if problem.Dt is None:  # a bare matrix: derive what a Graph keeps
@@ -337,52 +341,40 @@ def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> Denoi
     step = 1.0 / op
 
     warm = opts.z0 is not None
-    if warm:
-        u0 = mu * np.clip(np.asarray(opts.z0, dtype=float), -1.0, 1.0)
-    else:
-        u0 = np.zeros(m)
-    best = None  # (score, residual, gap, theta, z, fused) of the best full candidate so far
+    u0 = mu * np.clip(np.asarray(opts.z0, dtype=float), -1.0, 1.0) if warm else np.zeros(m)
+    best = None  # (score, residual, gap, theta, z) of the best candidate so far
     converged = False
     for it, _, u in _apg_box(lambda v: D @ (Dt @ v - y), u0, step, mu, opts.max_iter):
         if it % CHECK_EVERY != 0 and it != opts.max_iter and not (warm and it == WARM_CHECK):
             continue
+        # the iterate and its exact duality gap against u feed the one
+        # candidate: theta averaged over the pieces of the flat edges
         theta = y - Dt @ u
         Dtheta = D @ theta
-        z = u / mu
         fit = float(np.mean((theta - y) ** 2))
         tv = float(np.abs(Dtheta).sum())
-        # exact duality gap of the dual iterate: bounds the objective
-        # suboptimality, catching near-zero edge differences that the
-        # jump-tolerance classification treats as flat
         gap = np.maximum(0.0, lam * tv - (2.0 / n) * float(Dtheta @ u))
-        for fused in (False, True):
-            if fused:
-                flat = np.abs(u[fuse_rows]) < mu
-                piece = G._components(n, fuse_i[flat], fuse_j[flat])
-                theta_f = (np.bincount(piece, weights=theta) / np.bincount(piece))[piece]
-                Dtheta = D @ theta_f
-                fit_f = float(np.mean((theta_f - y) ** 2))
-                tv_f = float(np.abs(Dtheta).sum())
-                # P(theta_f) minus the dual value of u, without a ||y||^2 cancellation
-                gap = np.maximum(0.0, gap + (fit_f - fit) + lam * (tv_f - tv))
-                theta, fit = theta_f, fit_f
-            elif gap / (1.0 + fit) > opts.tol:
-                continue  # its gap alone fails theta: skip the residual
-            jumps = np.abs(Dtheta) > jump_tol
-            zq = z.copy()
-            zq[jumps] = np.sign(Dtheta[jumps])
-            resid = float(np.max(np.abs((2.0 / n) * (theta - y) + lam * (Dt @ zq))))
-            # np.max and np.maximum propagate NaN, which never passes the test
-            score = float(np.maximum(resid / scale, gap / (1.0 + fit)))
-            if best is None or score < best[0]:
-                best = (score, resid, float(gap), theta, zq, fused)
-            if score <= opts.tol and np.all(np.isfinite(theta)):
-                converged = True
-                break
-        if converged:
+        flat = np.abs(u[fuse_rows]) < mu
+        piece = G._components(n, fuse_i[flat], fuse_j[flat])
+        theta_f = (np.bincount(piece, weights=theta) / np.bincount(piece))[piece]
+        Dtheta = D @ theta_f
+        fit_f = float(np.mean((theta_f - y) ** 2))
+        tv_f = float(np.abs(Dtheta).sum())
+        # P(theta_f) minus the dual value of u, without a ||y||^2 cancellation
+        gap = float(np.maximum(0.0, gap + (fit_f - fit) + lam * (tv_f - tv)))
+        jumps = np.abs(Dtheta) > jump_tol
+        zq = u / mu
+        zq[jumps] = np.sign(Dtheta[jumps])
+        resid = float(np.max(np.abs((2.0 / n) * (theta_f - y) + lam * (Dt @ zq))))
+        # np.max and np.maximum propagate NaN, which never passes the test
+        score = float(np.maximum(resid / scale, gap / (1.0 + fit_f)))
+        if best is None or score < best[0]:
+            best = (score, resid, gap, theta_f, zq)
+        if score <= opts.tol and np.all(np.isfinite(theta_f)):
+            converged = True
             break
 
-    _, resid, gap, theta, zq, fused = best
+    _, resid, gap, theta, zq = best
     return DenoiseResult(
         theta_hat=theta,
         dual_z=zq,
@@ -392,7 +384,6 @@ def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> Denoi
         objective=objective_value(y, D, lam, theta),
         converged=converged,
         duality_gap=gap,
-        fused=fused,
     )
 
 
@@ -666,7 +657,7 @@ def solver_for(g) -> str:
     graphs included.
     """
     if isinstance(g, G.Graph):
-        if g.family == "complete" and g.m == g.n * (g.n - 1) // 2:
+        if G.is_complete(g):
             return "sort_isotonic"
         if g.family == "path" or (g.family == "grid" and g.params.get("d") == 1):
             return "taut_string"
@@ -718,7 +709,7 @@ def solve(g, y, lam: float, opts: SolverOptions | None = None) -> DenoiseResult:
         objective = objective_value(y, problem.D, lam, theta)
     converged = resid <= opts.tol * _scale(y) and feasibility <= 1.0 + opts.tol
     return DenoiseResult(theta, z, 0, resid, feasibility, objective, bool(converged),
-                         None, False, solver)
+                         None, solver)
 
 
 # ---------------------------------------------------------------------------

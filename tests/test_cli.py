@@ -257,7 +257,7 @@ class TestDenoiseCommand:
         assert rep["duality_gap"] is None and rep["iterations"] == 0
         assert set(rep) == {"lambda", "iterations", "stationarity_residual",
                             "dual_feasibility", "objective", "converged", "duality_gap",
-                            "fused", "solver"}
+                            "solver"}
 
     def test_complete_graph_reads_no_edge_list(self, tmp_path, monkeypatch):
         # K_3000 has 4.5M edges; neither command reads them
@@ -300,9 +300,11 @@ class TestDenoiseCommand:
         assert run(["denoise", "--graph", "grid", "--d", "2", "--N", "12", "--y", str(yp),
                     "--lambda-value", "0.05", "--tol", "1e-6", "--out", str(out)]) == 0
         rep = json.loads((tmp_path / "theta.txt.report.json").read_text())
-        fit = float(np.mean((cli.read_vector(out) - y) ** 2))
+        theta = cli.read_vector(out)
+        fit = float(np.mean((theta - y) ** 2))
         assert 0.0 <= rep["duality_gap"] <= 1e-6 * (1 + fit)
-        assert rep["fused"] is True
+        # the fused estimate is flat on whole pieces, so some edges are exactly 0
+        assert np.any(G.incidence(G.build_grid(2, 12)) @ theta == 0.0)
 
     def test_nonconvergence_exit_code(self, tmp_path):
         rng = np.random.default_rng(5)

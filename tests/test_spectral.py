@@ -286,6 +286,19 @@ class TestOneRoute:
             assert abs(auto.rho - dense.rho) <= 1e-10, n
             assert abs(auto.spectral_gap - dense.spectral_gap) <= 1e-10, n
 
+    @pytest.mark.parametrize("g, method", [
+        (G.Graph(12, G.build_complete(12).edges[1:], family="complete"), "dense_pseudoinverse"),
+        (G.Graph(5, G.build_path(5).edges, family="star"), "dense_pseudoinverse"),
+        (G.Graph(6, G.build_star(6).edges[1:], family="star"), "dense_pseudoinverse"),
+        # S_5 centered at vertex 3 is still a star
+        (G.Graph(5, [(0, 3), (1, 3), (2, 3), (3, 4)], family="star"), "closed_form"),
+    ], ids=["complete-minus-an-edge", "path-tagged-star", "star-minus-an-edge", "star-off-0"])
+    def test_closed_form_reads_the_edges_not_the_tag(self, g, method):
+        auto, dense = S.spectral_report(g), S.spectral_report(g, "dense")
+        assert auto.rho_method == method
+        assert abs(auto.rho - dense.rho) <= 1e-10 and S.rho_estimate(g) == auto.rho
+        assert abs(auto.spectral_gap - dense.spectral_gap) <= 1e-10
+
     @pytest.mark.parametrize("family", ["erdos_renyi", "random_regular"])
     def test_gap_bound_past_the_dense_cap(self, monkeypatch, family):
         g = G.build_family(family, n=12, d=3, p=0.5, seed=3)

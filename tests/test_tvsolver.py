@@ -69,6 +69,28 @@ class TestDenoiseBasics:
         with pytest.raises(ValueError, match="NaN"):
             path_problem([1.0, np.nan], 0.1)
 
+    def test_rejects_non_finite_warm_start(self):
+        # an all-NaN z0 once ran all max_iter iterations to a non-finite theta
+        with pytest.raises(ValueError, match="z0"):
+            T.SolverOptions(z0=np.full(112, np.nan))
+        with pytest.raises(ValueError, match="z0"):
+            T.SolverOptions(z0=[0.0, np.inf])
+
+    @pytest.mark.parametrize("shape", [(111,), (113,), (112, 1), ()])
+    def test_rejects_warm_start_of_the_wrong_shape(self, shape):
+        g = G.build_grid(2, 8)  # 112 edges
+        problem = T.DenoiseProblem(np.random.default_rng(3).normal(size=g.n), g, 0.05)
+        with pytest.raises(ValueError, match="z0"):
+            T.denoise(problem, T.SolverOptions(z0=np.zeros(shape)))
+        assert T.denoise(problem, T.SolverOptions(z0=np.zeros(112))).converged
+
+    def test_exact_routes_ignore_the_warm_start(self):
+        y = np.random.default_rng(4).normal(size=12)
+        opts = T.SolverOptions(z0=np.zeros(3))
+        for g in (G.build_path(12), G.build_complete(12)):
+            cold = T.solve(g, y, 0.05).theta_hat
+            assert np.array_equal(T.solve(g, y, 0.05, opts).theta_hat, cold)
+
     def test_rejects_negative_lambda(self):
         with pytest.raises(ValueError):
             path_problem([1.0, 2.0], -0.5)
@@ -719,7 +741,7 @@ class TestFusedCandidateAgainstOracles:
 
 
 class TestCertificateMeaning:
-    """``converged=True`` means the returned pair certifies, fused or not."""
+    """``converged=True`` means the returned pair certifies."""
 
     @pytest.mark.parametrize("g", [
         G.build_path(200), G.build_grid(2, 24), G.build_erdos_renyi(150, 0.08, 2),
@@ -729,14 +751,14 @@ class TestCertificateMeaning:
         rng = np.random.default_rng(g.n)
         D = G.incidence(g)
         y = np.where(np.arange(g.n) < g.n // 3, 2.0, -1.0) + rng.normal(size=g.n) * 0.5
-        fused = []
+        flat = []
         for lam in (0.002, 0.01, 0.05):
             problem = T.DenoiseProblem(y, D, lam)
             res = T.denoise(problem, T.SolverOptions(tol=tol))
             assert res.converged
             _certificate_holds(problem, res, tol)
-            fused.append(res.fused)
-        assert any(fused)  # the fused candidate is exercised on every family
+            flat.append(np.any(D @ res.theta_hat == 0.0))
+        assert any(flat)  # fusion sets some edge exactly flat on every family
 
     def test_fused_estimate_is_piecewise_constant(self):
         # fusion stops the solve with exact flat pieces, not near-flat edges
@@ -744,7 +766,7 @@ class TestCertificateMeaning:
         D = G.incidence(g)
         y = np.repeat([0.0, 2.0], 512) + np.random.default_rng(7).normal(size=g.n) * 0.5
         res = T.denoise(T.DenoiseProblem(y, D, 0.01), T.SolverOptions(tol=1e-5))
-        assert res.converged and res.fused
+        assert res.converged
         Dtheta = D @ res.theta_hat
         assert np.count_nonzero(Dtheta) < g.m // 2
         assert np.all((Dtheta == 0) | (np.abs(Dtheta) > 1e-8 * (1 + np.max(np.abs(y)))))
@@ -1086,7 +1108,7 @@ class TestSolveRoute:
             assert np.array_equal(res.theta_hat, y)
         if solver == "dual_fista":
             return
-        assert res.iterations == 0 and res.duality_gap is None and not res.fused
+        assert res.iterations == 0 and res.duality_gap is None
         assert (res.dual_z is None) == (solver == "sort_isotonic")
         D = G.incidence(g)
         exact = (T.denoise_path_exact if solver == "taut_string" else T.denoise_complete_exact)
@@ -1274,14 +1296,17 @@ class TestGraphKeepsItsOperator:
 
 
 def _denoise_reference(problem, opts):
-    """A plain copy of ``denoise``'s check loop that evaluates every candidate in full.
+    """A plain copy of ``denoise``'s check loop that tests two candidates in full.
 
-    It checks on the schedule of ``denoise``: the multiples of
+    Each check tests the raw iterate theta = y - D^T u first and then the
+    dual-fused candidate, which is the only one ``denoise`` tests; the raw
+    one is a fallback only when its gap alone passes.  When no edge is
+    strictly inside the box the two candidates are equal bit for bit.  It
+    checks on the schedule of ``denoise``: the multiples of
     ``CHECK_EVERY``, ``max_iter`` and, for a warm start, ``WARM_CHECK``.
     It derives D^T, the step bound and the fusion edges from the matrix on
-    each call and labels the flat pieces through coo.  An unfused theta
-    whose gap alone fails is no fallback: ``denoise`` does not evaluate it.
-    Returns ``(theta, z, iterations, residual, gap, fused, converged)``.
+    each call and labels the flat pieces through coo.
+    Returns ``(theta, z, iterations, residual, gap, converged)``.
     """
     y, D, lam = problem.y, problem.D, problem.lam
     m, n = D.shape
@@ -1316,9 +1341,9 @@ def _denoise_reference(problem, opts):
             resid = float(np.max(np.abs((2.0 / n) * (th - y) + lam * (Dt @ zq))))
             score = float(np.max([resid / scale, gp / (1.0 + ft)]))
             if (fused or gp / (1.0 + ft) <= opts.tol) and (best is None or score < best[0]):
-                best = (score, th, zq, resid, float(gp), fused)
+                best = (score, th, zq, resid, float(gp))
             if score <= opts.tol and np.all(np.isfinite(th)):
-                return th, zq, it, resid, float(gp), fused, True
+                return th, zq, it, resid, float(gp), True
     return (*best[1:3], it, *best[3:], False)
 
 
@@ -1342,18 +1367,19 @@ class TestDenoiseMatchesReference:
     def test_bit_for_bit(self, case, warm):
         D, y = _reference_case(case)
         outcomes = []
-        # the smallest lam ends in an unfused pass on the anchored path; the
-        # warm starts from 1.05 lam pass at WARM_CHECK on the grid and path
+        # at the smallest lam no dual entry of the anchored path is strictly
+        # inside the box, so the reference's raw and fused candidates are one;
+        # the warm starts from 1.05 lam pass at WARM_CHECK on the grid and path
         for lam in (0.0005, 0.004, 0.02):
             z0 = T.solve(D, y, 1.05 * lam).dual_z if warm else None
             for max_iter in (7, 10, 24, 60, 50000):
                 opts = T.SolverOptions(max_iter=max_iter, z0=z0)
                 problem = T.DenoiseProblem(y, D, lam)
                 res = T.denoise(problem, opts)
-                theta, z, it, resid, gap, fused, converged = _denoise_reference(problem, opts)
+                theta, z, it, resid, gap, converged = _denoise_reference(problem, opts)
                 assert np.array_equal(res.theta_hat, theta) and np.array_equal(res.dual_z, z)
                 assert (res.iterations, res.stationarity_residual, res.duality_gap,
-                        res.fused, res.converged) == (it, resid, gap, fused, converged)
+                        res.converged) == (it, resid, gap, converged)
                 if not converged:
                     # the reported residual is that of the returned pair
                     n = len(y)
@@ -1362,6 +1388,39 @@ class TestDenoiseMatchesReference:
                         (2.0 / n) * (res.theta_hat - y) + lam * (Dt @ res.dual_z))))
                 outcomes.append(converged)
         assert any(outcomes) and not all(outcomes)
+
+
+@st.composite
+def one_candidate_cases(draw):
+    """(problem, opts) on a small ER, grid, star, cycle-power or path graph, cold or warm."""
+    family = draw(st.sampled_from(["erdos_renyi", "grid", "star", "cycle_power", "path"]))
+    n = draw(st.integers(4, 30))
+    g = G.build_family(family, n=n, d=2, N=draw(st.integers(2, 6)), k=draw(st.integers(1, 2)),
+                       p=draw(st.sampled_from([0.15, 0.3, 0.6])), seed=draw(st.integers(0, 99)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = rng.normal(size=3) * draw(st.sampled_from([1.0, 10.0]))
+    y = levels[rng.integers(0, 3, size=g.n)] + rng.normal(size=g.n) * draw(
+        st.sampled_from([0.01, 0.3, 2.0]))
+    lam = _constant_threshold(g, y) * draw(st.sampled_from([0.001, 0.01, 0.1, 0.3, 0.6, 0.9]))
+    tol = draw(st.sampled_from([1e-4, 1e-5, 1e-6, 1e-7]))
+    z0 = None
+    if draw(st.booleans()):  # warm, from the dual at a nearby lam
+        z0 = T.solve(g, y, lam * draw(st.sampled_from([0.8, 1.05, 1.5]))).dual_z
+    return T.DenoiseProblem(y, g, lam), T.SolverOptions(tol=tol, z0=z0)
+
+
+class TestOneCandidateGivesUpNothing:
+    """The fused candidate alone stops ``denoise`` where two candidates would."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(one_candidate_cases())
+    def test_converges_with_the_two_candidate_reference(self, case):
+        problem, opts = case
+        res = T.denoise(problem, opts)
+        _, _, it, _, _, converged = _denoise_reference(problem, opts)
+        assert (res.converged, res.iterations) == (converged, it)
+        if converged:
+            _certificate_holds(problem, res, opts.tol)
 
 
 class TestCheckSchedule:
