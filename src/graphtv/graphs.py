@@ -414,6 +414,25 @@ def is_complete(g: Graph) -> bool:
     return g.family == "complete" and g.m == g.n * (g.n - 1) // 2
 
 
+def is_path(g: Graph) -> bool:
+    """True iff g is the path 0 - 1 - ... - (n-1): n - 1 distinct edges, each (i, i+1)."""
+    return g.m == g.n - 1 and bool(np.all(np.diff(g.edges, axis=1) == 1))
+
+
+def is_grid(g: Graph, d, N) -> bool:
+    """True iff g is ``build_grid(d, N)`` (a hypercube for N = 2), read off the edges.
+
+    n = N^d, m = d N^(d-1) (N-1), and every edge steps by some N^a from a
+    vertex whose axis-a coordinate is below N - 1: m distinct grid edges.
+    """
+    if d is None or g.n != N**d or g.m != d * N ** (d - 1) * (N - 1):
+        return False
+    i, step = g.edges[:, 0], np.diff(g.edges, axis=1).ravel()
+    powers = N ** np.arange(d, dtype=np.int64)
+    axis = np.minimum(np.searchsorted(powers, step), d - 1)
+    return bool(np.all((powers[axis] == step) & ((i // step) % N < N - 1)))
+
+
 def is_connected(g: Graph) -> bool:
     """True iff the graph has a single connected component."""
     return bool(_components(g.n, g.edges[:, 0], g.edges[:, 1]).max() == 0)

@@ -366,7 +366,8 @@ def _route(g, method: str):
     ``g`` is a Graph or a difference matrix; returns ``(rho, lambda_2,
     rho_method)``.  ``"auto"`` takes the closed form for K_n and S_n (by
     edge count and center, not tag), the structured eigensum for grids and
-    hypercubes, the spectral-gap bound for Erdos-Renyi and random regular
+    hypercubes (by their edges, :func:`graphs.is_grid`), the spectral-gap
+    bound for Erdos-Renyi and random regular
     graphs past ``DENSE_SIZE_CAP`` vertices and the dense pseudoinverse
     otherwise (always for a matrix).  ``"dense"`` forces the dense one.
     """
@@ -383,11 +384,11 @@ def _route(g, method: str):
         if n > DENSE_SIZE_CAP and graph.family in ("erdos_renyi", "random_regular"):
             lam2, bound = spectral_gap(G.incidence(graph))
             return bound, lam2, "spectral_gap_bound"
-        if graph.family in ("grid", "hypercube"):
-            N = graph.params.get("N", 2)  # a hypercube is the grid of side 2
+        d, N = graph.params.get("d"), graph.params.get("N", 2)  # a hypercube has side 2
+        if graph.family in ("grid", "hypercube") and G.is_grid(graph, d, N):
             # smallest positive Kronecker-sum eigenvalue: one axis at lam_1, rest at 0
             lam2 = float(2.0 - 2.0 * np.cos(np.pi / N))
-            return rho_structured_grid(graph.params["d"], N), lam2, "eigensum_structured"
+            return rho_structured_grid(d, N), lam2, "eigensum_structured"
     _, sq_norms, lam2 = _dense_spectrum(g if graph is None else G.incidence(graph))
     return float(np.sqrt(sq_norms.max())), lam2, "dense_pseudoinverse"
 

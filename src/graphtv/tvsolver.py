@@ -34,12 +34,10 @@ theta plus the change in the primal objective.  It passes as soon as the
 flat pieces are found, long before every near-flat edge of theta falls
 below the jump tolerance.
 
-The certificate of a given theta (``kkt_certificate``) fixes z on the
-jumps and fits the free entries by the same projected-gradient loop.
-When the free edges form a forest, their incidence matrix has full row
-rank and the free entries are the unique solution of a square sparse
-system, which starts the loop: for an exact theta (the taut string on a
-path, any tree) it is the dual, and the loop ends within a few steps.
+The certificate of a given theta on any D (``kkt_certificate``) fixes z
+on the jumps and fits the free entries by the same projected-gradient
+loop from zero.  No route of ``solve`` calls it: it is the independent
+oracle that the exact routes' closed-form certificates are tested against.
 
 Two exact special-purpose solvers are provided as independent
 cross-checks and fast paths: a taut-string solver for path graphs and a
@@ -48,13 +46,13 @@ in-house pool-adjacent-violators pass in numpy (``_isotonic``), so that
 importing the package does not load ``scipy.optimize``.
 
 ``solve`` is the one route from a graph to a certified ``DenoiseResult``:
-``solver_for`` alone picks the taut string for a path or a 1-D grid, the
-sort-plus-isotonic reduction for a complete graph and ``denoise`` for
-anything else.  It alone warns about a disconnected graph, and only for
-a custom graph or a bare matrix: the named families are connected by
-construction.  The path estimate is certified by ``kkt_certificate``;
-the K_n estimate by ``_complete_certificate``, which reads no incidence
-matrix and no edge list.  Every certificate counts an edge as a jump
+``solver_for`` alone picks the taut string for a graph whose edges form
+the path 0 - 1 - ... - (n-1), the sort-plus-isotonic reduction for a
+complete graph and ``denoise`` for anything else.  It alone warns about a
+disconnected graph, and only for a custom graph or a bare matrix: the
+named families are connected by construction.  Both exact estimates are
+certified in closed form from y and theta alone (``_path_certificate``,
+``_complete_certificate``).  Every certificate counts an edge as a jump
 above ``JUMP_RTOL * (1 + ||y||_inf)`` (``_scale``).
 
 On K_n, once theta is sorted into blocks of equal value, every edge
@@ -72,7 +70,6 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
 
 from . import graphs as G
 from . import spectral as spec
@@ -114,15 +111,15 @@ class DenoiseProblem:
         self.y = _check_exact_input(self.y, self.lam)
         if isinstance(self.D, G.Graph):
             g, derived = self.D, self.D._derived
-            D = _kept_incidence(g)
-            if "Dt" not in derived:
+            if "D" not in derived:
+                D = G.incidence(g)
                 Dt = D.T.tocsr()
-                for a in (Dt.data, Dt.indices, Dt.indptr):
+                for a in (D.data, D.indices, D.indptr, Dt.data, Dt.indices, Dt.indptr):
                     a.setflags(write=False)  # shared by every problem on the Graph
                 i, j = np.ascontiguousarray(g.edges.T)  # row e of D reads theta_i - theta_j
-                derived.update(Dt=Dt, op_norm=operator_norm(D, Dt), fusion=(slice(None), i, j))
+                derived.update(D=D, Dt=Dt, op_norm=operator_norm(D, Dt), fusion=(slice(None), i, j))
             self.D, self.Dt, self.op_norm, self.fusion = (
-                D, derived["Dt"], derived["op_norm"], derived["fusion"])
+                derived["D"], derived["Dt"], derived["op_norm"], derived["fusion"])
         elif not sp.issparse(self.D):
             self.D = sp.csr_matrix(np.asarray(self.D, dtype=float))
         else:
@@ -131,16 +128,6 @@ class DenoiseProblem:
             raise ValueError("y must be a vector of length D.shape[1]")
         if not np.all(np.isfinite(self.D.data)):
             raise ValueError("D contains NaN or Inf")
-
-
-def _kept_incidence(g: G.Graph) -> sp.csr_matrix:
-    """The read-only incidence matrix of g, built on first use and kept on the Graph."""
-    if "D" not in g._derived:
-        D = G.incidence(g)
-        for a in (D.data, D.indices, D.indptr):
-            a.setflags(write=False)
-        g._derived["D"] = D
-    return g._derived["D"]
 
 
 @dataclass
@@ -164,7 +151,7 @@ class DenoiseResult:
     the dual-fused candidate of the last check of :func:`denoise`."""
 
     theta_hat: np.ndarray
-    dual_z: np.ndarray | None  # None on the complete-graph route, which builds no D
+    dual_z: np.ndarray | None  # None on the complete-graph route, which fits no z
     iterations: int
     stationarity_residual: float
     dual_feasibility: float
@@ -230,30 +217,6 @@ def _fusion_graph(D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a, b = D.data[first], D.data[first + 1]
     keep = (a == -b) & (a != 0.0)
     return rows[keep], D.indices[first[keep]], D.indices[first[keep] + 1]
-
-
-def _forest_dual(DF, DFt, b: np.ndarray) -> np.ndarray | None:
-    """Solve ``DF^T w = b`` off one vertex per tree if the rows of DF form a forest, else None.
-
-    Every row must read ``a (theta_i - theta_j)`` and the m rows must
-    join the n vertices into exactly ``n - m`` components.  Then DF has
-    full row rank, and dropping one vertex per tree leaves a square,
-    nonsingular system for one sparse solve.  When b sums to zero on
-    every tree, as it does at an exact solution, w solves all of
-    ``DF^T w = b`` and is its only solution.  Isolated vertices are trees
-    of one vertex and drop out entirely.
-    """
-    m, n = DF.shape
-    _, i, j = _fusion_graph(DF)
-    if len(i) < m:
-        return None
-    tree = G._components(n, i, j)
-    roots = np.unique(tree, return_index=True)[1]
-    if m != n - len(roots):
-        return None
-    keep = np.ones(n, dtype=bool)
-    keep[roots] = False
-    return spsolve(DFt[keep].tocsc(), b[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -403,15 +366,9 @@ def kkt_certificate(problem: DenoiseProblem, theta: np.ndarray,
     achievable one, so a small value certifies near-optimality of theta.
 
     The free entries come from accelerated projected gradient on the box
-    ``||z||_inf <= 1``, which keeps the best residual it checks.  When
-    the free rows of D form a forest (``_forest_dual``), D_F has full row
-    rank, so ``D_F^T z_F = -r0/lam`` (r0 the residual of the jump
-    entries alone) has at most one solution, and for an exact theta that
-    solution is the dual: one sparse solve finds it, and the loop, which
-    starts from its clip to [-1, 1], stops after a few iterations.  For
-    an inexact theta the clipped solution can be far worse than what the
-    loop reaches, so the loop runs on from it as from any start.  Free
-    rows with a cycle start from zero.
+    ``||z||_inf <= 1``, started at zero, which keeps the best residual it
+    checks.  It works on any difference matrix, so it is the independent
+    oracle for the closed-form certificates of the exact routes.
     """
     y, D, lam = problem.y, problem.D, problem.lam
     m, n = D.shape
@@ -436,9 +393,8 @@ def kkt_certificate(problem: DenoiseProblem, theta: np.ndarray,
     if op <= 0.0:
         return z, float(np.max(np.abs(r0)))
     step = 1.0 / (lam * lam * op)
-    w_forest = _forest_dual(DF, DFt, -r0 / lam)
-    best_w = np.zeros(DF.shape[0]) if w_forest is None else np.clip(w_forest, -1.0, 1.0)
-    best_resid = float(np.max(np.abs(r0 + lam * (DFt @ best_w))))
+    best_w = np.zeros(DF.shape[0])
+    best_resid = float(np.max(np.abs(r0)))
     for it, w_prev, w in _apg_box(lambda v: lam * (DF @ (r0 + lam * (DFt @ v))),
                                   best_w, step, 1.0, max_iter):
         delta = float(np.max(np.abs(w - w_prev)))
@@ -558,6 +514,36 @@ def denoise_path_exact(y: np.ndarray, lam: float) -> np.ndarray:
     return tv1d_prox(y, 0.5 * lam * len(y))
 
 
+def _path_certificate(y: np.ndarray, lam: float,
+                      theta: np.ndarray) -> tuple[np.ndarray, float, float, float]:
+    """``(z, residual, dual_feasibility, tv)`` of theta on the path, without D.
+
+    ``D^T z`` is ``np.diff`` of z padded with a zero at each end.  The
+    jumps take ``sign(D theta)`` and split the vertices into pieces, whose
+    free edges take the running sum of ``w - mean w``, w the part of
+    ``-(2/(n lam))(theta - y)`` the jumps leave: the best residual, ``lam
+    |mean w|`` on each piece.  For an exact theta the means vanish and z is
+    the one dual of the path, the running sum of ``(2/(n lam))(y - theta)``
+    (Condat, IEEE SPL 2013).  At lam = 0, z is 0 on the flat edges.
+    """
+    n = len(y)
+    r = (2.0 / n) * (theta - y)
+    Dtheta = -np.diff(theta)
+    jumps = np.abs(Dtheta) > JUMP_RTOL * _scale(y)
+    z = np.where(jumps, np.sign(Dtheta), 0.0)
+    if lam > 0.0:
+        w = -r / lam - np.diff(z, prepend=0.0, append=0.0)
+        starts = np.r_[0, np.flatnonzero(jumps) + 1]
+        sizes = np.diff(starts, append=n)
+        piece = np.repeat(np.arange(len(starts)), sizes)
+        dev = w - (np.add.reduceat(w, starts) / sizes)[piece]
+        run = np.cumsum(dev)
+        run -= (run[starts] - dev[starts])[piece]  # restart at each piece
+        z[~jumps] = run[:-1][~jumps]
+    resid = float(np.max(np.abs(r + lam * np.diff(z, prepend=0.0, append=0.0))))
+    return z, resid, float(np.max(np.abs(z), initial=0.0)), float(np.abs(Dtheta).sum())
+
+
 # ---------------------------------------------------------------------------
 # exact complete-graph solver
 
@@ -605,8 +591,8 @@ def denoise_complete_exact(y: np.ndarray, lam: float) -> np.ndarray:
 
 
 def _complete_certificate(y: np.ndarray, lam: float,
-                          theta: np.ndarray) -> tuple[float, float, float]:
-    """``(residual, dual_feasibility, tv)`` of theta on K_n, without D.
+                          theta: np.ndarray) -> tuple[None, float, float, float]:
+    """``(None, residual, dual_feasibility, tv)`` of theta on K_n, without D.
 
     Sorted theta splits into blocks where consecutive values differ by at
     most the jump tolerance of ``denoise``.  Vertex i of a block B of b
@@ -628,7 +614,7 @@ def _complete_certificate(y: np.ndarray, lam: float,
     starts = np.flatnonzero(np.r_[True, np.diff(t) > JUMP_RTOL * _scale(y)])
     jumps = float(len(starts) > 1)
     if lam == 0.0:
-        return float(np.max(np.abs(grad))), jumps, tv
+        return None, float(np.max(np.abs(grad))), jumps, tv
     sizes = np.diff(starts, append=n)
     block = np.repeat(np.arange(len(starts)), sizes)
     first, b = starts[block], sizes[block]
@@ -641,7 +627,7 @@ def _complete_certificate(y: np.ndarray, lam: float,
     k = np.arange(1, n + 1) - first
     inner = k < b
     ratio = np.max(top[inner] / (k[inner] * (b[inner] - k[inner])), initial=0.0)
-    return lam * float(np.max(np.abs(mean))), max(jumps, float(ratio)), tv
+    return None, lam * float(np.max(np.abs(mean))), max(jumps, float(ratio)), tv
 
 
 # ---------------------------------------------------------------------------
@@ -651,15 +637,14 @@ def _complete_certificate(y: np.ndarray, lam: float,
 def solver_for(g) -> str:
     """The solver :func:`solve` takes for ``g``, a Graph or a difference matrix.
 
-    ``"sort_isotonic"`` for a complete graph, ``"taut_string"`` for a
-    path or a 1-D grid (the same edge list) and ``"dual_fista"``
-    (:func:`denoise`) for anything else, the anchored path and custom
-    graphs included.
+    ``"sort_isotonic"`` for a complete graph, ``"taut_string"`` for a Graph
+    whose edges form the path 0 - 1 - ... - (n-1), whatever its tag, and
+    ``"dual_fista"`` (:func:`denoise`) for anything else.
     """
     if isinstance(g, G.Graph):
         if G.is_complete(g):
             return "sort_isotonic"
-        if g.family == "path" or (g.family == "grid" and g.params.get("d") == 1):
+        if G.is_path(g):
             return "taut_string"
     return "dual_fista"
 
@@ -667,31 +652,20 @@ def solver_for(g) -> str:
 def solve(g, y, lam: float, opts: SolverOptions | None = None) -> DenoiseResult:
     """Denoise y on ``g`` (a Graph or a difference matrix) by the route of :func:`solver_for`.
 
-    A Graph keeps what its routes derive: ``dual_fista`` the incidence
-    matrix, its transpose and the step bound of its first
-    :class:`DenoiseProblem`, the taut string the incidence matrix alone
-    (its certificate reads nothing else), and the complete-graph route
-    nothing, not even the edge list of a K_n from :func:`graphs.build_complete`.
-    The exact routes report ``converged`` when their certificate passes
-    the bounds of :func:`denoise`: residual within ``opts.tol * (1 +
-    ||y||_inf)`` and dual feasibility within ``1 + opts.tol``.  They take
-    no iterations and have no duality gap.  The named families are
-    connected by construction; for a custom Graph or a bare matrix a
-    warning is attached when the rows ``a (theta_i - theta_j)`` of D
-    leave the vertices disconnected, since the oracle-inequality theory
-    assumes a connected graph.
+    ``dual_fista`` keeps the operator of its first :class:`DenoiseProblem`
+    on a Graph.  The exact routes derive nothing: the estimate and its
+    closed-form certificate read only y and theta, not even a K_n's edge
+    list.  They take no iterations, have no duality gap and report
+    ``converged`` when the certificate passes the bounds of
+    :func:`denoise`: residual within ``opts.tol * (1 + ||y||_inf)`` and
+    dual feasibility within ``1 + opts.tol``.  For a custom Graph or a
+    bare matrix a warning is attached when the rows ``a (theta_i -
+    theta_j)`` of D leave the vertices disconnected, since the
+    oracle-inequality theory assumes a connected graph.
     """
     opts = opts or SolverOptions()
     solver = solver_for(g)
-    if solver == "sort_isotonic":
-        y = _check_exact_input(y, lam)
-        if y.shape != (g.n,):
-            raise ValueError("y must be a vector of length n")
-        theta = denoise_complete_exact(y, lam)
-        z = None
-        resid, feasibility, tv = _complete_certificate(y, lam, theta)
-        objective = float(np.mean((theta - y) ** 2)) + lam * tv
-    elif solver == "dual_fista":
+    if solver == "dual_fista":
         problem = DenoiseProblem(y, g, lam)
         if not isinstance(g, G.Graph) or g.family == "custom":
             _, i, j = problem.fusion or _fusion_graph(problem.D)
@@ -700,15 +674,16 @@ def solve(g, y, lam: float, opts: SolverOptions | None = None) -> DenoiseResult:
                               "connected graph; the solution preserves the mean per "
                               "component", UserWarning, stacklevel=2)
         return denoise(problem, opts)
-    else:
-        problem = DenoiseProblem(y, _kept_incidence(g), lam)  # kkt_certificate reads only D
-        y = problem.y
-        theta = denoise_path_exact(y, lam)
-        z, resid = kkt_certificate(problem, theta)
-        feasibility = float(np.max(np.abs(z), initial=0.0))
-        objective = objective_value(y, problem.D, lam, theta)
+    y = _check_exact_input(y, lam)
+    if y.shape != (g.n,):
+        raise ValueError("y must be a vector of length n")
+    exact, certificate = ((denoise_path_exact, _path_certificate) if solver == "taut_string"
+                          else (denoise_complete_exact, _complete_certificate))
+    theta = exact(y, lam)
+    z, resid, feasibility, tv = certificate(y, lam, theta)
     converged = resid <= opts.tol * _scale(y) and feasibility <= 1.0 + opts.tol
-    return DenoiseResult(theta, z, 0, resid, feasibility, objective, bool(converged),
+    return DenoiseResult(theta, z, 0, resid, feasibility,
+                         float(np.mean((theta - y) ** 2)) + lam * tv, bool(converged),
                          None, solver)
 
 

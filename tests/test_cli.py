@@ -278,7 +278,8 @@ class TestDenoiseCommand:
         args = ["denoise", "--graph", "path", "--n", "3", "--y", str(yp),
                 "--lambda-value", "0.5", "--oracle", "taut-string", "--out", str(out)]
         assert run(args) == 0
-        monkeypatch.setattr(T, "kkt_certificate", lambda problem, theta: (np.zeros(2), 1.0))
+        monkeypatch.setattr(T, "_path_certificate",
+                            lambda y, lam, theta: (np.zeros(2), 1.0, 0.0, 0.0))
         assert run(args) == 3
         rep = json.loads((tmp_path / "theta.txt.report.json").read_text())
         assert rep["converged"] is False and rep["stationarity_residual"] == 1.0

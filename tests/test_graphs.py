@@ -412,6 +412,29 @@ class TestConnectivity:
         assert G.is_connected(G.Graph(n, np.array(edges).reshape(-1, 2))) is connected
 
 
+class TestShapeChecks:
+    """``is_path`` and ``is_grid`` read the edges, not the family tag."""
+
+    @pytest.mark.parametrize("family", list(G.FAMILIES))
+    def test_builders(self, family):
+        g = G.build_family(family, n=16, d=2, N=4, k=2, p=0.5, seed=3)
+        assert G.is_path(g) == (family == "path")
+        assert G.is_grid(g, g.params.get("d"), g.params.get("N", 2)) == (
+            family in ("grid", "hypercube"))
+
+    def test_one_dimensional_grid_is_a_path(self):
+        assert G.is_path(G.build_grid(1, 7)) and G.is_grid(G.build_path(7), 1, 7)
+        assert G.is_grid(G.build_hypercube(4), 4, 2) and not G.is_grid(G.build_grid(2, 4), 4, 2)
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (1, 2), (2, 4), (3, 4)],  # n - 1 edges, one of them not (i, i+1)
+        [(0, 1), (1, 2), (2, 3)],  # vertex 4 left out
+        [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)],  # the cycle
+    ])
+    def test_path_tag_is_not_a_path(self, edges):
+        assert not G.is_path(G.Graph(5, edges, family="path"))
+
+
 class TestEdgeListFormat:
     def test_parse_with_comments(self):
         text = "# my graph\n1 2\n2 3  # inline\n\n1 3\n"

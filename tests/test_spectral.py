@@ -292,7 +292,16 @@ class TestOneRoute:
         (G.Graph(6, G.build_star(6).edges[1:], family="star"), "dense_pseudoinverse"),
         # S_5 centered at vertex 3 is still a star
         (G.Graph(5, [(0, 3), (1, 3), (2, 3), (3, 4)], family="star"), "closed_form"),
-    ], ids=["complete-minus-an-edge", "path-tagged-star", "star-minus-an-edge", "star-off-0"])
+        (G.Graph(16, G.build_path(16).edges, family="grid", params={"d": 2, "N": 4}),
+         "dense_pseudoinverse"),
+        # the 4x4 grid with (0, 1) swapped for (3, 4), a step of 1 off the grid's last column
+        (G.Graph(16, G._canonical_edges([e for e in G.build_grid(2, 4).edges.tolist()
+                                         if e != [0, 1]] + [[3, 4]]),
+                 family="grid", params={"d": 2, "N": 4}), "dense_pseudoinverse"),
+        (G.Graph(8, G.build_hypercube(3).edges, family="grid", params={"d": 3, "N": 2}),
+         "eigensum_structured"),
+    ], ids=["complete-minus-an-edge", "path-tagged-star", "star-minus-an-edge", "star-off-0",
+            "path-tagged-grid", "grid-with-a-swapped-edge", "hypercube-tagged-grid"])
     def test_closed_form_reads_the_edges_not_the_tag(self, g, method):
         auto, dense = S.spectral_report(g), S.spectral_report(g, "dense")
         assert auto.rho_method == method

@@ -825,35 +825,6 @@ class TestComponents:
                               _components_coo(81, i[::2], j[::2]))
 
 
-def _zero_start_certificate(problem, theta, max_iter=20000):
-    """``T.kkt_certificate`` with the free entries always started at zero."""
-    y, D, lam = problem.y, problem.D, problem.lam
-    n = D.shape[1]
-    r_base = (2.0 / n) * (theta - y)
-    Dtheta = D @ theta
-    jumps = np.abs(Dtheta) > 1e-8 * (1.0 + float(np.max(np.abs(y))))
-    z = np.zeros(D.shape[0])
-    z[jumps] = np.sign(Dtheta[jumps])
-    r0 = r_base + lam * (D[jumps].T @ z[jumps]) if jumps.any() else r_base
-    DF = D[~jumps].tocsr()
-    DFt = DF.T.tocsr()
-    step = 1.0 / (lam * lam * T.operator_norm(DF))
-    best_w = np.zeros(DF.shape[0])
-    best_resid = float(np.max(np.abs(r0)))
-    for it, w_prev, w in T._apg_box(lambda v: lam * (DF @ (r0 + lam * (DFt @ v))),
-                                    best_w, step, 1.0, max_iter):
-        delta = float(np.max(np.abs(w - w_prev)))
-        if it % T.CHECK_EVERY == 0 or delta <= 1e-14:
-            resid = float(np.max(np.abs(r0 + lam * (DFt @ w))))
-            if resid < best_resid:
-                best_resid = resid
-                best_w = w.copy()
-            if delta <= 1e-14:
-                break
-    z[~jumps] = best_w
-    return z, best_resid
-
-
 @st.composite
 def weighted_forests(draw):
     """(D, y, lam): rows ``a (theta_i - theta_j)`` of a random forest in random order.
@@ -880,123 +851,51 @@ def weighted_forests(draw):
     return D, y, lam
 
 
-def _count_apg(monkeypatch):
-    """Wrap ``T._apg_box`` to record each call's start and iteration count."""
-    calls = []
-    inner = T._apg_box
-
-    def counted(grad, u0, step, bound, max_iter):
-        calls.append({"u0": np.array(u0), "iters": 0})
-        for out in inner(grad, u0, step, bound, max_iter):
-            calls[-1]["iters"] = out[0]
-            yield out
-
-    monkeypatch.setattr(T, "_apg_box", counted)
-    return calls
-
-
-def _cli_path():
-    """The 20-block path signal of the benchmark's taut-string CLI command."""
-    rng = np.random.default_rng(1)
-    y = np.repeat(rng.normal(0.0, 3.0, size=20), 1000) + 0.5 * rng.standard_normal(20_000)
-    return y, G.incidence(G.build_path(20_000)), 3e-4
-
-
 class TestForestCertificate:
-    """On a forest the free dual is unique, and the certificate starts from it."""
-
-    def _check_exact(self, problem, theta):
-        y, D = problem.y, problem.D
-        scale = 1.0 + float(np.max(np.abs(y)))
-        z, resid = T.kkt_certificate(problem, theta)
-        assert resid <= 1e-12 * scale
-        assert np.max(np.abs(z), initial=0.0) <= 1.0
-        Dtheta = D @ theta
-        jumps = np.abs(Dtheta) > 1e-8 * scale
-        assert np.array_equal(z[jumps], np.sign(Dtheta[jumps]))
-        if problem.lam > 0 and not jumps.all():  # some entries are left to fit
-            z0, _ = _zero_start_certificate(problem, theta)
-            assert np.max(np.abs(z - z0)) <= 1e-8
-
     @settings(max_examples=60, deadline=None)
     @given(weighted_forests())
     def test_forests_exact(self, inst):
         D, y, lam = inst
-        problem = T.DenoiseProblem(y, D, lam)
-        res = T.denoise(problem, T.SolverOptions(tol=1e-12))
+        res = T.denoise(T.DenoiseProblem(y, D, lam), T.SolverOptions(tol=1e-12))
         assert res.converged
-        self._check_exact(problem, res.theta_hat)
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(2, 80), st.sampled_from([1e-4, 1e-3, 1e-2, 0.1, 1.0]),
-           st.integers(0, 2**32 - 1))
-    def test_paths_taut_string(self, n, lam, seed):
-        rng = np.random.default_rng(seed)
-        y = np.repeat(rng.normal(size=4) * 3, -(-n // 4))[:n] + rng.normal(size=n)
-        self._check_exact(path_problem(y, lam), T.denoise_path_exact(y, lam))
 
-    def test_inexact_theta_keeps_the_loop(self):
-        # denoise's theta is inexact here, so the clipped forest start alone
-        # leaves about twice the residual the loop reaches; the returned one
-        # matches the zero start up to rounding at the stopping point
-        g = G.build_path(2000)
-        y = np.random.default_rng(g.n).normal(size=g.n) * 3 + 5
-        problem = T.DenoiseProblem(y, G.incidence(g), 0.005)
-        theta = T.denoise(problem, T.SolverOptions(tol=1e-6)).theta_hat
-        _, resid = T.kkt_certificate(problem, theta)
-        _, resid_zero = _zero_start_certificate(problem, theta)
-        _, resid_start = T.kkt_certificate(problem, theta, max_iter=1)
-        assert resid <= resid_zero * (1.0 + 1e-9)
-        assert resid_start > 1.5 * resid
+@st.composite
+def path_instances(draw):
+    """(y, lam) on paths of 2..80 vertices: four levels plus noise, lam = 0 included."""
+    n = draw(st.integers(2, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = (np.repeat(rng.normal(size=4) * 3, -(-n // 4))[:n]
+         + rng.normal(size=n) * draw(st.sampled_from([0.0, 0.3, 1.0])))
+    return y, draw(st.sampled_from([0.0, 1e-4, 1e-3, 1e-2, 0.1, 1.0]))
 
-    @pytest.mark.parametrize("case", ["cli-path", "star"])
-    def test_forest_start_ends_in_a_few_steps(self, monkeypatch, case):
-        if case == "cli-path":
-            y, D, lam = _cli_path()
-            theta = T.denoise_path_exact(y, lam)
-        else:
-            y = np.random.default_rng(15).normal(size=15) * 3 + 5
-            D, lam = G.incidence(G.build_star(15)), 0.05
-            theta = T.denoise(T.DenoiseProblem(y, D, lam),
-                              T.SolverOptions(tol=1e-12)).theta_hat
-        calls = _count_apg(monkeypatch)
-        _, resid = T.kkt_certificate(T.DenoiseProblem(y, D, lam), theta)
-        assert len(calls) == 1 and 1 <= calls[0]["iters"] <= 5
-        assert np.any(calls[0]["u0"] != 0.0)
-        assert resid <= 1e-12 * (1.0 + np.max(np.abs(y)))
 
-    @pytest.mark.parametrize("case", ["grid", "augmented-anchor-free"])
-    def test_cycles_and_free_anchor_start_at_zero(self, monkeypatch, case):
-        # a cycle among the free rows, or a free row that is not a
-        # difference, keeps the zero start and the zero-start result exactly
-        rng = np.random.default_rng(16)
-        if case == "grid":
-            D, lam = G.incidence(G.build_grid(2, 16)), 0.01
-            y = np.repeat([0.0, 2.0], 128) + rng.normal(size=256) * 0.5
-        else:
-            D, lam = G.build_augmented_path(40), 1.0  # the anchor theta_1 fuses to 0
-            y = rng.normal(size=40)
-        problem = T.DenoiseProblem(y, D, lam)
-        theta = T.denoise(problem, T.SolverOptions(tol=1e-10)).theta_hat
-        calls = _count_apg(monkeypatch)
-        z, resid = T.kkt_certificate(problem, theta)
-        assert len(calls) == 1 and not np.any(calls[0]["u0"])
-        monkeypatch.undo()
-        z0, resid0 = _zero_start_certificate(problem, theta)
-        assert np.array_equal(z, z0) and resid == resid0
+def _path_verdict(y, lam, theta, tol):
+    _, resid, feasibility, _ = T._path_certificate(y, lam, theta)
+    return resid <= tol * (1 + np.max(np.abs(y))) and feasibility <= 1 + tol
 
-    def test_augmented_path_with_jump_anchor_takes_the_forest_start(self, monkeypatch):
-        # once the anchor row is a jump, the free rows are differences on a path
-        y = np.random.default_rng(8).normal(size=40)
-        problem = T.DenoiseProblem(y, G.build_augmented_path(40), 0.05)
-        theta = T.denoise(problem, T.SolverOptions(tol=1e-10)).theta_hat
-        assert abs(theta[0]) > 1e-3
-        calls = _count_apg(monkeypatch)
-        z, _ = T.kkt_certificate(problem, theta)
-        assert np.any(calls[0]["u0"] != 0.0)
-        monkeypatch.undo()
-        z0, _ = _zero_start_certificate(problem, theta)
-        assert np.max(np.abs(z - z0)) <= 1e-8
+
+class TestPathCertificate:
+    """The closed-form path certificate, against ``kkt_certificate`` on the incidence matrix."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(path_instances())
+    def test_agrees_with_kkt_certificate(self, inst):
+        y, lam = inst
+        problem = path_problem(y, lam)
+        scale = 1 + np.max(np.abs(y))
+        theta = T.denoise_path_exact(y, lam)
+        z, resid, feasibility, tv = T._path_certificate(y, lam, theta)
+        kkt_z, kkt_resid = T.kkt_certificate(problem, theta)
+        assert resid <= 1e-12 * scale and feasibility <= 1 + 1e-9
+        assert kkt_resid <= 1e-9 * scale
+        # the dual of a path is unique, so the two certificates find the same z
+        assert np.max(np.abs(z - kkt_z)) <= 1e-9
+        assert tv == pytest.approx(np.abs(problem.D @ theta).sum(), rel=1e-12, abs=1e-12)
+        # a theta from another weight: both certificates give the same verdict
+        wrong = T.denoise_path_exact(y, 1.5 * lam)
+        _, kkt_wrong = T.kkt_certificate(problem, wrong)
+        assert _path_verdict(y, lam, wrong, 1e-6) == (kkt_wrong <= 1e-6 * scale)
 
 
 @st.composite
@@ -1015,7 +914,7 @@ def complete_instances(draw):
 
 
 def _complete_verdict(y, lam, theta, tol):
-    resid, feasibility, _ = T._complete_certificate(y, lam, theta)
+    _, resid, feasibility, _ = T._complete_certificate(y, lam, theta)
     return resid <= tol * (1 + np.max(np.abs(y))) and feasibility <= 1 + tol
 
 
@@ -1029,7 +928,8 @@ class TestCompleteCertificate:
         problem = T.DenoiseProblem(y, G.incidence(G.build_complete(len(y))), lam)
         scale = 1 + np.max(np.abs(y))
         theta = T.denoise_complete_exact(y, lam)
-        resid, feasibility, tv = T._complete_certificate(y, lam, theta)
+        z, resid, feasibility, tv = T._complete_certificate(y, lam, theta)
+        assert z is None
         z, kkt_resid = T.kkt_certificate(problem, theta)
         assert resid <= 1e-12 * scale and feasibility <= 1 + 1e-9
         assert kkt_resid <= 1e-9 * scale and np.max(np.abs(z)) <= 1.0
@@ -1066,7 +966,7 @@ class TestCompleteCertificate:
         lam_star = 2.0 / n * np.max(top / (k * (n - k)))
         theta = T.denoise_complete_exact(y, lam_star * (1 + 1e-6))
         assert np.ptp(theta) <= 1e-12
-        resid, feasibility, _ = T._complete_certificate(y, lam_star * (1 + 1e-6), theta)
+        _, resid, feasibility, _ = T._complete_certificate(y, lam_star * (1 + 1e-6), theta)
         assert 1 - 1e-4 < feasibility <= 1.0 and resid <= 1e-15
         below = lam_star * (1 - 1e-3)
         assert not _complete_verdict(y, below, np.full(n, y.mean()), 1e-5)
@@ -1086,6 +986,9 @@ ROUTE_CASES = {
     # a complete tag on a graph that is not complete falls through to denoise
     "complete-minus-an-edge": (G.Graph(12, G.build_complete(12).edges[1:], family="complete"),
                                "dual_fista"),
+    # so does a path tag on a star, while a path's edges take the taut string untagged
+    "star-tagged-path": (G.Graph(12, G.build_star(12).edges, family="path"), "dual_fista"),
+    "path-as-custom": (G.Graph(12, G.build_path(12).edges), "taut_string"),
 }
 
 
@@ -1203,32 +1106,22 @@ class TestGraphKeepsItsOperator:
             assert T.solve(g, y, lam).converged
         assert calls == {"incidence": 1, "operator_norm": 1}
 
-    def test_path_solve_derives_only_its_incidence(self, monkeypatch):
-        g = G.build_path(300)
-        rng = np.random.default_rng(4)
-        y = np.repeat(rng.normal(size=6) * 2, 50) + 0.3 * rng.normal(size=300)
-        bounds_of = []  # the matrices operator_norm bounds: the certificate's free rows
-
-        def spy(D, Dt=None, _inner=T.operator_norm):
-            bounds_of.append(D)
-            return _inner(D, Dt)
-
-        monkeypatch.setattr(T, "operator_norm", spy)
-        for lam in (0.001, 0.01):
+    def test_path_solve_derives_nothing(self, monkeypatch):
+        # the 20-block path signal of the benchmark's taut-string CLI command
+        g = G.build_path(20_000)
+        rng = np.random.default_rng(1)
+        y = np.repeat(rng.normal(0.0, 3.0, size=20), 1000) + 0.5 * rng.standard_normal(20_000)
+        calls = _count_operator_builds(monkeypatch)
+        for lam in (3e-4, 3e-3):
             res = T.solve(g, y, lam)
             assert res.converged and res.solver == "taut_string"
+            assert res.stationarity_residual <= 1e-12 * (1 + np.max(np.abs(y)))
             theta = T.denoise_path_exact(y, lam)
-            z, resid = T.kkt_certificate(T.DenoiseProblem(y, G.incidence(g), lam), theta)
+            z, resid, _, _ = T._path_certificate(y, lam, theta)
             assert np.array_equal(res.theta_hat, theta) and np.array_equal(res.dual_z, z)
             assert res.stationarity_residual == resid
-        assert set(g._derived) == {"edges", "D"}
-        assert all(D is not g._derived["D"] for D in bounds_of)  # no step bound of the graph
-        # denoise on the same Graph still derives (and keeps) its transpose and bound
-        calls = _count_operator_builds(monkeypatch)
-        assert T.denoise(T.DenoiseProblem(y, g, 0.01)).converged
-        assert T.denoise(T.DenoiseProblem(y, g, 0.02)).converged
-        assert calls == {"incidence": 0, "operator_norm": 1}
-        assert set(g._derived) == {"edges", "D", "Dt", "op_norm", "fusion"}
+        assert calls == {"incidence": 0, "operator_norm": 0}
+        assert set(g._derived) == {"edges"}
 
     def test_bare_matrix_solve_computes_its_bound(self, monkeypatch):
         g = G.build_grid(2, 6)
