@@ -414,6 +414,11 @@ def is_complete(g: Graph) -> bool:
     return g.family == "complete" and g.m == g.n * (g.n - 1) // 2
 
 
+def is_star(g: Graph) -> bool:
+    """True iff g is a star: tagged ``star``, with n - 1 edges that one vertex meets."""
+    return g.family == "star" and g.m == g.n - 1 == max_degree(g)
+
+
 def is_path(g: Graph) -> bool:
     """True iff g is the path 0 - 1 - ... - (n-1): n - 1 distinct edges, each (i, i+1)."""
     return g.m == g.n - 1 and bool(np.all(np.diff(g.edges, axis=1) == 1))

@@ -365,7 +365,8 @@ def _route(g, method: str):
 
     ``g`` is a Graph or a difference matrix; returns ``(rho, lambda_2,
     rho_method)``.  ``"auto"`` takes the closed form for K_n and S_n (by
-    edge count and center, not tag), the structured eigensum for grids and
+    edge count and center, :func:`graphs.is_complete` and
+    :func:`graphs.is_star`), the structured eigensum for grids and
     hypercubes (by their edges, :func:`graphs.is_grid`), the spectral-gap
     bound for Erdos-Renyi and random regular
     graphs past ``DENSE_SIZE_CAP`` vertices and the dense pseudoinverse
@@ -378,7 +379,7 @@ def _route(g, method: str):
         n = graph.n
         if G.is_complete(graph):
             return float(np.sqrt(2.0) / n), float(n), "closed_form"
-        if graph.family == "star" and graph.m == n - 1 == G.max_degree(graph):
+        if G.is_star(graph):
             # S_2 is a single edge, with lambda_2 = 2
             return float(np.sqrt((n * n - n)) / n), 1.0 if n >= 3 else 2.0, "closed_form"
         if n > DENSE_SIZE_CAP and graph.family in ("erdos_renyi", "random_regular"):

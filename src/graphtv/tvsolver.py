@@ -20,7 +20,12 @@ valid replacement.  The step size is 1/L for a certified upper bound L
 on the largest eigenvalue of D^T D (``operator_norm``), which is all
 the accelerated gradient method needs.  A Graph keeps D, D^T and that
 bound once derived (``DenoiseProblem``), so repeated solves on one graph
-pay for them once.  Convergence is checked every ``CHECK_EVERY``
+pay for them once.  On a grid with d >= 2 and side N >= 3 the loop runs
+on the same D in the grid's own shape (``_GridDifferences``): slice
+differences on a zero-padded edge layout, whose products equal the csr
+products value for value.  The checks sum over the rows of D in its
+order, so only the restart test's dot product rounds differently from a
+solve on the csr matrix.  Convergence is checked every ``CHECK_EVERY``
 iterations, at the last iteration, and once early (``WARM_CHECK``) when
 the solve starts from a warm dual.
 
@@ -88,6 +93,52 @@ JUMP_RTOL = 1e-8
 # problem / result containers
 
 
+class _GridDifferences:
+    """The incidence matrix of ``build_grid(d, N)`` on a zero-padded edge layout.
+
+    Block a of the ``d n`` rows holds the forward differences along axis a
+    (Chambolle, JMIV 2004): row ``a n + v`` reads ``theta_v - theta_{v +
+    N^a}``, and is 0 where the axis-a coordinate of v is N - 1.  Edge e of
+    the canonical list sits at row ``rows[e]``.  ``dot`` is d contiguous
+    slice subtractions with the border rows zeroed; ``tdot`` adds each
+    vertex's edges in the order of its row of the csr D^T, where a border
+    row adds an exact zero.  So both products equal the csr products of
+    :func:`graphs.incidence` value for value, at about a third of their
+    cost (Beck & Teboulle's operators for TV, IEEE TIP 2009).
+    """
+
+    def __init__(self, g: G.Graph, d: int, N: int):
+        self.n, self.N, self.size = g.n, N, d * g.n
+        self.steps = [N**a for a in range(d)]
+        i, j = g.edges.T
+        self.rows = np.searchsorted(self.steps, j - i) * g.n + i
+        self.rows.setflags(write=False)
+
+    def dot(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """D x in the padded layout, written into ``out`` when given."""
+        n, N = self.n, self.N
+        out = np.empty(self.size) if out is None else out
+        for a, s in enumerate(self.steps):
+            block = out[a * n:(a + 1) * n]
+            np.subtract(x[:n - s], x[s:], out=block[:n - s])
+            block.reshape(-1, N, s)[:, N - 1, :] = 0.0
+        return out
+
+    def tdot(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """D^T u for a padded u, 0 on its border rows, written into ``out`` when given."""
+        n, last = self.n, len(self.steps) - 1
+        out = np.empty(n) if out is None else out
+        s = self.steps[last]  # the csr row of v starts at its edge (v - N^(d-1), v)
+        np.subtract(0.0, u[last * n:last * n + n - s], out=out[s:])
+        out[:s] = 0.0
+        for a in range(last - 1, -1, -1):
+            s = self.steps[a]
+            np.subtract(out[s:], u[a * n:a * n + n - s], out=out[s:])
+        for a in range(last + 1):
+            np.add(out, u[a * n:(a + 1) * n], out=out)
+        return out
+
+
 @dataclass
 class DenoiseProblem:
     """One denoising instance: observations y, incidence D, weight lam.
@@ -96,8 +147,12 @@ class DenoiseProblem:
     ``D`` is a difference matrix, or a Graph whose incidence matrix, its
     transpose ``Dt``, the step bound ``op_norm = operator_norm(D, Dt)`` and
     the ``fusion`` arrays of :func:`_fusion_graph` (its edge list) are built
-    once and kept on it.  For a matrix these three are None and
-    :func:`denoise` derives them on each call.
+    once and kept on it.  For a matrix these are None and :func:`denoise`
+    derives them on each call.  A Graph whose edges are those of
+    ``build_grid(d, N)`` with d >= 2 and N >= 3 (``graphs.is_grid``) also
+    keeps ``grid``, the same D on the padded layout of
+    :class:`_GridDifferences`, which :func:`denoise` iterates on; ``D``
+    stays the csr incidence matrix.
     """
 
     y: np.ndarray
@@ -106,6 +161,7 @@ class DenoiseProblem:
     Dt: sp.csr_matrix | None = field(default=None, init=False, repr=False)
     op_norm: float | None = field(default=None, init=False, repr=False)
     fusion: tuple | None = field(default=None, init=False, repr=False)
+    grid: _GridDifferences | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.y = _check_exact_input(self.y, self.lam)
@@ -117,9 +173,14 @@ class DenoiseProblem:
                 for a in (D.data, D.indices, D.indptr, Dt.data, Dt.indices, Dt.indptr):
                     a.setflags(write=False)  # shared by every problem on the Graph
                 i, j = np.ascontiguousarray(g.edges.T)  # row e of D reads theta_i - theta_j
-                derived.update(D=D, Dt=Dt, op_norm=operator_norm(D, Dt), fusion=(slice(None), i, j))
-            self.D, self.Dt, self.op_norm, self.fusion = (
-                derived["D"], derived["Dt"], derived["op_norm"], derived["fusion"])
+                d, N = g.params.get("d", 0), g.params.get("N", 0)
+                grid = (_GridDifferences(g, d, N) if d >= 2 and N >= 3 and G.is_grid(g, d, N)
+                        else None)
+                derived.update(D=D, Dt=Dt, op_norm=operator_norm(D, Dt),
+                               fusion=(slice(None), i, j), grid=grid)
+            self.D, self.Dt, self.op_norm, self.fusion, self.grid = (
+                derived["D"], derived["Dt"], derived["op_norm"], derived["fusion"],
+                derived["grid"])
         elif not sp.issparse(self.D):
             self.D = sp.csr_matrix(np.asarray(self.D, dtype=float))
         else:
@@ -226,36 +287,37 @@ def _fusion_graph(D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _apg_box(grad, u0: np.ndarray, step: float, bound: float, max_iter: int):
     """Accelerated projected gradient on the box ``||u||_inf <= bound``.
 
-    Yields ``(it, u_prev, u)`` after each of at most ``max_iter``
-    iterations; the consumer tests convergence and stops iterating.
-    Momentum restarts whenever the step opposes the last move (gradient
-    restart).  The iterates live in three rotating buffers plus one
-    scratch buffer, so the yielded arrays are valid until the next step
-    only; ``u0`` itself is never modified.
+    Yields ``(it, move, u)`` after each of at most ``max_iter`` iterations,
+    ``move`` being ``u - u_prev``; the consumer tests convergence and stops
+    iterating.  Momentum restarts whenever the step opposes the last move
+    (gradient restart).  ``grad(v, out)`` returns the gradient at v, and
+    may write it into ``out``, a free buffer of v's shape.  The loop lives
+    in three buffers: the new iterate is clipped in place, the old one
+    becomes the move, and v - u_new is written over v for the restart
+    test.  So the yielded arrays are valid until the next step only;
+    ``u0`` itself is never modified.
     """
     u = np.array(u0, dtype=float)
-    u_prev = np.empty_like(u)
     v = u.copy()
-    s = np.empty_like(u)
+    w = np.empty_like(u)
     t = 1.0
     for it in range(1, max_iter + 1):
-        u_new = u_prev  # the oldest buffer is free
-        np.multiply(grad(v), step, out=s)
-        np.subtract(v, s, out=s)
-        np.maximum(s, -bound, out=u_new)  # clip to the box
-        np.minimum(u_new, bound, out=u_new)
-        np.subtract(v, u_new, out=s)
-        np.subtract(u_new, u, out=v)  # v now holds the move u_new - u
-        if np.dot(s, v) > 0.0:  # gradient-based restart
+        np.multiply(grad(v, w), step, out=w)
+        np.subtract(v, w, out=w)
+        np.maximum(w, -bound, out=w)  # clip to the box: w is the new iterate
+        np.minimum(w, bound, out=w)
+        np.subtract(w, u, out=u)  # u now holds the move
+        np.subtract(v, w, out=v)
+        if np.dot(v, u) > 0.0:  # gradient-based restart
             t_new = 1.0
-            np.copyto(v, u_new)
+            np.copyto(v, w)
         else:
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            np.multiply(v, (t - 1.0) / t_new, out=v)
-            np.add(u_new, v, out=v)
-        u_prev, u = u, u_new
+            np.multiply(u, (t - 1.0) / t_new, out=v)
+            np.add(v, w, out=v)
+        u, w = w, u
         t = t_new
-        yield it, u_prev, u
+        yield it, w, u
 
 
 def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> DenoiseResult:
@@ -275,7 +337,9 @@ def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> Denoi
     candidate.  ``opts.z0`` needs one entry per row of D.  A
     :class:`DenoiseProblem` on a Graph brings D, D^T, the step bound and
     the fusion edges kept on the Graph; for a bare matrix they are derived
-    here, on each call.  On a disconnected graph the solution is exact per
+    here, on each call.  On a grid the iterate lives on the padded rows of
+    ``problem.grid``; ``opts.z0`` and the returned ``dual_z`` are mapped
+    to and from the rows of D once per solve.  On a disconnected graph the solution is exact per
     component and keeps the mean of y on each; fusion never crosses
     components.  :func:`solve` warns about a disconnected custom graph.
     """
@@ -303,32 +367,45 @@ def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> Denoi
         raise ValueError("operator norm of D must be positive")
     step = 1.0 / op
 
+    grid = problem.grid
+    if grid is None:  # u has the rows of D
+        rows, Dx, Dtx = slice(None), D.__matmul__, Dt.__matmul__
+        u0 = np.zeros(m)
+        grad = lambda v, _: D @ (Dt @ v - y)
+    else:  # u has the padded rows of the grid; row e of D is its row rows[e]
+        rows, Dx, Dtx = grid.rows, grid.dot, grid.tdot
+        u0 = np.zeros(grid.size)
+        r = np.empty(n)  # D^T v - y of the current step
+        grad = lambda v, out: grid.dot(np.subtract(grid.tdot(v, r), y, out=r), out)
     warm = opts.z0 is not None
-    u0 = mu * np.clip(np.asarray(opts.z0, dtype=float), -1.0, 1.0) if warm else np.zeros(m)
+    if warm:
+        u0[rows] = mu * np.clip(np.asarray(opts.z0, dtype=float), -1.0, 1.0)
     best = None  # (score, residual, gap, theta, z) of the best candidate so far
     converged = False
-    for it, _, u in _apg_box(lambda v: D @ (Dt @ v - y), u0, step, mu, opts.max_iter):
+    for it, _, u in _apg_box(grad, u0, step, mu, opts.max_iter):
         if it % CHECK_EVERY != 0 and it != opts.max_iter and not (warm and it == WARM_CHECK):
             continue
         # the iterate and its exact duality gap against u feed the one
-        # candidate: theta averaged over the pieces of the flat edges
-        theta = y - Dt @ u
-        Dtheta = D @ theta
+        # candidate: theta averaged over the pieces of the flat edges.  The
+        # sums run over the rows of D, in its order, so they round as on D.
+        ue = u[rows]
+        theta = y - Dtx(u)
+        Dtheta = Dx(theta)[rows]
         fit = float(np.mean((theta - y) ** 2))
         tv = float(np.abs(Dtheta).sum())
-        gap = np.maximum(0.0, lam * tv - (2.0 / n) * float(Dtheta @ u))
-        flat = np.abs(u[fuse_rows]) < mu
+        gap = np.maximum(0.0, lam * tv - (2.0 / n) * float(Dtheta @ ue))
+        flat = np.abs(ue[fuse_rows]) < mu
         piece = G._components(n, fuse_i[flat], fuse_j[flat])
         theta_f = (np.bincount(piece, weights=theta) / np.bincount(piece))[piece]
-        Dtheta = D @ theta_f
+        Dtheta = Dx(theta_f)
         fit_f = float(np.mean((theta_f - y) ** 2))
-        tv_f = float(np.abs(Dtheta).sum())
+        tv_f = float(np.abs(Dtheta[rows]).sum())
         # P(theta_f) minus the dual value of u, without a ||y||^2 cancellation
         gap = float(np.maximum(0.0, gap + (fit_f - fit) + lam * (tv_f - tv)))
         jumps = np.abs(Dtheta) > jump_tol
         zq = u / mu
         zq[jumps] = np.sign(Dtheta[jumps])
-        resid = float(np.max(np.abs((2.0 / n) * (theta_f - y) + lam * (Dt @ zq))))
+        resid = float(np.max(np.abs((2.0 / n) * (theta_f - y) + lam * Dtx(zq))))
         # np.max and np.maximum propagate NaN, which never passes the test
         score = float(np.maximum(resid / scale, gap / (1.0 + fit_f)))
         if best is None or score < best[0]:
@@ -340,7 +417,7 @@ def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> Denoi
     _, resid, gap, theta, zq = best
     return DenoiseResult(
         theta_hat=theta,
-        dual_z=zq,
+        dual_z=zq[rows],
         iterations=it,
         stationarity_residual=resid,
         dual_feasibility=float(np.max(np.abs(zq))),
@@ -395,9 +472,9 @@ def kkt_certificate(problem: DenoiseProblem, theta: np.ndarray,
     step = 1.0 / (lam * lam * op)
     best_w = np.zeros(DF.shape[0])
     best_resid = float(np.max(np.abs(r0)))
-    for it, w_prev, w in _apg_box(lambda v: lam * (DF @ (r0 + lam * (DFt @ v))),
-                                  best_w, step, 1.0, max_iter):
-        delta = float(np.max(np.abs(w - w_prev)))
+    for it, move, w in _apg_box(lambda v, _: lam * (DF @ (r0 + lam * (DFt @ v))),
+                                best_w, step, 1.0, max_iter):
+        delta = float(np.max(np.abs(move)))
         if it % CHECK_EVERY == 0 or delta <= 1e-14:
             resid = float(np.max(np.abs(r0 + lam * (DFt @ w))))
             if resid < best_resid:
@@ -751,7 +828,10 @@ def lambda_value(rule: LambdaRule, graph=None) -> float:
     ``corollary`` takes the formula of the graph's family: the 2-D grid;
     grids with d >= 3, hypercubes and stars; complete graphs; Erdos-Renyi
     and random regular graphs, through the expected degree; cycle powers.
-    A path, a 1-D grid or a custom graph has none and raises ``ValueError``.
+    A grid, hypercube, star or complete graph must have its family's edges
+    (``graphs.is_grid``, ``is_star``, ``is_complete``), whatever its tag
+    says.  A path, a 1-D grid, a custom graph or a tag that its edges
+    belie has no formula and raises ``ValueError``.
     """
     if rule.rule == "manual":
         if rule.value is None:
@@ -764,6 +844,11 @@ def lambda_value(rule: LambdaRule, graph=None) -> float:
     if rule.rule == "theorem_general":
         return c * s * spec.rho_estimate(graph) * np.sqrt(2.0 * np.log(np.e * m / dl)) / n
     family, d = graph.family, graph.params.get("d")
+    if family in ("grid", "hypercube", "star", "complete") and not (
+            G.is_grid(graph, d, graph.params.get("N", 2)) if family in ("grid", "hypercube")
+            else G.is_star(graph) if family == "star" else G.is_complete(graph)):
+        raise ValueError(f"the corollary rule has no lambda for a graph tagged {family} "
+                         f"whose edges are not those of a {family} graph")
     if family == "grid" and d == 2:
         return c * s * np.sqrt(np.log(n) * np.log(np.e * n / dl)) / n
     if family in ("hypercube", "star") or (family == "grid" and d >= 3):

@@ -648,11 +648,14 @@ class TestImportFootprint:
 
     def test_spectral_and_denoise_commands(self, tmp_path):
         (tmp_path / "y.txt").write_text("0\n4\n1\n3\n")
+        (tmp_path / "y9.txt").write_text("0\n4\n1\n3\n2\n5\n0\n1\n4\n")
         code = ("import sys\nfrom graphtv import cli\n"
                 "assert cli.main(['spectral', '--graph', 'path', '--n', '4', '--method', "
                 "'dense', '--out', 's.json']) == 0\n"
                 "assert cli.main(['denoise', '--graph', 'complete', '--n', '4', '--y', "
                 "'y.txt', '--lambda-value', '0.1', '--out', 't.txt']) == 0\n"
                 "assert cli.main(['denoise', '--graph', 'path', '--n', '4', '--y', "
-                "'y.txt', '--lambda-value', '0.1', '--out', 'p.txt']) == 0")
+                "'y.txt', '--lambda-value', '0.1', '--out', 'p.txt']) == 0\n"
+                "assert cli.main(['denoise', '--graph', 'grid', '--d', '2', '--N', '3', "
+                "'--y', 'y9.txt', '--lambda-value', '0.1', '--out', 'g.txt']) == 0")
         assert self._heavy_modules_after(code, tmp_path) == []

@@ -413,12 +413,13 @@ class TestConnectivity:
 
 
 class TestShapeChecks:
-    """``is_path`` and ``is_grid`` read the edges, not the family tag."""
+    """``is_path``, ``is_grid`` and ``is_star`` read the edges, not the family tag alone."""
 
     @pytest.mark.parametrize("family", list(G.FAMILIES))
     def test_builders(self, family):
         g = G.build_family(family, n=16, d=2, N=4, k=2, p=0.5, seed=3)
         assert G.is_path(g) == (family == "path")
+        assert G.is_star(g) == (family == "star")
         assert G.is_grid(g, g.params.get("d"), g.params.get("N", 2)) == (
             family in ("grid", "hypercube"))
 

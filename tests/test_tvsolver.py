@@ -12,7 +12,7 @@ from scipy.sparse.csgraph import connected_components
 from graphtv import graphs as G
 from graphtv import spectral as S
 from graphtv import tvsolver as T
-from graphtv.signals import island_signal
+from graphtv.signals import island_signal, sample_grid_function
 
 
 def path_problem(y, lam):
@@ -398,9 +398,9 @@ class TestApgBox:
         ref = _apg_box_reference(grad_ref, u0.copy(), step, bound, iters)
         new = T._apg_box(grad_new, u0, step, bound, iters)
         count = 0
-        for (it_r, p_r, u_r), (it_n, p_n, u_n) in zip(ref, new):
+        for (it_r, p_r, u_r), (it_n, move, u_n) in zip(ref, new):
             assert it_r == it_n
-            assert np.array_equal(p_r, p_n)
+            assert np.array_equal(u_r - p_r, move)  # the loop yields the unscaled move
             assert np.array_equal(u_r, u_n)
             count += 1
         assert count == iters
@@ -416,7 +416,7 @@ class TestApgBox:
         mu = 0.5 * g.n * 0.02
         step = 1.0 / T.operator_norm(D)
         u0 = mu * rng.uniform(-1, 1, size=g.m)
-        self._compare(lambda v: -(D @ (y - Dt @ v)), lambda v: D @ (Dt @ v - y),
+        self._compare(lambda v: -(D @ (y - Dt @ v)), lambda v, _: D @ (Dt @ v - y),
                       u0, step, mu)
 
     def test_certificate_gradient(self):
@@ -434,7 +434,7 @@ class TestApgBox:
             return lam * (DF @ (r0 + lam * (DFt @ v)))
 
         step = 1.0 / (lam * lam * T.operator_norm(DF))
-        self._compare(grad, grad, np.zeros(DF.shape[0]), step, 1.0)
+        self._compare(grad, lambda v, _: grad(v), np.zeros(DF.shape[0]), step, 1.0)
 
 
 def _lambda_max(D) -> float:
@@ -572,6 +572,25 @@ class TestLambdaRules:
         rule = T.LambdaRule("corollary", sigma=sigma, delta=delta)
         for g, expected in cases:
             assert T.lambda_value(rule, g) == pytest.approx(expected, rel=1e-12), g.family
+
+    def test_formulas_read_the_edges_not_the_tag(self):
+        rule = T.LambdaRule("corollary", sigma=1.0, delta=0.1)
+        # the values before the formulas were gated on the edges, to the bit
+        kept = [(G.build_grid(2, 4), 0.25650869872679677),
+                (G.build_grid(3, 4), 0.04268076269225524),
+                (G.build_hypercube(5), 0.08129999060550287),
+                (G.build_star(9), 0.26057414457096884),
+                (G.build_complete(7), 0.04675427467020806)]
+        for g, value in kept:
+            assert T.lambda_value(rule, g) == value, g.family
+        path = G.build_path(16).edges
+        belied = [G.Graph(16, path, family="grid", params={"d": 2, "N": 4}),
+                  G.Graph(16, path, family="hypercube", params={"d": 4}),
+                  G.Graph(16, path, family="star"),
+                  G.Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], family="complete")]
+        for g in belied:
+            with pytest.raises(ValueError, match=f"tagged {g.family} whose edges"):
+                T.lambda_value(rule, g)
 
     def test_random_gap_uses_expected_degree(self):
         rule = T.LambdaRule("corollary", sigma=1.0, delta=0.1)
@@ -1172,7 +1191,7 @@ class TestGraphKeepsItsOperator:
         assert calls == {"incidence": 1, "operator_norm": 1}
 
     def test_denoise_multiplies_by_the_kept_transpose(self):
-        g = G.build_grid(2, 5)
+        g = G.build_cycle_power(25, 2)  # a grid iterates on its padded layout instead
         problem = T.DenoiseProblem(np.random.default_rng(5).normal(size=g.n), g, 0.05)
         plain = T.denoise(problem)
         products = []
@@ -1186,6 +1205,71 @@ class TestGraphKeepsItsOperator:
         res = T.denoise(problem)
         assert len(products) > plain.iterations
         assert np.array_equal(res.theta_hat, plain.theta_hat)
+
+
+class TestGridLayout:
+    """A grid's padded operator gives the products of D, and ``denoise`` on it D's solve."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3]), st.integers(3, 8), st.data())
+    def test_products_equal_the_csr_products(self, d, N, data):
+        g = G.build_grid(d, N)
+        grid = T.DenoiseProblem(np.zeros(g.n), g, 0.1).grid
+        D = G.incidence(g)
+        values = st.floats(-1e6, 1e6, allow_subnormal=True) | st.sampled_from([0.0, -0.0, 1.0])
+        x = np.array(data.draw(st.lists(values, min_size=g.n, max_size=g.n)))
+        z = np.array(data.draw(st.lists(values, min_size=g.m, max_size=g.m)))
+        border = np.ones(grid.size, dtype=bool)
+        border[grid.rows] = False
+        assert border.sum() == grid.size - g.m == d * N ** (d - 1)
+        # a kept buffer may hold anything before a product overwrites it
+        Dx = grid.dot(x, np.full(grid.size, np.nan))
+        assert np.array_equal(Dx[grid.rows], D @ x) and np.all(Dx[border] == 0.0)
+        u = np.zeros(grid.size)  # z on the padded rows, 0 on the border
+        u[grid.rows] = z
+        assert np.array_equal(grid.tdot(u, np.full(g.n, np.nan)), D.T.tocsr() @ z)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("d, N", [(2, 3), (2, 16), (2, 64), (3, 5)],
+                             ids=["3x3", "16x16", "64x64", "5x5x5"])
+    def test_denoise_equals_the_matrix_solve(self, d, N, warm):
+        g = G.build_grid(d, N)
+        D = G.incidence(g)
+        rng = np.random.default_rng(N)
+        y = 2.0 * (np.arange(g.n) < g.n // 3) + 0.5 * rng.normal(size=g.n)
+        for lam in (0.003 / np.sqrt(g.n), 0.3 / np.sqrt(g.n)):
+            z0 = T.solve(D, y, 1.05 * lam).dual_z if warm else None
+            shaped = T.DenoiseProblem(y, g, lam)
+            assert shaped.grid is not None and shaped.D.format == "csr"
+            a = T.denoise(shaped, T.SolverOptions(z0=z0))
+            b = T.denoise(T.DenoiseProblem(y, D, lam), T.SolverOptions(z0=z0))
+            assert a.converged
+            assert np.array_equal(a.theta_hat, b.theta_hat)
+            assert np.array_equal(a.dual_z, b.dual_z)
+            # the gap's sums run over the rows of D in its order, so it matches too
+            for f in ("iterations", "converged", "stationarity_residual", "dual_feasibility",
+                      "objective", "duality_gap"):
+                assert getattr(a, f) == getattr(b, f), f
+
+    @pytest.mark.parametrize("g", [G.build_grid(2, 2), G.build_grid(1, 9), G.build_hypercube(3),
+                                   G.Graph(16, G.build_path(16).edges, family="grid",
+                                           params={"d": 2, "N": 4})],
+                             ids=["side-2", "1-D", "hypercube", "path-tagged-grid"])
+    def test_other_graphs_keep_the_rows_of_D(self, g):
+        assert T.DenoiseProblem(np.zeros(g.n), g, 0.1).grid is None
+
+    def test_kkt_certificate_recertifies_a_grid_estimate(self):
+        # the benchmark's re-check of its CLI grid estimate (500 iterations, the
+        # CLI's tolerance), at 64^2; it stops on the size of the loop's move
+        rng = np.random.default_rng(0)
+        g = G.build_grid(2, 64)
+        y = sample_grid_function("pc_halfplane", 2, 64, height=10.0) + 0.5 * rng.standard_normal(g.n)
+        lam = T.lambda_value(T.LambdaRule("theorem_general", sigma=0.5), g)
+        res = T.solve(g, y, lam)
+        assert res.converged and res.solver == "dual_fista"
+        _, resid = T.kkt_certificate(T.DenoiseProblem(y, G.incidence(g), lam), res.theta_hat,
+                                     max_iter=500)
+        assert resid <= 1e-6 * (1 + np.max(np.abs(y)))
 
 
 def _denoise_reference(problem, opts):
@@ -1210,7 +1294,7 @@ def _denoise_reference(problem, opts):
     warm = opts.z0 is not None
     u0 = mu * np.clip(np.asarray(opts.z0, dtype=float), -1.0, 1.0) if warm else np.zeros(m)
     best = None
-    for it, _, u in T._apg_box(lambda v: D @ (Dt @ v - y), u0, 1.0 / T.operator_norm(D),
+    for it, _, u in T._apg_box(lambda v, _: D @ (Dt @ v - y), u0, 1.0 / T.operator_norm(D),
                                mu, opts.max_iter):
         if not (it % T.CHECK_EVERY == 0 or it == opts.max_iter
                 or (warm and it == T.WARM_CHECK)):
