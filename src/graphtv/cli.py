@@ -200,23 +200,22 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--lambda-rule", dest="lambda_rule", default="theorem_general",
                     choices=[r for r in tv.LAMBDA_RULES if r != "manual"])
     pd.add_argument("--sigma", type=float, help="noise level; required without --lambda-value")
-    pd.add_argument("--delta", type=float, default=0.1)
-    pd.add_argument("--constant-c", dest="constant_c", type=float, default=1.0)
+    pd.add_argument("--delta", type=float, default=tv.LambdaRule.delta)
+    pd.add_argument("--constant-c", dest="constant_c", type=float,
+                    default=tv.LambdaRule.constant_c)
     pd.add_argument("--lambda-value", dest="lambda_value", type=float,
                     help="explicit lambda (overrides the rule)")
     pd.add_argument("--oracle", choices=["taut-string"],
                     help="the exact path solver; implied on any graph whose edges form a "
                          "path (i, i+1), refused elsewhere")
-    pd.add_argument("--tol", type=float, default=1e-6)
-    pd.add_argument("--max-iter", dest="max_iter", type=int, default=50000)
+    pd.add_argument("--tol", type=float, default=tv.SolverOptions.tol)
+    pd.add_argument("--max-iter", dest="max_iter", type=int, default=tv.SolverOptions.max_iter)
     pd.add_argument("--out", required=True)
     pd.set_defaults(func=cmd_denoise)
 
     pe = sub.add_parser("experiment", help="run a Monte Carlo experiment bundle")
     pe.add_argument("--config", help="JSON config (one object or a list)")
-    pe.add_argument("--preset",
-                    choices=["island-fig2", "island-fig3", "holder-2d",
-                             "cartoon-2d", "isotonic-2d"])
+    pe.add_argument("--preset", choices=E.PRESETS)
     pe.add_argument("--out", required=True, help="output directory")
     pe.add_argument("--threads", type=int, default=1,
                     help="worker processes, at least 1 and capped at the cells and the CPUs "

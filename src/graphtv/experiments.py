@@ -555,6 +555,8 @@ GRID_PRESETS = {
     "cartoon-2d": ("cartoon", [16, 32, 64, 128], 20170305),
     "isotonic-2d": ("bi_isotonic", [32, 64, 128], 20170306),
 }
+# The names ``preset_configs`` takes, and the CLI's ``--preset`` choices.
+PRESETS = ("island-fig2", "island-fig3", *GRID_PRESETS)
 
 
 def preset_configs(name: str) -> list[ExperimentConfig]:
@@ -595,5 +597,4 @@ def preset_configs(name: str) -> list[ExperimentConfig]:
         kind, sides, master_seed = GRID_PRESETS[name]
         return [_grid_study(name, kind, sides, trials=10, sigma=0.5,
                             master_seed=master_seed)]
-    raise ValueError(f"unknown preset {name!r}; have island-fig2, island-fig3, "
-                     f"holder-2d, cartoon-2d, isotonic-2d")
+    raise ValueError(f"unknown preset {name!r}; have {', '.join(PRESETS)}")

@@ -173,18 +173,16 @@ def build_grid(d: int, N: int) -> Graph:
 
 
 def build_hypercube(d: int) -> Graph:
-    """d-dimensional hypercube: vertices are bit strings, edges flip one bit."""
+    """d-dimensional hypercube: vertices are bit strings, edges flip one bit.
+
+    Bit b is the coordinate along axis b, so Q_d is ``build_grid(d, 2)`` retagged.
+    """
     if d < 1:
         raise ValueError("hypercube dimension must be >= 1")
-    n = 2**d
-    _check_size(f"hypercube Q_{d}", n, d * n // 2)
-    idx = np.arange(n, dtype=np.int64)
-    pairs = []
-    for b in range(d):
-        src = idx[(idx >> b) & 1 == 0]
-        pairs.append(np.column_stack([src, src + (1 << b)]))
-    edges = _canonical_edges(np.concatenate(pairs, axis=0))
-    return Graph(n, edges, family="hypercube", params={"d": d})
+    _check_size(f"hypercube Q_{d}", 2**d, d * 2 ** (d - 1))
+    g = build_grid(d, 2)
+    g.family, g.params = "hypercube", {"d": d}
+    return g
 
 
 def build_complete(n: int) -> Graph:

@@ -18,10 +18,10 @@ and the primal iterate theta = y - D^T u preserves the per-component
 mean of y exactly.  Any algorithm achieving the certificate above is a
 valid replacement.  The step size is 1/L for a certified upper bound L
 on the largest eigenvalue of D^T D (``operator_norm``), which is all
-the accelerated gradient method needs.  A Graph keeps D, D^T and that
-bound once derived (``DenoiseProblem``), so repeated solves on one graph
-pay for them once.  On a grid with d >= 2 and side N >= 3 the loop runs
-on the same D in the grid's own shape (``_GridDifferences``): slice
+the accelerated gradient method needs.  ``DenoiseProblem`` derives D,
+D^T and that bound once, and a Graph keeps them, so repeated solves on
+one graph pay for them once.  On a grid with d >= 2 and side N >= 3 the
+loop runs on the same D in the grid's own shape (``_GridDifferences``): slice
 differences on a zero-padded edge layout, whose products equal the csr
 products value for value.  The checks sum over the rows of D in its
 order, so only the restart test's dot product rounds differently from a
@@ -144,11 +144,12 @@ class DenoiseProblem:
     """One denoising instance: observations y, incidence D, weight lam.
 
     ``lam`` multiplies ``||D theta||_1`` against ``(1/n)||theta - y||_2^2``.
-    ``D`` is a difference matrix, or a Graph whose incidence matrix, its
-    transpose ``Dt``, the step bound ``op_norm = operator_norm(D, Dt)`` and
-    the ``fusion`` arrays of :func:`_fusion_graph` (its edge list) are built
-    once and kept on it.  For a matrix these are None and :func:`denoise`
-    derives them on each call.  A Graph whose edges are those of
+    ``D`` is a difference matrix or a Graph; either way the problem keeps
+    the csr ``D``, its transpose ``Dt``, the step bound ``op_norm =
+    operator_norm(D, Dt)`` and the ``fusion`` rows of :func:`_fusion_graph`,
+    which :func:`denoise` and :func:`solve` only read.  A Graph derives them
+    once and keeps them, read-only, for every problem on it; a matrix, once
+    per problem, and it stays writable.  A Graph whose edges are those of
     ``build_grid(d, N)`` with d >= 2 and N >= 3 (``graphs.is_grid``) also
     keeps ``grid``, the same D on the padded layout of
     :class:`_GridDifferences`, which :func:`denoise` iterates on; ``D``
@@ -158,9 +159,9 @@ class DenoiseProblem:
     y: np.ndarray
     D: sp.spmatrix
     lam: float
-    Dt: sp.csr_matrix | None = field(default=None, init=False, repr=False)
-    op_norm: float | None = field(default=None, init=False, repr=False)
-    fusion: tuple | None = field(default=None, init=False, repr=False)
+    Dt: sp.csr_matrix = field(init=False, repr=False)
+    op_norm: float = field(init=False, repr=False)
+    fusion: tuple = field(init=False, repr=False)
     grid: _GridDifferences | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -181,14 +182,14 @@ class DenoiseProblem:
             self.D, self.Dt, self.op_norm, self.fusion, self.grid = (
                 derived["D"], derived["Dt"], derived["op_norm"], derived["fusion"],
                 derived["grid"])
-        elif not sp.issparse(self.D):
-            self.D = sp.csr_matrix(np.asarray(self.D, dtype=float))
-        else:
-            self.D = self.D.tocsr()
+        else:  # a bare matrix derives the same, for this problem alone
+            self.D = spec._as_sparse(self.D)
+            if not np.all(np.isfinite(self.D.data)):
+                raise ValueError("D contains NaN or Inf")
+            self.Dt = self.D.T.tocsr()
+            self.op_norm, self.fusion = operator_norm(self.D, self.Dt), _fusion_graph(self.D)
         if self.y.ndim != 1 or self.y.shape[0] != self.D.shape[1]:
             raise ValueError("y must be a vector of length D.shape[1]")
-        if not np.all(np.isfinite(self.D.data)):
-            raise ValueError("D contains NaN or Inf")
 
 
 @dataclass
@@ -334,14 +335,14 @@ def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> Denoi
     duality gap against u, ``gap(theta) + P(fused) - P(theta)``, at
     ``opts.tol * (1 + fit)``.  The solve stops at the first check that
     passes, or at ``opts.max_iter`` with ``converged=False`` and the best
-    candidate.  ``opts.z0`` needs one entry per row of D.  A
-    :class:`DenoiseProblem` on a Graph brings D, D^T, the step bound and
-    the fusion edges kept on the Graph; for a bare matrix they are derived
-    here, on each call.  On a grid the iterate lives on the padded rows of
-    ``problem.grid``; ``opts.z0`` and the returned ``dual_z`` are mapped
-    to and from the rows of D once per solve.  On a disconnected graph the solution is exact per
-    component and keeps the mean of y on each; fusion never crosses
-    components.  :func:`solve` warns about a disconnected custom graph.
+    candidate and the objective its check computed.  ``opts.z0`` needs one
+    entry per row of D.  D, D^T, the step bound and the fusion rows are
+    read from the :class:`DenoiseProblem`.  On a grid the iterate lives on
+    the padded rows of ``problem.grid``; ``opts.z0`` and the returned
+    ``dual_z`` are mapped to and from the rows of D once per solve.  On a
+    disconnected graph the solution is exact per component and keeps the
+    mean of y on each; fusion never crosses components.  :func:`solve`
+    warns about a disconnected custom graph.
     """
     opts = opts or SolverOptions()
     y, D, lam = problem.y, problem.D, problem.lam
@@ -358,14 +359,10 @@ def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> Denoi
                              objective_value(y, D, lam, theta), True, 0.0)
 
     mu = 0.5 * n * lam
-    if problem.Dt is None:  # a bare matrix: derive what a Graph keeps
-        Dt = D.T.tocsr()
-        op, (fuse_rows, fuse_i, fuse_j) = operator_norm(D, Dt), _fusion_graph(D)
-    else:
-        Dt, op, (fuse_rows, fuse_i, fuse_j) = problem.Dt, problem.op_norm, problem.fusion
-    if op <= 0.0:
+    Dt, (fuse_rows, fuse_i, fuse_j) = problem.Dt, problem.fusion
+    if problem.op_norm <= 0.0:
         raise ValueError("operator norm of D must be positive")
-    step = 1.0 / op
+    step = 1.0 / problem.op_norm
 
     grid = problem.grid
     if grid is None:  # u has the rows of D
@@ -380,7 +377,7 @@ def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> Denoi
     warm = opts.z0 is not None
     if warm:
         u0[rows] = mu * np.clip(np.asarray(opts.z0, dtype=float), -1.0, 1.0)
-    best = None  # (score, residual, gap, theta, z) of the best candidate so far
+    best = None  # (score, residual, gap, theta, z, objective) of the best candidate
     converged = False
     for it, _, u in _apg_box(grad, u0, step, mu, opts.max_iter):
         if it % CHECK_EVERY != 0 and it != opts.max_iter and not (warm and it == WARM_CHECK):
@@ -409,19 +406,19 @@ def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> Denoi
         # np.max and np.maximum propagate NaN, which never passes the test
         score = float(np.maximum(resid / scale, gap / (1.0 + fit_f)))
         if best is None or score < best[0]:
-            best = (score, resid, gap, theta_f, zq)
+            best = (score, resid, gap, theta_f, zq, fit_f + lam * tv_f)
         if score <= opts.tol and np.all(np.isfinite(theta_f)):
             converged = True
             break
 
-    _, resid, gap, theta, zq = best
+    _, resid, gap, theta, zq, objective = best
     return DenoiseResult(
         theta_hat=theta,
         dual_z=zq[rows],
         iterations=it,
         stationarity_residual=resid,
         dual_feasibility=float(np.max(np.abs(zq))),
-        objective=objective_value(y, D, lam, theta),
+        objective=objective,
         converged=converged,
         duality_gap=gap,
     )
@@ -451,8 +448,6 @@ def kkt_certificate(problem: DenoiseProblem, theta: np.ndarray,
     m, n = D.shape
     theta = np.asarray(theta, dtype=float)
     r_base = (2.0 / n) * (theta - y)
-    if m == 0:
-        return np.zeros(0), float(np.max(np.abs(r_base)))
     Dtheta = D @ theta
     jumps = np.abs(Dtheta) > JUMP_RTOL * _scale(y)
     z = np.zeros(m)
@@ -461,13 +456,10 @@ def kkt_certificate(problem: DenoiseProblem, theta: np.ndarray,
         return z, float(np.max(np.abs(r_base)))
     r0 = r_base + lam * (D[jumps].T @ z[jumps]) if jumps.any() else r_base
     free = ~jumps
-    if not free.any():
-        return z, float(np.max(np.abs(r0)))
-
     DF = D[free].tocsr()
     DFt = DF.T.tocsr()
     op = operator_norm(DF, DFt)
-    if op <= 0.0:
+    if op <= 0.0:  # also when nothing is left to fit: no rows, or every edge a jump
         return z, float(np.max(np.abs(r0)))
     step = 1.0 / (lam * lam * op)
     best_w = np.zeros(DF.shape[0])
@@ -745,7 +737,7 @@ def solve(g, y, lam: float, opts: SolverOptions | None = None) -> DenoiseResult:
     if solver == "dual_fista":
         problem = DenoiseProblem(y, g, lam)
         if not isinstance(g, G.Graph) or g.family == "custom":
-            _, i, j = problem.fusion or _fusion_graph(problem.D)
+            _, i, j = problem.fusion
             if problem.D.shape[0] and G._components(len(problem.y), i, j).max() > 0:
                 warnings.warn("graph is disconnected: theoretical lambda rules assume a "
                               "connected graph; the solution preserves the mean per "

@@ -11,6 +11,7 @@ import pytest
 from test_spectral import _rho_independent
 
 from graphtv import cli
+from graphtv import experiments as E
 from graphtv import graphs as G
 from graphtv import spectral as spec
 from graphtv import tvsolver as T
@@ -156,6 +157,18 @@ class TestFamilyFlags:
         for command in ("spectral", "denoise"):
             graph = next(a for a in sub.choices[command]._actions if a.dest == "graph")
             assert graph.choices == [f.replace("_", "-") for f in G.FAMILIES] + ["custom"]
+        preset = next(a for a in sub.choices["experiment"]._actions if a.dest == "preset")
+        assert preset.choices == E.PRESETS
+        for name in E.PRESETS:
+            assert E.preset_configs(name)
+        with pytest.raises(ValueError, match=", ".join(E.PRESETS)):
+            E.preset_configs("fig-9")
+
+    def test_denoise_defaults_are_the_library_defaults(self):
+        args = cli.build_parser().parse_args(["denoise", "--graph", "path", "--y", "y.txt",
+                                              "--out", "x.txt"])
+        assert (args.tol, args.max_iter) == (T.SolverOptions.tol, T.SolverOptions.max_iter)
+        assert (args.delta, args.constant_c) == (T.LambdaRule.delta, T.LambdaRule.constant_c)
 
     # every required flag but --seed, which defaults to 0
     FLAGS = {"n": "12", "d": "3", "N": "4", "k": "2", "p": "0.5"}

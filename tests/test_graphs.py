@@ -108,6 +108,21 @@ class TestHypercube:
         gr = G.build_grid(d, 2)
         assert np.array_equal(hc.edges, gr.edges)
 
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_edges_flip_one_bit(self, d):
+        # d 2^(d-1) distinct pairs that differ in one bit are all such pairs
+        g = G.build_hypercube(d)
+        flip = np.bitwise_xor(*g.edges.T)
+        assert np.all(flip & (flip - 1) == 0) and g.m == d * 2 ** (d - 1)
+        assert (g.family, g.params) == ("hypercube", {"d": d})
+
+    def test_errors_name_the_hypercube(self, monkeypatch):
+        with pytest.raises(ValueError, match="hypercube dimension must be >= 1"):
+            G.build_hypercube(0)
+        monkeypatch.setattr(G, "SIZE_CAP", 8)
+        with pytest.raises(ValueError, match="hypercube Q_4 has 32 edges and 16 vertices"):
+            G.build_hypercube(4)
+
 
 class TestCompleteStar:
     def test_complete_counts(self):

@@ -286,6 +286,16 @@ class TestCertificates:
         _, resid = T.kkt_certificate(path_problem(y, 1.0), np.array([1.1, 3.0]))
         assert resid > 1e-3
 
+    def test_nothing_left_to_fit(self):
+        # no rows, or every row a jump: z is fixed and the residual is that of r0
+        y, theta, lam = np.array([0.0, 1.0, 3.0]), np.array([0.5, 1.5, 2.0]), 0.2
+        z, resid = T.kkt_certificate(T.DenoiseProblem(y, sp.csr_matrix((0, 3)), lam), theta)
+        assert z.shape == (0,) and resid == float(np.max(np.abs((2.0 / 3) * (theta - y))))
+        D = G.incidence(G.build_path(3))
+        z, resid = T.kkt_certificate(T.DenoiseProblem(y, D, lam), theta)
+        assert np.array_equal(z, [-1.0, -1.0])
+        assert resid == float(np.max(np.abs((2.0 / 3) * (theta - y) + lam * (D.T @ z))))
+
     @pytest.mark.parametrize("g", [
         G.build_path(25), G.build_grid(2, 6), G.build_star(15), G.build_complete(12),
     ], ids=lambda g: g.family)
@@ -1150,12 +1160,27 @@ class TestGraphKeepsItsOperator:
         res = T.solve(D, y, 0.05)
         assert res.converged and res.solver == "dual_fista"
         assert calls == {"incidence": 0, "operator_norm": 1}
-        # a problem on a matrix keeps nothing: each denoise derives its bound again
+        # a problem on a matrix derives its operator once; denoise only reads it
         problem = T.DenoiseProblem(y, D, 0.05)
-        assert problem.Dt is None and problem.op_norm is None and problem.fusion is None
-        assert T.denoise(problem).converged and T.denoise(problem).converged
-        assert calls == {"incidence": 0, "operator_norm": 3}
+        assert calls == {"incidence": 0, "operator_norm": 2}
+        kept = (problem.Dt, problem.op_norm, problem.fusion)
+        monkeypatch.setattr(T, "_fusion_graph", lambda D: pytest.fail("denoise derived"))
+        for again in (T.denoise(problem), T.denoise(problem)):
+            assert np.array_equal(again.theta_hat, res.theta_hat)
+            assert again.iterations == res.iterations and again.objective == res.objective
+        assert calls == {"incidence": 0, "operator_norm": 2}
+        assert all(a is b for a, b in zip((problem.Dt, problem.op_norm, problem.fusion), kept))
         assert np.array_equal(res.theta_hat, T.solve(g, y, 0.05).theta_hat)
+
+    def test_a_callers_matrix_stays_writable(self):
+        # only a Graph's kept arrays are frozen, since every problem on it shares them
+        D = G.incidence(G.build_cycle_power(12, 2))
+        problem = T.DenoiseProblem(np.arange(12.0), D, 0.1)
+        assert problem.D is D
+        for a in (D.data, D.indices, D.indptr, problem.Dt.data, problem.Dt.indices):
+            assert a.flags.writeable
+        kept = T.DenoiseProblem(np.arange(12.0), G.build_cycle_power(12, 2), 0.1)
+        assert not (kept.D.data.flags.writeable or kept.Dt.data.flags.writeable)
 
     @pytest.mark.parametrize("case", ["grid", "star", "cycle_power", "erdos_renyi", "path"])
     def test_graph_problem_matches_matrix_problem(self, case):
@@ -1205,6 +1230,32 @@ class TestGraphKeepsItsOperator:
         res = T.denoise(problem)
         assert len(products) > plain.iterations
         assert np.array_equal(res.theta_hat, plain.theta_hat)
+
+
+def _objective_cases():
+    rng = np.random.default_rng(7)
+    for name, g in [("3x3", G.build_grid(2, 3)), ("16x16", G.build_grid(2, 16)),
+                    ("64x64", G.build_grid(2, 64)), ("5x5x5", G.build_grid(3, 5)),
+                    ("erdos-renyi", G.build_erdos_renyi(80, 0.08, seed=2)),
+                    ("star", G.build_star(40)), ("cycle-power", G.build_cycle_power(60, 3)),
+                    ("anchored-path", G.build_augmented_path(50))]:
+        n = g.n if isinstance(g, G.Graph) else g.shape[1]
+        y = 2.0 * (np.arange(n) < n // 3) + 0.5 * rng.normal(size=n)
+        yield pytest.param(g, y, 0.3 / n, id=name)
+
+
+class TestReportedObjective:
+    """``denoise`` reports the objective its check computed for the returned candidate."""
+
+    @pytest.mark.parametrize("g, y, lam", list(_objective_cases()))
+    def test_objective_is_that_of_the_estimate(self, g, y, lam):
+        problem = T.DenoiseProblem(y, g, lam)
+        z0 = T.denoise(T.DenoiseProblem(y, g, 1.05 * lam)).dual_z
+        for warm in (None, z0):
+            for max_iter in (50000, 7, 60):
+                res = T.denoise(problem, T.SolverOptions(max_iter=max_iter, z0=warm))
+                assert res.converged or max_iter < 50000
+                assert res.objective == T.objective_value(y, problem.D, lam, res.theta_hat)
 
 
 class TestGridLayout:
