@@ -26,7 +26,7 @@ print(f"grid {N}x{N}, sigma={sigma}, lambda(corollary rule) = {lam:.5f}")
 res = tvsolver.denoise(tvsolver.DenoiseProblem(y, D, lam))
 print(f"solver: {res.iterations} iterations, converged={res.converged}, "
       f"certificate residual {res.stationarity_residual:.2e}, "
-      f"||z||_inf = {res.dual_feasibility:.6f}")
+      f"duality gap {res.duality_gap:.2e}, ||z||_inf = {res.dual_feasibility:.6f}")
 
 theta_haar = gtv.haar_denoise_2d(y.reshape(N, N, order="F"), sigma).reshape(-1, order="F")
 

@@ -29,15 +29,19 @@ solve on the csr matrix.  Convergence is checked every ``CHECK_EVERY``
 iterations, at the last iteration, and once early (``WARM_CHECK``) when
 the solve starts from a warm dual.
 
+Every route reports the duality gap P(theta) - D(z) >= P(theta) - P* >=
+(1/n) ||theta - theta*||^2 of its certificate by one identity (``_gap``), and
+one ``_verdict`` decides ``converged`` from the residual, the gap and ||z||_inf.
+
 The estimates are piecewise constant, and by complementary slackness
 every edge whose dual entry is strictly inside the box (|u_e| < mu) is
 flat at the optimum.  So each convergence check tests one candidate:
 theta averaged over the connected components of those edges (theta
 itself when there are none), with z = u/mu on its flat edges and
-sign(D theta) on its jumps.  Its duality gap against u is the gap of
-theta plus the change in the primal objective.  It passes as soon as the
-flat pieces are found, long before every near-flat edge of theta falls
-below the jump tolerance.
+sign(D theta) on its jumps.  Its gap is taken against u, at z = u/mu,
+where r = (2/n)(candidate - iterate) needs no product with D^T.  It
+passes as soon as the flat pieces are found, long before every near-flat
+edge of theta falls below the jump tolerance.
 
 The certificate of a given theta on any D (``kkt_certificate``) fixes z
 on the jumps and fits the free entries by the same projected-gradient
@@ -209,8 +213,8 @@ class SolverOptions:
 
 @dataclass
 class DenoiseResult:
-    """An estimate, its certificate and the route taken; on ``dual_fista``
-    the dual-fused candidate of the last check of :func:`denoise`."""
+    """An estimate, its certificate (residual, ||z||_inf, gap) and the route taken;
+    on ``dual_fista`` the dual-fused candidate of the best check of :func:`denoise`."""
 
     theta_hat: np.ndarray
     dual_z: np.ndarray | None  # None on the complete-graph route, which fits no z
@@ -219,9 +223,7 @@ class DenoiseResult:
     dual_feasibility: float
     objective: float
     converged: bool
-    # P(theta_hat) minus the dual value of the iterate it was checked with;
-    # None for the exact solvers, which have no dual iterate
-    duality_gap: float | None
+    duality_gap: float  # P(theta_hat) - D(z) >= 0, z that of the check (``_gap``)
     solver: str = "dual_fista"  # the route taken, see ``solver_for``
 
 
@@ -232,10 +234,23 @@ def _scale(y: np.ndarray) -> float:
 
 def objective_value(y: np.ndarray, D, lam: float, theta: np.ndarray) -> float:
     """(1/n) ||theta - y||^2 + lam ||D theta||_1."""
-    fit = float(np.mean((theta - y) ** 2))
-    if lam == 0 or D.shape[0] == 0:
-        return fit
-    return fit + lam * float(np.abs(D @ theta).sum())
+    return float(np.mean((theta - y) ** 2)) + lam * float(np.abs(D @ theta).sum())
+
+
+def _gap(r: np.ndarray, lam: float, d, z) -> float:
+    """P(theta) - D(z) = (n/4) ||r||^2 + lam sum_e (|d_e| - z_e d_e) for n = len(r),
+    r = (2/n)(theta - y) + lam D^T z, d = D theta and the dual value D(z) = lam z^T D y
+    - (n lam^2/4) ||D^T z||^2."""
+    slack = np.abs(d)
+    slack -= z * d  # every entry >= 0 in floating point when |z| <= 1
+    return 0.25 * len(r) * float(r @ r) + lam * float(slack.sum())
+
+
+def _verdict(theta, resid, gap, feasibility, fit, scale, tol) -> tuple[float, bool]:
+    """``(score, converged)``: score is the largest of ``resid / scale``, ``gap / (1 + fit)``
+    and ``feasibility - 1``, NaN if any is; converged is ``score <= tol`` with theta finite."""
+    score = float(np.maximum(np.maximum(resid / scale, gap / (1.0 + fit)), feasibility - 1.0))
+    return score, bool(score <= tol and np.all(np.isfinite(theta)))
 
 
 def operator_norm(D, Dt=None) -> float:
@@ -331,15 +346,15 @@ def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> Denoi
     candidate: the iterate theta = y - D^T u averaged over the connected
     components of the edges whose dual entry is strictly inside the box,
     which are flat at the optimum by complementary slackness.  Its
-    certificate must pass at ``opts.tol * (1 + ||y||_inf)`` and its
-    duality gap against u, ``gap(theta) + P(fused) - P(theta)``, at
-    ``opts.tol * (1 + fit)``.  The solve stops at the first check that
-    passes, or at ``opts.max_iter`` with ``converged=False`` and the best
-    candidate and the objective its check computed.  ``opts.z0`` needs one
-    entry per row of D.  D, D^T, the step bound and the fusion rows are
-    read from the :class:`DenoiseProblem`.  On a grid the iterate lives on
-    the padded rows of ``problem.grid``; ``opts.z0`` and the returned
-    ``dual_z`` are mapped to and from the rows of D once per solve.  On a
+    residual must pass at ``opts.tol * (1 + ||y||_inf)`` and its duality
+    gap against u (z = u/mu) at ``opts.tol * (1 + fit)`` (:func:`_verdict`).
+    The solve stops at the first check that passes, or at ``opts.max_iter``
+    with ``converged=False`` and the best candidate and the objective its
+    check computed.  ``opts.z0`` needs one entry per row of D.  D, D^T, the
+    step bound and the fusion rows are read from the :class:`DenoiseProblem`.
+    On a grid the iterate lives on the padded rows of ``problem.grid``;
+    ``opts.z0`` and the returned ``dual_z`` are mapped to and from the rows
+    of D once per solve.  On a
     disconnected graph the solution is exact per component and keeps the
     mean of y on each; fusion never crosses components.  :func:`solve`
     warns about a disconnected custom graph.
@@ -377,51 +392,37 @@ def denoise(problem: DenoiseProblem, opts: SolverOptions | None = None) -> Denoi
     warm = opts.z0 is not None
     if warm:
         u0[rows] = mu * np.clip(np.asarray(opts.z0, dtype=float), -1.0, 1.0)
-    best = None  # (score, residual, gap, theta, z, objective) of the best candidate
-    converged = False
+    best = None  # (score, result) of the best candidate, its z still on the rows of u
     for it, _, u in _apg_box(grad, u0, step, mu, opts.max_iter):
         if it % CHECK_EVERY != 0 and it != opts.max_iter and not (warm and it == WARM_CHECK):
             continue
-        # the iterate and its exact duality gap against u feed the one
-        # candidate: theta averaged over the pieces of the flat edges.  The
-        # sums run over the rows of D, in its order, so they round as on D.
+        # the one candidate: the iterate averaged over the pieces of the flat edges.
+        # The sums run over the rows of D, in its order, so they round as on D.
         ue = u[rows]
         theta = y - Dtx(u)
-        Dtheta = Dx(theta)[rows]
-        fit = float(np.mean((theta - y) ** 2))
-        tv = float(np.abs(Dtheta).sum())
-        gap = np.maximum(0.0, lam * tv - (2.0 / n) * float(Dtheta @ ue))
         flat = np.abs(ue[fuse_rows]) < mu
         piece = G._components(n, fuse_i[flat], fuse_j[flat])
         theta_f = (np.bincount(piece, weights=theta) / np.bincount(piece))[piece]
         Dtheta = Dx(theta_f)
-        fit_f = float(np.mean((theta_f - y) ** 2))
-        tv_f = float(np.abs(Dtheta[rows]).sum())
-        # P(theta_f) minus the dual value of u, without a ||y||^2 cancellation
-        gap = float(np.maximum(0.0, gap + (fit_f - fit) + lam * (tv_f - tv)))
-        jumps = np.abs(Dtheta) > jump_tol
+        d = Dtheta[rows]
+        fit = float(np.mean((theta_f - y) ** 2))
+        tv = float(np.abs(d).sum())
+        # against u, at z = u/mu before the jumps take their signs: r = (2/n)(theta_f - theta)
         zq = u / mu
+        gap = _gap((2.0 / n) * (theta_f - theta), lam, d, zq[rows])
+        jumps = np.abs(Dtheta) > jump_tol
         zq[jumps] = np.sign(Dtheta[jumps])
         resid = float(np.max(np.abs((2.0 / n) * (theta_f - y) + lam * Dtx(zq))))
-        # np.max and np.maximum propagate NaN, which never passes the test
-        score = float(np.maximum(resid / scale, gap / (1.0 + fit_f)))
+        feasibility = float(np.max(np.abs(zq)))
+        score, converged = _verdict(theta_f, resid, gap, feasibility, fit, scale, opts.tol)
         if best is None or score < best[0]:
-            best = (score, resid, gap, theta_f, zq, fit_f + lam * tv_f)
-        if score <= opts.tol and np.all(np.isfinite(theta_f)):
-            converged = True
+            best = score, DenoiseResult(theta_f, zq, it, resid, feasibility, fit + lam * tv,
+                                        converged, gap)
+        if converged:
             break
-
-    _, resid, gap, theta, zq, objective = best
-    return DenoiseResult(
-        theta_hat=theta,
-        dual_z=zq[rows],
-        iterations=it,
-        stationarity_residual=resid,
-        dual_feasibility=float(np.max(np.abs(zq))),
-        objective=objective,
-        converged=converged,
-        duality_gap=gap,
-    )
+    result = best[1]
+    result.dual_z, result.iterations, result.converged = result.dual_z[rows], it, converged
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +585,8 @@ def denoise_path_exact(y: np.ndarray, lam: float) -> np.ndarray:
 
 
 def _path_certificate(y: np.ndarray, lam: float,
-                      theta: np.ndarray) -> tuple[np.ndarray, float, float, float]:
-    """``(z, residual, dual_feasibility, tv)`` of theta on the path, without D.
+                      theta: np.ndarray) -> tuple[np.ndarray, float, float, float, float]:
+    """``(z, residual, dual_feasibility, tv, gap)`` of theta on the path, without D.
 
     ``D^T z`` is ``np.diff`` of z padded with a zero at each end.  The
     jumps take ``sign(D theta)`` and split the vertices into pieces, whose
@@ -593,7 +594,8 @@ def _path_certificate(y: np.ndarray, lam: float,
     ``-(2/(n lam))(theta - y)`` the jumps leave: the best residual, ``lam
     |mean w|`` on each piece.  For an exact theta the means vanish and z is
     the one dual of the path, the running sum of ``(2/(n lam))(y - theta)``
-    (Condat, IEEE SPL 2013).  At lam = 0, z is 0 on the flat edges.
+    (Condat, IEEE SPL 2013).  At lam = 0, z is 0 on the flat edges.  The
+    gap is that of ``z / max(1, ||z||_inf)``, which lies in the box.
     """
     n = len(y)
     r = (2.0 / n) * (theta - y)
@@ -610,7 +612,10 @@ def _path_certificate(y: np.ndarray, lam: float,
         run -= (run[starts] - dev[starts])[piece]  # restart at each piece
         z[~jumps] = run[:-1][~jumps]
     resid = float(np.max(np.abs(r + lam * np.diff(z, prepend=0.0, append=0.0))))
-    return z, resid, float(np.max(np.abs(z), initial=0.0)), float(np.abs(Dtheta).sum())
+    feasibility = float(np.max(np.abs(z), initial=0.0))
+    z_box = z / max(1.0, feasibility)
+    gap = _gap(r + lam * np.diff(z_box, prepend=0.0, append=0.0), lam, Dtheta, z_box)
+    return z, resid, feasibility, float(np.abs(Dtheta).sum()), gap
 
 
 # ---------------------------------------------------------------------------
@@ -660,8 +665,8 @@ def denoise_complete_exact(y: np.ndarray, lam: float) -> np.ndarray:
 
 
 def _complete_certificate(y: np.ndarray, lam: float,
-                          theta: np.ndarray) -> tuple[None, float, float, float]:
-    """``(None, residual, dual_feasibility, tv)`` of theta on K_n, without D.
+                          theta: np.ndarray) -> tuple[None, float, float, float, float]:
+    """``(None, residual, dual_feasibility, tv, gap)`` of theta on K_n, without D.
 
     Sorted theta splits into blocks where consecutive values differ by at
     most the jump tolerance of ``denoise``.  Vertex i of a block B of b
@@ -673,7 +678,9 @@ def _complete_certificate(y: np.ndarray, lam: float,
     of its k largest entries over ``k (b - k)``, k < b (Gale).  The
     feasibility is that ratio, or 1 if any pair jumps.  ``tv`` is
     ``sum_{i<j} |theta_i - theta_j| = sum_r (2r - 1 - n) theta_(r)``.
-    At lam = 0 the residual is that of z = 0 in the blocks.
+    At lam = 0 the residual is that of z = 0 in the blocks.  The gap is that
+    of z / s, s = max(1, ratio): r is ``(1 - 1/s)(2/n)(theta - y) - (lam/s) mean_B w``
+    on block B, and the slack at most ``lam ((1 - 1/s) TV_between + 2 TV_in)``.
     """
     n = len(y)
     order = np.argsort(theta, kind="stable")
@@ -683,11 +690,12 @@ def _complete_certificate(y: np.ndarray, lam: float,
     starts = np.flatnonzero(np.r_[True, np.diff(t) > JUMP_RTOL * _scale(y)])
     jumps = float(len(starts) > 1)
     if lam == 0.0:
-        return None, float(np.max(np.abs(grad))), jumps, tv
+        return None, float(np.max(np.abs(grad))), jumps, tv, _gap(grad, lam, 0.0, 0.0)
     sizes = np.diff(starts, append=n)
     block = np.repeat(np.arange(len(starts)), sizes)
     first, b = starts[block], sizes[block]
-    w = -grad / lam - (2 * first + b - n)  # #below - #above = first - (n - first - b)
+    c = 2 * first + b - n  # #below - #above = first - (n - first - b)
+    w = -grad / lam - c
     mean = np.add.reduceat(w, starts) / sizes
     dev = w - mean[block]
     dev = dev[np.lexsort((-dev, block))]  # decreasing within each block
@@ -696,7 +704,11 @@ def _complete_certificate(y: np.ndarray, lam: float,
     k = np.arange(1, n + 1) - first
     inner = k < b
     ratio = np.max(top[inner] / (k[inner] * (b[inner] - k[inner])), initial=0.0)
-    return None, lam * float(np.max(np.abs(mean))), max(jumps, float(ratio)), tv
+    s = max(1.0, float(ratio))
+    tv_split = np.maximum(0.0, [np.dot(c, t), np.dot(2 * k - 1 - b, t)])  # between, in blocks
+    r = (1.0 - 1.0 / s) * grad - (lam / s) * mean[block]
+    gap = _gap(r, lam, tv_split, np.array([1.0 / s, -1.0]))
+    return None, lam * float(np.max(np.abs(mean))), max(jumps, float(ratio)), tv, gap
 
 
 # ---------------------------------------------------------------------------
@@ -724,13 +736,11 @@ def solve(g, y, lam: float, opts: SolverOptions | None = None) -> DenoiseResult:
     ``dual_fista`` keeps the operator of its first :class:`DenoiseProblem`
     on a Graph.  The exact routes derive nothing: the estimate and its
     closed-form certificate read only y and theta, not even a K_n's edge
-    list.  They take no iterations, have no duality gap and report
-    ``converged`` when the certificate passes the bounds of
-    :func:`denoise`: residual within ``opts.tol * (1 + ||y||_inf)`` and
-    dual feasibility within ``1 + opts.tol``.  For a custom Graph or a
-    bare matrix a warning is attached when the rows ``a (theta_i -
-    theta_j)`` of D leave the vertices disconnected, since the
-    oracle-inequality theory assumes a connected graph.
+    list.  They take no iterations, report the gap of their certificate
+    and decide ``converged`` by the :func:`_verdict` of :func:`denoise`.
+    For a custom Graph or a bare matrix a warning is attached when the
+    rows ``a (theta_i - theta_j)`` of D leave the vertices disconnected,
+    since the oracle-inequality theory assumes a connected graph.
     """
     opts = opts or SolverOptions()
     solver = solver_for(g)
@@ -749,11 +759,10 @@ def solve(g, y, lam: float, opts: SolverOptions | None = None) -> DenoiseResult:
     exact, certificate = ((denoise_path_exact, _path_certificate) if solver == "taut_string"
                           else (denoise_complete_exact, _complete_certificate))
     theta = exact(y, lam)
-    z, resid, feasibility, tv = certificate(y, lam, theta)
-    converged = resid <= opts.tol * _scale(y) and feasibility <= 1.0 + opts.tol
-    return DenoiseResult(theta, z, 0, resid, feasibility,
-                         float(np.mean((theta - y) ** 2)) + lam * tv, bool(converged),
-                         None, solver)
+    z, resid, feasibility, tv, gap = certificate(y, lam, theta)
+    fit = float(np.mean((theta - y) ** 2))
+    _, converged = _verdict(theta, resid, gap, feasibility, fit, _scale(y), opts.tol)
+    return DenoiseResult(theta, z, 0, resid, feasibility, fit + lam * tv, converged, gap, solver)
 
 
 # ---------------------------------------------------------------------------

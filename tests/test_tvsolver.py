@@ -900,7 +900,7 @@ def path_instances(draw):
 
 
 def _path_verdict(y, lam, theta, tol):
-    _, resid, feasibility, _ = T._path_certificate(y, lam, theta)
+    _, resid, feasibility, _, _ = T._path_certificate(y, lam, theta)
     return resid <= tol * (1 + np.max(np.abs(y))) and feasibility <= 1 + tol
 
 
@@ -914,7 +914,7 @@ class TestPathCertificate:
         problem = path_problem(y, lam)
         scale = 1 + np.max(np.abs(y))
         theta = T.denoise_path_exact(y, lam)
-        z, resid, feasibility, tv = T._path_certificate(y, lam, theta)
+        z, resid, feasibility, tv, _ = T._path_certificate(y, lam, theta)
         kkt_z, kkt_resid = T.kkt_certificate(problem, theta)
         assert resid <= 1e-12 * scale and feasibility <= 1 + 1e-9
         assert kkt_resid <= 1e-9 * scale
@@ -943,7 +943,7 @@ def complete_instances(draw):
 
 
 def _complete_verdict(y, lam, theta, tol):
-    _, resid, feasibility, _ = T._complete_certificate(y, lam, theta)
+    _, resid, feasibility, _, _ = T._complete_certificate(y, lam, theta)
     return resid <= tol * (1 + np.max(np.abs(y))) and feasibility <= 1 + tol
 
 
@@ -957,7 +957,7 @@ class TestCompleteCertificate:
         problem = T.DenoiseProblem(y, G.incidence(G.build_complete(len(y))), lam)
         scale = 1 + np.max(np.abs(y))
         theta = T.denoise_complete_exact(y, lam)
-        z, resid, feasibility, tv = T._complete_certificate(y, lam, theta)
+        z, resid, feasibility, tv, _ = T._complete_certificate(y, lam, theta)
         assert z is None
         z, kkt_resid = T.kkt_certificate(problem, theta)
         assert resid <= 1e-12 * scale and feasibility <= 1 + 1e-9
@@ -995,7 +995,7 @@ class TestCompleteCertificate:
         lam_star = 2.0 / n * np.max(top / (k * (n - k)))
         theta = T.denoise_complete_exact(y, lam_star * (1 + 1e-6))
         assert np.ptp(theta) <= 1e-12
-        _, resid, feasibility, _ = T._complete_certificate(y, lam_star * (1 + 1e-6), theta)
+        _, resid, feasibility, _, _ = T._complete_certificate(y, lam_star * (1 + 1e-6), theta)
         assert 1 - 1e-4 < feasibility <= 1.0 and resid <= 1e-15
         below = lam_star * (1 - 1e-3)
         assert not _complete_verdict(y, below, np.full(n, y.mean()), 1e-5)
@@ -1040,7 +1040,8 @@ class TestSolveRoute:
             assert np.array_equal(res.theta_hat, y)
         if solver == "dual_fista":
             return
-        assert res.iterations == 0 and res.duality_gap is None
+        fit = float(np.mean((res.theta_hat - y) ** 2))
+        assert res.iterations == 0 and 0 <= res.duality_gap <= tol * (1 + fit)
         assert (res.dual_z is None) == (solver == "sort_isotonic")
         D = G.incidence(g)
         exact = (T.denoise_path_exact if solver == "taut_string" else T.denoise_complete_exact)
@@ -1113,6 +1114,114 @@ class TestSolveRoute:
             T.solve(g, np.zeros(11), 0.1)
 
 
+@st.composite
+def gap_graphs(draw):
+    """A graph on 2..40 vertices (a path, K_n, a star or any simple graph, disconnected
+    ones included), or the anchored path, a matrix that is not an incidence matrix."""
+    family = draw(st.sampled_from(["path", "complete", "star", "any", "anchored"]))
+    n = draw(st.integers(2, 40))
+    if family == "anchored":
+        return G.build_augmented_path(n)
+    if family == "any":
+        i, j = np.triu_indices(n, 1)
+        keep = np.random.default_rng(draw(st.integers(0, 99))).random(len(i)) < draw(
+            st.sampled_from([0.05, 0.3, 0.8]))
+        return G.Graph(n, np.column_stack([i[keep], j[keep]]))
+    return G.build_family(family, n=n)
+
+
+EXACT_ROUTES = {"taut_string": (T.denoise_path_exact, T._path_certificate),
+                "sort_isotonic": (T.denoise_complete_exact, T._complete_certificate)}
+
+
+class TestOneCertificate:
+    """Every route reports P(theta) - D(z) by one identity, and one verdict decides."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(gap_graphs(), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-3, 0.1, 2.0]))
+    def test_gap_is_the_primal_minus_the_dual(self, g, seed, lam):
+        D = g if sp.issparse(g) else G.incidence(g)
+        m, n = D.shape
+        rng = np.random.default_rng(seed)
+        y, theta = rng.normal(size=n) * 3, rng.normal(size=n) * 3
+        z = rng.uniform(-1.0, 1.0, size=m)
+        z[rng.random(m) < 0.3] = 1.0  # some on the face of the box
+        primal = T.objective_value(y, D, lam, theta)
+        dual = lam * float(z @ (D @ y)) - 0.25 * n * lam**2 * float(np.sum((D.T @ z) ** 2))
+        r = (2.0 / n) * (theta - y) + lam * (D.T @ z)
+        gap = T._gap(r, lam, D @ theta, z)
+        assert gap == pytest.approx(primal - dual, rel=1e-12,
+                                    abs=1e-12 * (abs(primal) + abs(dual)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["path", "complete", "star", "erdos_renyi"]), st.integers(2, 40),
+           st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-3, 1.0]),
+           st.sampled_from([0.0, 1e-4, 1e-2, 0.3]))
+    def test_gap_is_never_negative(self, family, n, seed, noise, lam):
+        # near-constant y included: its gap is all rounding
+        g = G.build_family(family, n=n, p=0.5, seed=seed % 100)
+        y = 5.0 + noise * np.random.default_rng(seed).normal(size=n)
+        res = T.solve(g, y, lam)
+        assert type(res.duality_gap) is float and res.duality_gap >= 0.0
+        assert np.isfinite(res.duality_gap)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["path", "complete", "star", "erdos_renyi"]), st.integers(2, 24),
+           st.integers(0, 2**32 - 1), st.sampled_from([0.01, 0.1, 0.5, 1.5]))
+    def test_gap_bounds_the_objective_error(self, family, n, seed, frac):
+        g = G.build_family(family, n=n, p=0.5, seed=seed % 100)
+        rng = np.random.default_rng(seed)
+        y = np.repeat(rng.normal(size=3) * 3, -(-n // 3))[:n] + 0.3 * rng.normal(size=n)
+        lam = frac * (_constant_threshold(g, y) if g.m else 1.0)
+        D = G.incidence(g)
+        # P* lies in [P(theta*) - gap*, P(theta*)] whether or not the tight solve converged
+        star = T.denoise(T.DenoiseProblem(y, D, lam), T.SolverOptions(tol=1e-13))
+        p_star = T.objective_value(y, D, lam, star.theta_hat)
+        eps = 1e-14 * (1 + p_star)
+        res = T.solve(g, y, lam)
+        candidates = [(res.theta_hat, res.duality_gap)]
+        if res.solver in EXACT_ROUTES:  # its estimate perturbed, and those of other weights
+            exact, certificate = EXACT_ROUTES[res.solver]
+            # a 1e-10 perturbation keeps the flat pieces, 1e-6 and 1e-3 split them
+            others = [res.theta_hat + size * rng.normal(size=n) for size in (1e-10, 1e-6, 1e-3)]
+            for theta in others + [exact(y, f * lam) for f in (1 / 3, 1 / 1.5, 1.5, 3)]:
+                candidates.append((theta, certificate(y, lam, theta)[4]))
+        for theta, gap in candidates:
+            excess = T.objective_value(y, D, lam, theta) - p_star
+            assert gap >= 0.0 and -star.duality_gap - eps <= excess <= gap + eps
+
+    @pytest.mark.parametrize("case", ["complete", "path", "star"])
+    def test_every_route_converges_by_the_one_verdict(self, monkeypatch, case):
+        g, solver = ROUTE_CASES[case]
+        y = np.random.default_rng(4).normal(size=12) * 3
+        assert T.solve(g, y, 0.01).converged
+        monkeypatch.setattr(T, "_verdict", lambda *args: (np.inf, False))
+        res = T.solve(g, y, 0.01, T.SolverOptions(max_iter=30))
+        assert res.solver == solver and not res.converged
+
+    def test_the_verdict_reads_every_term(self):
+        theta, tol = np.zeros(3), 1e-6
+        # residual over 1 + ||y||_inf = 2, gap over 1 + fit = 3, feasibility less 1
+        assert T._verdict(theta, 1.8e-6, 2.7e-6, 1.0, 2.0, 2.0, tol) == (0.9e-6, True)
+        for resid, gap, feasibility in [(2.2e-6, 0.0, 1.0), (0.0, 3.3e-6, 1.0),
+                                        (0.0, 0.0, 1.0 + 1.1e-6)]:
+            assert not T._verdict(theta, resid, gap, feasibility, 2.0, 2.0, tol)[1]
+        for bad in range(3):  # NaN in any term propagates and never passes
+            terms = [0.0, 0.0, 1.0]
+            terms[bad] = np.nan
+            score, converged = T._verdict(theta, *terms, 2.0, 2.0, tol)
+            assert np.isnan(score) and not converged
+        assert not T._verdict(np.array([0.0, np.inf]), 0.0, 0.0, 1.0, 2.0, 2.0, tol)[1]
+
+    def test_objective_value_without_a_penalty(self):
+        # a 0-row D sums to 0.0 and lam = 0 adds 0.0: the fit, to the last bit
+        rng = np.random.default_rng(9)
+        y, theta = rng.normal(size=6), rng.normal(size=6)
+        fit = float(np.mean((theta - y) ** 2))
+        assert T.objective_value(y, sp.csr_matrix((0, 6)), 0.7, theta) == fit
+        assert T.objective_value(y, G.incidence(G.build_path(6)), 0.0, theta) == fit
+
+
 def _count_operator_builds(monkeypatch):
     """Count the calls of ``graphs.incidence`` and ``tvsolver.operator_norm``."""
     calls = {"incidence": 0, "operator_norm": 0}
@@ -1146,7 +1255,7 @@ class TestGraphKeepsItsOperator:
             assert res.converged and res.solver == "taut_string"
             assert res.stationarity_residual <= 1e-12 * (1 + np.max(np.abs(y)))
             theta = T.denoise_path_exact(y, lam)
-            z, resid, _, _ = T._path_certificate(y, lam, theta)
+            z, resid, _, _, _ = T._path_certificate(y, lam, theta)
             assert np.array_equal(res.theta_hat, theta) and np.array_equal(res.dual_z, z)
             assert res.stationarity_residual == resid
         assert calls == {"incidence": 0, "operator_norm": 0}
@@ -1245,7 +1354,8 @@ def _objective_cases():
 
 
 class TestReportedObjective:
-    """``denoise`` reports the objective its check computed for the returned candidate."""
+    """``denoise`` reports the objective its check computed for the returned candidate,
+    and a gap no larger than that of the returned pair."""
 
     @pytest.mark.parametrize("g, y, lam", list(_objective_cases()))
     def test_objective_is_that_of_the_estimate(self, g, y, lam):
@@ -1256,6 +1366,13 @@ class TestReportedObjective:
                 res = T.denoise(problem, T.SolverOptions(max_iter=max_iter, z0=warm))
                 assert res.converged or max_iter < 50000
                 assert res.objective == T.objective_value(y, problem.D, lam, res.theta_hat)
+                # u/mu is the returned z but on the jumps, which it nearly always
+                # matches; the two r differ by rounding, so does the gap
+                D, n = problem.D, len(y)
+                r = (2.0 / n) * (res.theta_hat - y) + lam * (problem.Dt @ res.dual_z)
+                pair = T._gap(r, lam, D @ res.theta_hat, res.dual_z)
+                fit = float(np.mean((res.theta_hat - y) ** 2))
+                assert 0.0 <= res.duality_gap <= pair * (1 + 1e-6) + 1e-24 * (1 + fit)
 
 
 class TestGridLayout:
@@ -1351,27 +1468,24 @@ def _denoise_reference(problem, opts):
                 or (warm and it == T.WARM_CHECK)):
             continue
         theta = y - Dt @ u
-        Dtheta = D @ theta
-        fit = float(np.mean((theta - y) ** 2))
-        tv = float(np.abs(Dtheta).sum())
-        gap = np.maximum(0.0, lam * tv - (2.0 / n) * float(Dtheta @ u))
         flat = np.abs(u[rows]) < mu
         piece = _components_coo(n, fuse_i[flat], fuse_j[flat])
         theta_f = (np.bincount(piece, weights=theta) / np.bincount(piece))[piece]
-        fit_f = float(np.mean((theta_f - y) ** 2))
-        tv_f = float(np.abs(D @ theta_f).sum())
-        gap_f = np.maximum(0.0, gap + (fit_f - fit) + lam * (tv_f - tv))
-        for fused, th, gp, ft in ((False, theta, gap, fit), (True, theta_f, gap_f, fit_f)):
+        for fused, th in ((False, theta), (True, theta_f)):
             Dth = D @ th
+            ft = float(np.mean((th - y) ** 2))
+            # the gap against u: z = u/mu, and r = (2/n)(th - theta) as D^T u = y - theta
+            r = (2.0 / n) * (th - theta)
+            gp = 0.25 * n * float(r @ r) + lam * float(np.sum(np.abs(Dth) - (u / mu) * Dth))
             jumps = np.abs(Dth) > T.JUMP_RTOL * scale
             zq = u / mu
             zq[jumps] = np.sign(Dth[jumps])
             resid = float(np.max(np.abs((2.0 / n) * (th - y) + lam * (Dt @ zq))))
             score = float(np.max([resid / scale, gp / (1.0 + ft)]))
             if (fused or gp / (1.0 + ft) <= opts.tol) and (best is None or score < best[0]):
-                best = (score, th, zq, resid, float(gp))
+                best = (score, th, zq, resid, gp)
             if score <= opts.tol and np.all(np.isfinite(th)):
-                return th, zq, it, resid, float(gp), True
+                return th, zq, it, resid, gp, True
     return (*best[1:3], it, *best[3:], False)
 
 
