@@ -33,10 +33,12 @@ EXIT_NUMERICAL = 3
 def read_vector(path) -> np.ndarray:
     vals = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
-            if line:
-                vals.append(float(line))
+            try:
+                vals += [float(line)] if line else []
+            except ValueError:
+                raise ValueError(f"line {lineno}: expected a number, got {line!r}") from None
     return np.asarray(vals, dtype=float)
 
 

@@ -49,6 +49,9 @@ class Graph:
     params : dict
         Family parameters (e.g. ``{"d": 2, "N": 8}`` for a grid).
 
+    An unknown tag, or one that the edges belie (:func:`_tag_holds`), raises
+    ``ValueError``, so other modules read ``family`` and ``params`` as facts.
+
     ``edges=None`` stands for K_n (``family="complete"``, as
     :func:`build_complete` makes it): m is n(n-1)/2, and the edge list is
     built on its first read, so the routes that read only n (the sort and
@@ -76,6 +79,8 @@ class Graph:
         edges.setflags(write=False)
         self.m = edges.shape[0]
         self._derived["edges"] = edges
+        if not _tag_holds(self):
+            raise ValueError(f"edges do not fit family tag {family!r} with params {self.params}")
 
     @property
     def edges(self) -> np.ndarray:
@@ -100,6 +105,27 @@ def _validate_edges(n: int, edges: np.ndarray) -> None:
         raise ValueError("edges must be sorted lexicographically")
     if np.any(same_first & (a[:, 1] == b[:, 1])):
         raise ValueError("duplicate edges are not allowed")
+
+
+def _tag_holds(g: Graph) -> bool:
+    """True iff g's family is known and the edges are that family's at g's params.
+    An Erdos-Renyi graph's edges cannot show p, so it passes, as a custom graph does."""
+    family, p, n, m = g.family, g.params, g.n, g.m
+    if family == "complete":
+        return m == n * (n - 1) // 2
+    if family == "star":
+        return m == n - 1 == max_degree(g)
+    if family == "path":
+        return is_path(g)
+    if family in ("grid", "hypercube"):
+        return (family == "grid" or p.get("N") == 2) and is_grid(g, p.get("d"), p.get("N"))
+    if family == "cycle_power":  # the nk pairs within circular distance k, n/2 fewer at n = 2k
+        k, gap = p.get("k", 0), np.diff(g.edges, axis=1)  # distance min(gap, n - gap)
+        return (k >= 1 and m == n * k - (n // 2 if 2 * k == n else 0)
+                and bool(np.all(np.minimum(gap, n - gap) <= k)))
+    if family == "random_regular":
+        return p.get("d", 0) >= 1 and bool(np.all(degrees(g) == p["d"]))
+    return family in ("custom", "erdos_renyi")
 
 
 def _canonical_edges(pairs) -> np.ndarray:
@@ -175,14 +201,12 @@ def build_grid(d: int, N: int) -> Graph:
 def build_hypercube(d: int) -> Graph:
     """d-dimensional hypercube: vertices are bit strings, edges flip one bit.
 
-    Bit b is the coordinate along axis b, so Q_d is ``build_grid(d, 2)`` retagged.
+    Bit b is the coordinate along axis b, so Q_d has the edges of ``build_grid(d, 2)``.
     """
     if d < 1:
         raise ValueError("hypercube dimension must be >= 1")
     _check_size(f"hypercube Q_{d}", 2**d, d * 2 ** (d - 1))
-    g = build_grid(d, 2)
-    g.family, g.params = "hypercube", {"d": d}
-    return g
+    return Graph(2**d, build_grid(d, 2).edges, family="hypercube", params={"d": d, "N": 2})
 
 
 def build_complete(n: int) -> Graph:
@@ -383,14 +407,11 @@ def incidence(g: Graph) -> sp.csr_matrix:
 
 
 def degrees(g: Graph) -> np.ndarray:
-    deg = np.zeros(g.n, dtype=np.int64)
-    np.add.at(deg, g.edges[:, 0], 1)
-    np.add.at(deg, g.edges[:, 1], 1)
-    return deg
+    return np.bincount(g.edges.reshape(-1), minlength=g.n)
 
 
 def max_degree(g: Graph) -> int:
-    return int(degrees(g).max()) if g.m else 0
+    return int(degrees(g).max())
 
 
 def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -407,16 +428,6 @@ def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return connected_components(links, directed=False)[1]
 
 
-def is_complete(g: Graph) -> bool:
-    """True iff g is K_n: tagged ``complete`` with all n(n-1)/2 edges, read off n and m."""
-    return g.family == "complete" and g.m == g.n * (g.n - 1) // 2
-
-
-def is_star(g: Graph) -> bool:
-    """True iff g is a star: tagged ``star``, with n - 1 edges that one vertex meets."""
-    return g.family == "star" and g.m == g.n - 1 == max_degree(g)
-
-
 def is_path(g: Graph) -> bool:
     """True iff g is the path 0 - 1 - ... - (n-1): n - 1 distinct edges, each (i, i+1)."""
     return g.m == g.n - 1 and bool(np.all(np.diff(g.edges, axis=1) == 1))
@@ -428,7 +439,7 @@ def is_grid(g: Graph, d, N) -> bool:
     n = N^d, m = d N^(d-1) (N-1), and every edge steps by some N^a from a
     vertex whose axis-a coordinate is below N - 1: m distinct grid edges.
     """
-    if d is None or g.n != N**d or g.m != d * N ** (d - 1) * (N - 1):
+    if d is None or N is None or g.n != N**d or g.m != d * N ** (d - 1) * (N - 1):
         return False
     i, step = g.edges[:, 0], np.diff(g.edges, axis=1).ravel()
     powers = N ** np.arange(d, dtype=np.int64)
@@ -452,10 +463,10 @@ def parse_edge_list(text: str, n: int | None = None) -> Graph:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise ValueError(f"line {lineno}: expected 'i j', got {raw!r}")
-        i, j = int(fields[0]), int(fields[1])
+        try:
+            i, j = map(int, line.split())
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected 'i j', got {raw!r}") from None
         if i < 1 or j < 1 or i == j:
             raise ValueError(f"line {lineno}: invalid edge ({i}, {j})")
         pairs.append((i - 1, j - 1))

@@ -10,12 +10,13 @@ the error rates of the graph TV denoiser:
 
 ``_route`` alone picks how ``rho`` is computed: a closed form, an eigensum
 in the DCT-2 basis of the path graph, the dense pseudoinverse of the
-Laplacian, or a spectral-gap bound.  The dense pseudoinverse and the gap
-bound share one in-place Cholesky factorization of L + P, P the projector
-onto the kernel of L (LAPACK ``dpotrf``); lambda_2 comes from Lanczos
-(ARPACK) on L^+, not from an eigendecomposition.  ``kappa_T`` is exposed
-as an exact brute-force oracle (sign enumeration) plus the closed-form
-degree bound.
+Laplacian, or a spectral-gap bound, from a Graph's family tag, which
+:class:`graphs.Graph` checks against the edges.  The dense pseudoinverse
+and the gap bound share one in-place Cholesky factorization of L + P, P
+the projector onto the kernel of L (LAPACK ``dpotrf``); lambda_2 comes
+from Lanczos (ARPACK) on L^+, not from an eigendecomposition.
+``kappa_T`` is exposed as an exact brute-force oracle (sign enumeration)
+plus the closed-form degree bound.
 """
 from __future__ import annotations
 
@@ -364,29 +365,28 @@ def _route(g, method: str):
     """The one choice of how rho and lambda_2 are computed.
 
     ``g`` is a Graph or a difference matrix; returns ``(rho, lambda_2,
-    rho_method)``.  ``"auto"`` takes the closed form for K_n and S_n (by
-    edge count and center, :func:`graphs.is_complete` and
-    :func:`graphs.is_star`), the structured eigensum for grids and
-    hypercubes (by their edges, :func:`graphs.is_grid`), the spectral-gap
-    bound for Erdos-Renyi and random regular
-    graphs past ``DENSE_SIZE_CAP`` vertices and the dense pseudoinverse
-    otherwise (always for a matrix).  ``"dense"`` forces the dense one.
+    rho_method)``.  ``"auto"`` takes the closed form for a Graph tagged
+    ``complete`` or ``star``, the structured eigensum for one tagged
+    ``grid`` or ``hypercube``, the spectral-gap bound for Erdos-Renyi and
+    random regular graphs past ``DENSE_SIZE_CAP`` vertices and the dense
+    pseudoinverse otherwise (always for a matrix).  ``"dense"`` forces the
+    dense one.
     """
     if method not in ("auto", "dense"):
         raise ValueError(f"unknown method {method!r}")
     graph = g if isinstance(g, G.Graph) else None
     if graph is not None and method == "auto":
-        n = graph.n
-        if G.is_complete(graph):
+        n, family = graph.n, graph.family
+        if family == "complete":
             return float(np.sqrt(2.0) / n), float(n), "closed_form"
-        if G.is_star(graph):
+        if family == "star":
             # S_2 is a single edge, with lambda_2 = 2
             return float(np.sqrt((n * n - n)) / n), 1.0 if n >= 3 else 2.0, "closed_form"
-        if n > DENSE_SIZE_CAP and graph.family in ("erdos_renyi", "random_regular"):
+        if n > DENSE_SIZE_CAP and family in ("erdos_renyi", "random_regular"):
             lam2, bound = spectral_gap(G.incidence(graph))
             return bound, lam2, "spectral_gap_bound"
-        d, N = graph.params.get("d"), graph.params.get("N", 2)  # a hypercube has side 2
-        if graph.family in ("grid", "hypercube") and G.is_grid(graph, d, N):
+        if family in ("grid", "hypercube"):
+            d, N = graph.params["d"], graph.params["N"]
             # smallest positive Kronecker-sum eigenvalue: one axis at lam_1, rest at 0
             lam2 = float(2.0 - 2.0 * np.cos(np.pi / N))
             return rho_structured_grid(d, N), lam2, "eigensum_structured"
@@ -408,7 +408,7 @@ def spectral_report(g, method: str = "auto") -> SpectralReport:
             raise ValueError("spectral report needs at least one edge")
         n, m, family = g.n, g.m, g.family
         # K_n's degree is read off n, so its edge list is never built
-        max_degree = n - 1 if G.is_complete(g) else G.max_degree(g)
+        max_degree = n - 1 if family == "complete" else G.max_degree(g)
     else:
         D = _as_sparse(g)
         m, n = D.shape

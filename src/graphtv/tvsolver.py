@@ -148,16 +148,14 @@ class DenoiseProblem:
     """One denoising instance: observations y, incidence D, weight lam.
 
     ``lam`` multiplies ``||D theta||_1`` against ``(1/n)||theta - y||_2^2``.
-    ``D`` is a difference matrix or a Graph; either way the problem keeps
-    the csr ``D``, its transpose ``Dt``, the step bound ``op_norm =
-    operator_norm(D, Dt)`` and the ``fusion`` rows of :func:`_fusion_graph`,
-    which :func:`denoise` and :func:`solve` only read.  A Graph derives them
-    once and keeps them, read-only, for every problem on it; a matrix, once
-    per problem, and it stays writable.  A Graph whose edges are those of
-    ``build_grid(d, N)`` with d >= 2 and N >= 3 (``graphs.is_grid``) also
-    keeps ``grid``, the same D on the padded layout of
-    :class:`_GridDifferences`, which :func:`denoise` iterates on; ``D``
-    stays the csr incidence matrix.
+    ``D`` is a difference matrix or a Graph, whose incidence matrix is taken;
+    the same lines then derive the csr ``D``, ``Dt``, the step bound
+    ``op_norm = operator_norm(D, Dt)``, the ``fusion`` rows of
+    :func:`_fusion_graph` and ``grid``, which :func:`denoise` and
+    :func:`solve` only read.  A Graph keeps them, read-only, for every
+    problem on it; a matrix stays writable.  A Graph tagged ``grid`` with
+    d >= 2 and N >= 3 gets ``grid``, the same D on the padded layout of
+    :class:`_GridDifferences`, which :func:`denoise` iterates on.
     """
 
     y: np.ndarray
@@ -170,28 +168,21 @@ class DenoiseProblem:
 
     def __post_init__(self):
         self.y = _check_exact_input(self.y, self.lam)
-        if isinstance(self.D, G.Graph):
-            g, derived = self.D, self.D._derived
-            if "D" not in derived:
-                D = G.incidence(g)
-                Dt = D.T.tocsr()
-                for a in (D.data, D.indices, D.indptr, Dt.data, Dt.indices, Dt.indptr):
-                    a.setflags(write=False)  # shared by every problem on the Graph
-                i, j = np.ascontiguousarray(g.edges.T)  # row e of D reads theta_i - theta_j
-                d, N = g.params.get("d", 0), g.params.get("N", 0)
-                grid = (_GridDifferences(g, d, N) if d >= 2 and N >= 3 and G.is_grid(g, d, N)
-                        else None)
-                derived.update(D=D, Dt=Dt, op_norm=operator_norm(D, Dt),
-                               fusion=(slice(None), i, j), grid=grid)
-            self.D, self.Dt, self.op_norm, self.fusion, self.grid = (
-                derived["D"], derived["Dt"], derived["op_norm"], derived["fusion"],
-                derived["grid"])
-        else:  # a bare matrix derives the same, for this problem alone
-            self.D = spec._as_sparse(self.D)
-            if not np.all(np.isfinite(self.D.data)):
+        g = self.D if isinstance(self.D, G.Graph) else None
+        derived = None if g is None else g._derived.get("operator")
+        if derived is None:
+            D = spec._as_sparse(self.D) if g is None else G.incidence(g)
+            if not np.all(np.isfinite(D.data)):
                 raise ValueError("D contains NaN or Inf")
-            self.Dt = self.D.T.tocsr()
-            self.op_norm, self.fusion = operator_norm(self.D, self.Dt), _fusion_graph(self.D)
+            Dt = D.T.tocsr()
+            p = g.params if g is not None and g.family == "grid" else {"d": 0, "N": 0}
+            grid = _GridDifferences(g, p["d"], p["N"]) if p["d"] >= 2 and p["N"] >= 3 else None
+            derived = D, Dt, operator_norm(D, Dt), _fusion_graph(D), grid
+            if g is not None:  # shared by every problem on the Graph
+                for a in (D.data, D.indices, D.indptr, Dt.data, Dt.indices, Dt.indptr):
+                    a.setflags(write=False)
+                g._derived["operator"] = derived
+        self.D, self.Dt, self.op_norm, self.fusion, self.grid = derived
         if self.y.ndim != 1 or self.y.shape[0] != self.D.shape[1]:
             raise ValueError("y must be a vector of length D.shape[1]")
 
@@ -281,19 +272,21 @@ def operator_norm(D, Dt=None) -> float:
     return float(bound)
 
 
-def _fusion_graph(D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fusion_graph(D) -> tuple[np.ndarray | slice, np.ndarray, np.ndarray]:
     """Rows of D that read ``a (theta_i - theta_j)``, with their endpoints.
 
-    Returns ``(rows, i, j)``: every row with exactly two nonzero entries
-    of opposite sign and equal size.  Other rows, such as the anchor row
-    of the augmented path, never link vertices.
+    Returns ``(rows, i, j)``: every row with exactly two nonzero entries of
+    opposite sign and equal size, ``rows`` being ``slice(None)`` if that is
+    every row.  Other rows, such as the augmented path's anchor, link no vertices.
     """
     nnz = np.diff(D.indptr)
     rows = np.flatnonzero(nnz == 2)
     first = D.indptr[rows]
     a, b = D.data[first], D.data[first + 1]
     keep = (a == -b) & (a != 0.0)
-    return rows[keep], D.indices[first[keep]], D.indices[first[keep] + 1]
+    first = first[keep]
+    rows = slice(None) if len(first) == D.shape[0] else rows[keep]
+    return rows, D.indices[first], D.indices[first + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -718,12 +711,12 @@ def _complete_certificate(y: np.ndarray, lam: float,
 def solver_for(g) -> str:
     """The solver :func:`solve` takes for ``g``, a Graph or a difference matrix.
 
-    ``"sort_isotonic"`` for a complete graph, ``"taut_string"`` for a Graph
-    whose edges form the path 0 - 1 - ... - (n-1), whatever its tag, and
-    ``"dual_fista"`` (:func:`denoise`) for anything else.
+    ``"sort_isotonic"`` for a Graph tagged ``complete``, ``"taut_string"``
+    for a Graph whose edges form the path 0 - 1 - ... - (n-1), whatever its
+    tag, and ``"dual_fista"`` (:func:`denoise`) for anything else.
     """
     if isinstance(g, G.Graph):
-        if G.is_complete(g):
+        if g.family == "complete":
             return "sort_isotonic"
         if G.is_path(g):
             return "taut_string"
@@ -829,10 +822,8 @@ def lambda_value(rule: LambdaRule, graph=None) -> float:
     ``corollary`` takes the formula of the graph's family: the 2-D grid;
     grids with d >= 3, hypercubes and stars; complete graphs; Erdos-Renyi
     and random regular graphs, through the expected degree; cycle powers.
-    A grid, hypercube, star or complete graph must have its family's edges
-    (``graphs.is_grid``, ``is_star``, ``is_complete``), whatever its tag
-    says.  A path, a 1-D grid, a custom graph or a tag that its edges
-    belie has no formula and raises ``ValueError``.
+    The family is the Graph's tag, checked against the edges where the Graph
+    is made.  A path, a 1-D grid or a custom graph has no formula: ``ValueError``.
     """
     if rule.rule == "manual":
         if rule.value is None:
@@ -845,11 +836,6 @@ def lambda_value(rule: LambdaRule, graph=None) -> float:
     if rule.rule == "theorem_general":
         return c * s * spec.rho_estimate(graph) * np.sqrt(2.0 * np.log(np.e * m / dl)) / n
     family, d = graph.family, graph.params.get("d")
-    if family in ("grid", "hypercube", "star", "complete") and not (
-            G.is_grid(graph, d, graph.params.get("N", 2)) if family in ("grid", "hypercube")
-            else G.is_star(graph) if family == "star" else G.is_complete(graph)):
-        raise ValueError(f"the corollary rule has no lambda for a graph tagged {family} "
-                         f"whose edges are not those of a {family} graph")
     if family == "grid" and d == 2:
         return c * s * np.sqrt(np.log(n) * np.log(np.e * n / dl)) / n
     if family in ("hypercube", "star") or (family == "grid" and d >= 3):

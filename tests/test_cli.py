@@ -33,6 +33,18 @@ class TestVectorIO:
         p.write_text("# c\n1.0\n\n2.0 # inline\n")
         assert np.array_equal(cli.read_vector(p), [1.0, 2.0])
 
+    def test_bad_lines_are_named(self, tmp_path, capsys):
+        (tmp_path / "y.txt").write_text("# c\n1.0\nabc\n")
+        with pytest.raises(ValueError, match="^line 3: expected a number, got 'abc'$"):
+            cli.read_vector(tmp_path / "y.txt")
+        assert run(["denoise", "--graph", "path", "--n", "2", "--y", str(tmp_path / "y.txt"),
+                    "--lambda-value", "0.1", "--out", str(tmp_path / "t.txt")]) == 2
+        assert "graphtv: line 3: expected a number" in capsys.readouterr().err
+        (tmp_path / "e.txt").write_text("1 2\n2 3.5\n")
+        assert run(["spectral", "--graph", "custom", "--edges", str(tmp_path / "e.txt"),
+                    "--out", str(tmp_path / "x.json")]) == 2
+        assert "graphtv: line 2: expected 'i j'" in capsys.readouterr().err
+
 
 class TestSpectralCommand:
     def test_star_value(self, tmp_path):

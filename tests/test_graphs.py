@@ -114,7 +114,7 @@ class TestHypercube:
         g = G.build_hypercube(d)
         flip = np.bitwise_xor(*g.edges.T)
         assert np.all(flip & (flip - 1) == 0) and g.m == d * 2 ** (d - 1)
-        assert (g.family, g.params) == ("hypercube", {"d": d})
+        assert (g.family, g.params) == ("hypercube", {"d": d, "N": 2})
 
     def test_errors_name_the_hypercube(self, monkeypatch):
         with pytest.raises(ValueError, match="hypercube dimension must be >= 1"):
@@ -428,14 +428,13 @@ class TestConnectivity:
 
 
 class TestShapeChecks:
-    """``is_path``, ``is_grid`` and ``is_star`` read the edges, not the family tag alone."""
+    """``is_path`` and ``is_grid`` read the edges, not the family tag."""
 
     @pytest.mark.parametrize("family", list(G.FAMILIES))
     def test_builders(self, family):
         g = G.build_family(family, n=16, d=2, N=4, k=2, p=0.5, seed=3)
         assert G.is_path(g) == (family == "path")
-        assert G.is_star(g) == (family == "star")
-        assert G.is_grid(g, g.params.get("d"), g.params.get("N", 2)) == (
+        assert G.is_grid(g, g.params.get("d"), g.params.get("N")) == (
             family in ("grid", "hypercube"))
 
     def test_one_dimensional_grid_is_a_path(self):
@@ -448,7 +447,81 @@ class TestShapeChecks:
         [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)],  # the cycle
     ])
     def test_path_tag_is_not_a_path(self, edges):
-        assert not G.is_path(G.Graph(5, edges, family="path"))
+        assert not G.is_path(G.Graph(5, edges))
+        with pytest.raises(ValueError, match="edges do not fit family tag 'path' with params {}"):
+            G.Graph(5, edges, family="path")
+
+
+def _swapped_grid_edges():
+    """The 4x4 grid with (0, 1) swapped for (3, 4), a step of 1 off the grid's last column."""
+    return G._canonical_edges([e for e in G.build_grid(2, 4).edges.tolist()
+                               if e != [0, 1]] + [[3, 4]])
+
+
+# Graphs whose tag their edges belie: (n, edges, family, params)
+BELIED = {
+    "path-tagged-grid": (16, G.build_path(16).edges, "grid", {"d": 2, "N": 4}),
+    "path-tagged-hypercube": (16, G.build_path(16).edges, "hypercube", {"d": 4, "N": 2}),
+    "path-tagged-star": (16, G.build_path(16).edges, "star", {}),
+    "path-tagged-cycle-power": (12, G.build_path(12).edges, "cycle_power", {"n": 12, "k": 1}),
+    "k4-minus-an-edge": (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], "complete", {}),
+    "complete-minus-an-edge": (12, G.build_complete(12).edges[1:], "complete", {}),
+    "star-minus-an-edge": (6, G.build_star(6).edges[1:], "star", {}),
+    "star-tagged-path": (12, G.build_star(12).edges, "path", {"N": 12}),
+    "grid-with-a-swapped-edge": (16, _swapped_grid_edges(), "grid", {"d": 2, "N": 4}),
+    "grid-tagged-hypercube": (16, G.build_grid(2, 4).edges, "hypercube", {"d": 4, "N": 2}),
+    "hypercube-without-its-side": (8, G.build_hypercube(3).edges, "hypercube", {"d": 3}),
+    "cycle-tagged-square": (12, G.build_cycle_power(12, 1).edges, "cycle_power",
+                            {"n": 12, "k": 2}),
+    "cycle-power-missing-k": (12, G.build_cycle_power(12, 2).edges, "cycle_power", {"n": 12}),
+    "3-regular-tagged-5": (12, G.build_random_regular(12, 3, 0).edges, "random_regular",
+                           {"d": 5, "seed": 0}),
+    "edgeless-tagged-k-0": (5, [], "cycle_power", {"n": 5, "k": 0}),
+    "edgeless-tagged-d-0": (5, [], "random_regular", {"d": 0, "seed": 0}),
+}
+
+
+class TestTagChecks:
+    """A Graph checks its family tag against its edges when it is made."""
+
+    @pytest.mark.parametrize("family", list(G.FAMILIES))
+    def test_builders_pass_their_check(self, family):
+        flags = {"path": [{"n": n} for n in range(2, 12)],
+                 "grid": [{"d": d, "N": N} for d in range(1, 5) for N in range(2, 7 - d)],
+                 "hypercube": [{"d": d} for d in range(1, 9)],
+                 "complete": [{"n": n} for n in range(2, 12)],
+                 "star": [{"n": n} for n in range(2, 12)],
+                 "cycle_power": [{"n": n, "k": k} for n in range(3, 25)
+                                 for k in range(1, n // 2 + 1)],
+                 "erdos_renyi": [{"n": n, "p": 0.5, "seed": n} for n in range(2, 12)],
+                 "random_regular": [{"n": n, "d": d, "seed": 0} for n in range(3, 17)
+                                    for d in range(2, n) if n * d % 2 == 0]}[family]
+        for f in flags:
+            g = G.build_family(family, **f)
+            assert g.family == family
+            assert G.Graph(g.n, g.edges, family, g.params).m == g.m
+
+    @pytest.mark.parametrize("case", BELIED)
+    def test_belied_tag_raises(self, case):
+        n, edges, family, params = BELIED[case]
+        G.Graph(n, edges)  # the edges alone make a custom graph
+        with pytest.raises(ValueError, match=f"edges do not fit family tag '{family}' with params"):
+            G.Graph(n, edges, family=family, params=params)
+
+    def test_unknown_tag_is_refused(self):
+        with pytest.raises(ValueError, match="edges do not fit family tag 'foo' with params {}"):
+            G.Graph(3, [(0, 1), (1, 2)], family="foo")
+
+    @pytest.mark.parametrize("n, edges, family, params", [
+        (5, [(0, 3), (1, 3), (2, 3), (3, 4)], "star", {}),  # centered at vertex 3
+        (8, G.build_hypercube(3).edges, "grid", {"d": 3, "N": 2}),
+        (7, G.build_path(7).edges, "grid", {"d": 1, "N": 7}),
+        (7, G.build_grid(1, 7).edges, "path", {"N": 7}),
+        (6, G.build_cycle_power(6, 3).edges, "cycle_power", {"n": 6, "k": 3}),  # K_6
+    ], ids=["star-off-0", "hypercube-tagged-grid", "path-tagged-grid-1d", "grid-1d-tagged-path",
+            "cycle-power-n-2k"])
+    def test_tags_that_hold_off_their_builder(self, n, edges, family, params):
+        assert G.Graph(n, edges, family, params).family == family
 
 
 class TestEdgeListFormat:
@@ -480,6 +553,8 @@ class TestEdgeListFormat:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             G.parse_edge_list("1 2 3\n")
+        with pytest.raises(ValueError, match="^line 3: expected 'i j', got '2 3.5'$"):
+            G.parse_edge_list("1 2\n# c\n2 3.5\n")
         with pytest.raises(ValueError):
             G.parse_edge_list("1 1\n")
         with pytest.raises(ValueError):

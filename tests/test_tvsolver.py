@@ -593,14 +593,9 @@ class TestLambdaRules:
                 (G.build_complete(7), 0.04675427467020806)]
         for g, value in kept:
             assert T.lambda_value(rule, g) == value, g.family
-        path = G.build_path(16).edges
-        belied = [G.Graph(16, path, family="grid", params={"d": 2, "N": 4}),
-                  G.Graph(16, path, family="hypercube", params={"d": 4}),
-                  G.Graph(16, path, family="star"),
-                  G.Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], family="complete")]
-        for g in belied:
-            with pytest.raises(ValueError, match=f"tagged {g.family} whose edges"):
-                T.lambda_value(rule, g)
+        # the formula follows the checked tag (test_graphs.py TestTagChecks): none untagged
+        with pytest.raises(ValueError, match="no lambda for a custom graph"):
+            T.lambda_value(rule, G.Graph(16, G.build_grid(2, 4).edges))
 
     def test_random_gap_uses_expected_degree(self):
         rule = T.LambdaRule("corollary", sigma=1.0, delta=0.1)
@@ -1012,11 +1007,8 @@ ROUTE_CASES = {
     "erdos_renyi": (G.build_erdos_renyi(12, 0.5, 3), "dual_fista"),
     "augmented": (G.build_augmented_path(12), "dual_fista"),
     "complete-as-custom": (G.Graph(12, G.build_complete(12).edges), "dual_fista"),
-    # a complete tag on a graph that is not complete falls through to denoise
-    "complete-minus-an-edge": (G.Graph(12, G.build_complete(12).edges[1:], family="complete"),
-                               "dual_fista"),
-    # so does a path tag on a star, while a path's edges take the taut string untagged
-    "star-tagged-path": (G.Graph(12, G.build_star(12).edges, family="path"), "dual_fista"),
+    "complete-minus-an-edge": (G.Graph(12, G.build_complete(12).edges[1:]), "dual_fista"),
+    # a path's edges take the taut string untagged
     "path-as-custom": (G.Graph(12, G.build_path(12).edges), "taut_string"),
 }
 
@@ -1265,6 +1257,7 @@ class TestGraphKeepsItsOperator:
         g = G.build_grid(2, 6)
         D = G.incidence(g)
         y = np.random.default_rng(1).normal(size=g.n) * 3
+        T.DenoiseProblem(y, g, 0.05)  # the Graph keeps its operator before the patch below
         calls = _count_operator_builds(monkeypatch)
         res = T.solve(D, y, 0.05)
         assert res.converged and res.solver == "dual_fista"
@@ -1420,9 +1413,8 @@ class TestGridLayout:
                 assert getattr(a, f) == getattr(b, f), f
 
     @pytest.mark.parametrize("g", [G.build_grid(2, 2), G.build_grid(1, 9), G.build_hypercube(3),
-                                   G.Graph(16, G.build_path(16).edges, family="grid",
-                                           params={"d": 2, "N": 4})],
-                             ids=["side-2", "1-D", "hypercube", "path-tagged-grid"])
+                                   G.Graph(16, G.build_grid(2, 4).edges)],
+                             ids=["side-2", "1-D", "hypercube", "grid-as-custom"])
     def test_other_graphs_keep_the_rows_of_D(self, g):
         assert T.DenoiseProblem(np.zeros(g.n), g, 0.1).grid is None
 
