@@ -276,6 +276,13 @@ class TestAutoMethod:
             assert rep.rho == S.spectral_report(g, "dense").rho
 
 
+def _refused(n, edges, family, params=None):
+    """The custom Graph on ``edges``, once Graph has refused the tag that they belie."""
+    with pytest.raises(ValueError, match=f"edges do not fit family tag '{family}'"):
+        G.Graph(n, edges, family=family, params=params)
+    return G.Graph(n, edges)
+
+
 class TestOneRoute:
     @pytest.mark.parametrize("family", ["complete", "star"])
     def test_closed_forms_match_dense(self, family):
@@ -287,18 +294,21 @@ class TestOneRoute:
             assert abs(auto.spectral_gap - dense.spectral_gap) <= 1e-10, n
 
     @pytest.mark.parametrize("g, method", [
-        # a near miss of a family is a custom graph, since its tag would be refused
-        (G.Graph(12, G.build_complete(12).edges[1:]), "dense_pseudoinverse"),
-        (G.Graph(6, G.build_star(6).edges[1:]), "dense_pseudoinverse"),
+        # a near miss of a family has its tag refused and is a custom graph
+        (_refused(12, G.build_complete(12).edges[1:], "complete"), "dense_pseudoinverse"),
+        (_refused(5, G.build_path(5).edges, "star"), "dense_pseudoinverse"),
+        (_refused(6, G.build_star(6).edges[1:], "star"), "dense_pseudoinverse"),
         # S_5 centered at vertex 3 is still a star
         (G.Graph(5, [(0, 3), (1, 3), (2, 3), (3, 4)], family="star"), "closed_form"),
+        (_refused(16, G.build_path(16).edges, "grid", {"d": 2, "N": 4}), "dense_pseudoinverse"),
         # the 4x4 grid with (0, 1) swapped for (3, 4), a step of 1 off the grid's last column
-        (G.Graph(16, G._canonical_edges([e for e in G.build_grid(2, 4).edges.tolist()
-                                         if e != [0, 1]] + [[3, 4]])), "dense_pseudoinverse"),
+        (_refused(16, G._canonical_edges([e for e in G.build_grid(2, 4).edges.tolist()
+                                          if e != [0, 1]] + [[3, 4]]),
+                  "grid", {"d": 2, "N": 4}), "dense_pseudoinverse"),
         (G.Graph(8, G.build_hypercube(3).edges, family="grid", params={"d": 3, "N": 2}),
          "eigensum_structured"),
-    ], ids=["complete-minus-an-edge", "star-minus-an-edge", "star-off-0",
-            "grid-with-a-swapped-edge", "hypercube-tagged-grid"])
+    ], ids=["complete-minus-an-edge", "path-tagged-star", "star-minus-an-edge", "star-off-0",
+            "path-tagged-grid", "grid-with-a-swapped-edge", "hypercube-tagged-grid"])
     def test_closed_form_reads_the_edges_not_the_tag(self, g, method):
         auto, dense = S.spectral_report(g), S.spectral_report(g, "dense")
         assert auto.rho_method == method

@@ -997,6 +997,13 @@ class TestCompleteCertificate:
         assert _complete_verdict(y, below, T.denoise_complete_exact(y, below), 1e-5)
 
 
+def _refused(n, edges, family, params=None):
+    """The custom Graph on ``edges``, once Graph has refused the tag that they belie."""
+    with pytest.raises(ValueError, match=f"edges do not fit family tag '{family}'"):
+        G.Graph(n, edges, family=family, params=params)
+    return G.Graph(n, edges)
+
+
 ROUTE_CASES = {
     "complete": (G.build_complete(12), "sort_isotonic"),
     "path": (G.build_path(12), "taut_string"),
@@ -1007,8 +1014,11 @@ ROUTE_CASES = {
     "erdos_renyi": (G.build_erdos_renyi(12, 0.5, 3), "dual_fista"),
     "augmented": (G.build_augmented_path(12), "dual_fista"),
     "complete-as-custom": (G.Graph(12, G.build_complete(12).edges), "dual_fista"),
-    "complete-minus-an-edge": (G.Graph(12, G.build_complete(12).edges[1:]), "dual_fista"),
-    # a path's edges take the taut string untagged
+    # a complete tag on a graph that is not complete is refused, so it is solved as custom
+    "complete-minus-an-edge": (_refused(12, G.build_complete(12).edges[1:], "complete"),
+                               "dual_fista"),
+    # so is a path tag on a star, while a path's edges take the taut string untagged
+    "star-tagged-path": (_refused(12, G.build_star(12).edges, "path"), "dual_fista"),
     "path-as-custom": (G.Graph(12, G.build_path(12).edges), "taut_string"),
 }
 
@@ -1413,8 +1423,11 @@ class TestGridLayout:
                 assert getattr(a, f) == getattr(b, f), f
 
     @pytest.mark.parametrize("g", [G.build_grid(2, 2), G.build_grid(1, 9), G.build_hypercube(3),
+                                   _refused(16, G.build_path(16).edges, "grid",
+                                            {"d": 2, "N": 4}),
                                    G.Graph(16, G.build_grid(2, 4).edges)],
-                             ids=["side-2", "1-D", "hypercube", "grid-as-custom"])
+                             ids=["side-2", "1-D", "hypercube", "path-tagged-grid",
+                                  "grid-as-custom"])
     def test_other_graphs_keep_the_rows_of_D(self, g):
         assert T.DenoiseProblem(np.zeros(g.n), g, 0.1).grid is None
 
