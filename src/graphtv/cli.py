@@ -231,7 +231,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:  # UsageError is a ValueError
+    except (ValueError, OSError) as exc:  # UsageError is a ValueError
         print(f"graphtv: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except G.GraphGenerationError as exc:

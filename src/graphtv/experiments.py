@@ -82,8 +82,7 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError("sigma must be finite and nonnegative")
-        if not self.sizes or not all(isinstance(size, numbers.Integral) and size >= 1
-                                     and not isinstance(size, bool) for size in self.sizes):
+        if not self.sizes or not all(G._has_type(size, "int") and size >= 1 for size in self.sizes):
             raise ValueError("sizes must be a nonempty list of positive integers")
         if self.lambda_policy not in ("theoretical", "oracle"):
             raise ValueError(f"unknown lambda policy {self.lambda_policy!r}")
@@ -107,8 +106,9 @@ class ExperimentConfig:
             if estimator not in ESTIMATORS:
                 raise ValueError(f"unknown estimator {estimator!r}")
         if "haar" in self.estimators and not (self.family == "grid" and all(
-                dict(params)["d"] == 2 for params in self._params)):
-            raise ValueError("haar estimator needs the 2-D grid: family grid with d = 2")
+                p["d"] == 2 and p["N"] & (p["N"] - 1) == 0 for p in map(dict, self._params))):
+            raise ValueError("haar estimator needs the 2-D grid: family grid with d = 2 "
+                             "and a side N that is a power of two")
         tv.check_json_fields(tv.LambdaRule, self.lambda_rule, "lambda_rule")
         if "sigma" in self.lambda_rule:
             raise ValueError("lambda_rule key 'sigma' is not read: lambda reads the config's sigma")

@@ -1,9 +1,10 @@
 """Graph families and their edge-vertex incidence matrices.
 
-Every builder returns a :class:`Graph` with a canonical edge ordering:
-edges are stored as ``(i, j)`` pairs with ``i < j`` (0-based vertex
-indices) and sorted lexicographically, so the incidence matrix of a
-given family/size/seed is reproducible bit-for-bit.
+Every builder returns a :class:`Graph` whose edges are ``(i, j)`` pairs with
+``i < j`` (0-based vertex indices) in lexicographic order, so the incidence
+matrix of a given family/size/seed is reproducible bit-for-bit.  Builders list
+them in that order without sorting, a lattice family's by the generator that
+also checks its tag; only :func:`parse_edge_list` sorts and dedupes.
 
 The incidence matrix convention is ``+1`` at the lower-indexed endpoint
 and ``-1`` at the higher one, one row per edge.
@@ -49,8 +50,9 @@ class Graph:
     params : dict
         Family parameters (e.g. ``{"d": 2, "N": 8}`` for a grid).
 
-    An unknown tag, or one that the edges belie (:func:`_tag_holds`), raises
-    ``ValueError``, so other modules read ``family`` and ``params`` as facts.
+    An unknown tag, a param of the wrong type, or a tag that the graph
+    belies (:func:`_tag_holds`) raises ``ValueError``, so other modules read
+    ``family`` and ``params`` as facts: a named family's graph is connected.
 
     ``edges=None`` stands for K_n (``family="complete"``, as
     :func:`build_complete` makes it): m is n(n-1)/2, and the edge list is
@@ -108,8 +110,9 @@ def _validate_edges(n: int, edges: np.ndarray) -> None:
 
 
 def _tag_holds(g: Graph) -> bool:
-    """True iff g's family is known and the edges are that family's at g's params.
-    An Erdos-Renyi graph's edges cannot show p, so it passes, as a custom graph does."""
+    """True iff g's family is known and g is its graph at g's params, typed as the builder
+    takes them: a lattice's edges are its generator's, which runs once n and m fit, and an
+    Erdos-Renyi or random regular graph is connected."""
     family, p, n, m = g.family, g.params, g.n, g.m
     if family == "complete":
         return m == n * (n - 1) // 2
@@ -117,23 +120,19 @@ def _tag_holds(g: Graph) -> bool:
         return m == n - 1 == max_degree(g)
     if family == "path":
         return is_path(g)
+    d, N, k = p.get("d"), p.get("N"), p.get("k")
     if family in ("grid", "hypercube"):
-        return (family == "grid" or p.get("N") == 2) and is_grid(g, p.get("d"), p.get("N"))
-    if family == "cycle_power":  # the nk pairs within circular distance k, n/2 fewer at n = 2k
-        k, gap = p.get("k", 0), np.diff(g.edges, axis=1)  # distance min(gap, n - gap)
-        return (k >= 1 and m == n * k - (n // 2 if 2 * k == n else 0)
-                and bool(np.all(np.minimum(gap, n - gap) <= k)))
+        return (_has_type(d, "int") and _has_type(N, "int") and (family == "grid" or N == 2)
+                and n == N**d and m * N == d * n * (N - 1)
+                and np.array_equal(g.edges, _grid_edges(d, N)))
+    if family == "cycle_power":
+        return (_has_type(k, "int") and k >= 1 and m == n * k - (n // 2 if 2 * k == n else 0)
+                and np.array_equal(g.edges, _cycle_power_edges(n, k)))
+    if family == "erdos_renyi":
+        return _has_type(p.get("p"), "float") and 0 < p["p"] <= 1 and is_connected(g)
     if family == "random_regular":
-        return p.get("d", 0) >= 1 and bool(np.all(degrees(g) == p["d"]))
-    return family in ("custom", "erdos_renyi")
-
-
-def _canonical_edges(pairs) -> np.ndarray:
-    """Sort endpoints within each pair, then sort pairs lexicographically."""
-    e = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    e = np.sort(e, axis=1)
-    order = np.lexsort((e[:, 1], e[:, 0]))
-    return e[order]
+        return _has_type(d, "int") and d >= 1 and np.all(degrees(g) == d) and is_connected(g)
+    return family == "custom"
 
 
 def _check_size(what: str, n: int, m: int) -> None:
@@ -179,7 +178,7 @@ def build_grid(d: int, N: int) -> Graph:
 
     Vertex ``(i_1, ..., i_d)`` (0-based coordinates) maps to the linear
     index ``i_1 + N*i_2 + ... + N^(d-1)*i_d``; edges connect vertices
-    differing by one in exactly one coordinate.
+    differing by one in exactly one coordinate, as :func:`_grid_edges` lists them.
     """
     if d < 1:
         raise ValueError("grid dimension must be >= 1")
@@ -187,26 +186,26 @@ def build_grid(d: int, N: int) -> Graph:
         raise ValueError("grid side length must be >= 2")
     n = N**d
     _check_size(f"grid {N}^{d}", n, d * N ** (d - 1) * (N - 1))
-    idx = np.arange(n, dtype=np.int64)
-    pairs = []
-    for axis in range(d):
-        step = N**axis
-        coord = (idx // step) % N
-        src = idx[coord < N - 1]
-        pairs.append(np.column_stack([src, src + step]))
-    edges = _canonical_edges(np.concatenate(pairs, axis=0))
-    return Graph(n, edges, family="grid", params={"d": d, "N": N})
+    return Graph(n, _grid_edges(d, N), family="grid", params={"d": d, "N": N})
+
+
+def _grid_edges(d: int, N: int) -> np.ndarray:
+    """Edges v ~ v + N^a of the grid N^d where coordinate a of v is below N - 1,
+    vertex by vertex and axis by axis: v + N^a grows with a, so this is canonical order."""
+    steps = N ** np.arange(d, dtype=np.int64)
+    v, a = np.nonzero(np.arange(N**d, dtype=np.int64)[:, None] // steps % N < N - 1)
+    return np.column_stack([v, v + steps[a]])
 
 
 def build_hypercube(d: int) -> Graph:
     """d-dimensional hypercube: vertices are bit strings, edges flip one bit.
 
-    Bit b is the coordinate along axis b, so Q_d has the edges of ``build_grid(d, 2)``.
+    Bit b is the coordinate along axis b, so Q_d has the edges of the grid 2^d.
     """
     if d < 1:
         raise ValueError("hypercube dimension must be >= 1")
     _check_size(f"hypercube Q_{d}", 2**d, d * 2 ** (d - 1))
-    return Graph(2**d, build_grid(d, 2).edges, family="hypercube", params={"d": d, "N": 2})
+    return Graph(2**d, _grid_edges(d, 2), family="hypercube", params={"d": d, "N": 2})
 
 
 def build_complete(n: int) -> Graph:
@@ -227,17 +226,23 @@ def build_star(n: int) -> Graph:
 
 
 def build_cycle_power(n: int, k: int) -> Graph:
-    """k-th power of the cycle C_n: i ~ j iff circular distance <= k."""
+    """C_n^k: i ~ j iff their circular distance is at most k (:func:`_cycle_power_edges`)."""
     if n < 3:
         raise ValueError("cycle power needs n >= 3")
     if k < 1 or 2 * k > n:
         raise ValueError("cycle power requires 1 <= k <= n/2")
-    _check_size(f"cycle power C_{n}^{k}", n, n * k)  # the pairs listed before n = 2k dedupes
-    i = np.repeat(np.arange(n, dtype=np.int64), k)
-    j = (i + np.tile(np.arange(1, k + 1), n)) % n
-    # for n = 2k the two directions reach the same opposite vertex
-    edges = np.unique(_canonical_edges(np.column_stack([i, j])), axis=0)
-    return Graph(n, edges, family="cycle_power", params={"n": n, "k": k})
+    _check_size(f"cycle power C_{n}^{k}", n, n * k)  # n/2 above m at n = 2k
+    return Graph(n, _cycle_power_edges(n, k), family="cycle_power", params={"n": n, "k": k})
+
+
+def _cycle_power_edges(n: int, k: int) -> np.ndarray:
+    """Edges i ~ i + s of C_n^k for each offset s in 1..n-1 within circular distance k,
+    ascending, so in canonical order; at n = 2k the offset k occurs once."""
+    s = np.arange(1, n, dtype=np.int64)
+    s = s[np.minimum(s, n - s) <= k]
+    i = np.repeat(np.arange(n, dtype=np.int64), len(s))
+    j = i + np.tile(s, n)
+    return np.column_stack([i, j])[j < n]
 
 
 # ---------------------------------------------------------------------------
@@ -247,17 +252,17 @@ def build_cycle_power(n: int, k: int) -> Graph:
 def build_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """Connected Erdos-Renyi draw G(n, p).
 
-    Disconnected draws are resampled (up to ``ER_MAX_RETRIES``) because the
-    denoising theory assumes a connected graph.  Deterministic given
-    ``seed``.  Pair k in row-major order (0, 1), (0, 2), ..., (n-2, n-1)
-    is an edge when the k-th uniform of the stream is below p; the
-    uniforms are drawn ``ER_BLOCK_PAIRS`` at a time, which reproduces the
-    stream of a single draw, so memory is O(m + block) rather than O(n^2).
+    The denoising theory assumes a connected graph, which the tag promises:
+    a draw the tag refuses is resampled (up to ``ER_MAX_RETRIES``).
+    Deterministic given ``seed``.  Pair k in row-major order (0, 1), (0, 2),
+    ..., (n-2, n-1) is an edge when the k-th uniform of the stream is below
+    p; the uniforms are drawn ``ER_BLOCK_PAIRS`` at a time, which reproduces
+    the stream of a single draw, so memory is O(m + block) rather than O(n^2).
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if not 0 < p <= 1:
-        raise ValueError("need 0 < p <= 1")
+    if not (_has_type(p, "float") and 0 < p <= 1):  # as the tag will, before any draw
+        raise ValueError(f"need a real p with 0 < p <= 1, got {p!r}")
     _check_size(f"Erdos-Renyi G({n}, {p}) on average", n, int(p * (n * (n - 1) // 2)))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     row_start = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])  # first pair of row i
@@ -268,11 +273,11 @@ def build_erdos_renyi(n: int, p: float, seed: int) -> Graph:
             for start in range(0, total, ER_BLOCK_PAIRS)
         ])
         i = np.searchsorted(row_start, k, side="right") - 1
-        # increasing k lists the pairs in row-major, hence lexicographic, order
-        g = Graph(n, np.column_stack([i, k - row_start[i] + i + 1]),
-                  family="erdos_renyi", params={"p": p, "seed": seed})
-        if is_connected(g):
-            return g
+        try:  # increasing k lists the pairs in row-major, hence canonical, order
+            return Graph(n, np.column_stack([i, k - row_start[i] + i + 1]),
+                         family="erdos_renyi", params={"p": p, "seed": seed})
+        except ValueError:  # the tag refuses a disconnected draw
+            pass
     raise GraphGenerationError(
         f"no connected Erdos-Renyi draw with n={n}, p={p} in {ER_MAX_RETRIES} attempts"
     )
@@ -285,12 +290,13 @@ def build_random_regular(n: int, d: int, seed: int) -> Graph:
     every pair that is neither a self-loop nor a repeat of an edge; only the
     stubs of the rejected pairs are paired again in the next round.  A dead
     end (no suitable pair left among the unmatched stubs) or a disconnected
-    graph restarts the draw, up to ``RR_MAX_RETRIES`` times.  Dead ends
-    become common as d nears n, so a d > (n - 1)/2 graph is drawn as the
-    complement of an (n - 1 - d)-regular one.  Deterministic given ``seed``.
+    graph, which the tag refuses, restarts the draw, up to ``RR_MAX_RETRIES``
+    times.  Dead ends become common as d nears n, so a d > (n - 1)/2 graph is
+    drawn as the complement of an (n - 1 - d)-regular one.  Deterministic
+    given ``seed``.
     """
-    if n < 2 or d < 1 or d >= n:
-        raise ValueError("need 1 <= d < n")
+    if not _has_type(d, "int") or n < 2 or d < 1 or d >= n:
+        raise ValueError(f"need an integer d with 1 <= d < n, got d={d!r}, n={n}")
     if (n * d) % 2 != 0:
         raise ValueError("n * d must be even")
     # the edge cap also bounds the n(n-1)/2 pairs of a complement
@@ -305,10 +311,11 @@ def build_random_regular(n: int, d: int, seed: int) -> Graph:
             i, j = np.triu_indices(n, 1)
             pairs = i * n + j
             keys = np.setdiff1d(pairs, keys, assume_unique=True)
-        g = Graph(n, _canonical_edges(np.column_stack(np.divmod(keys, n))),
-                  family="random_regular", params={"d": d, "seed": seed})
-        if is_connected(g):
-            return g
+        try:  # increasing keys i*n + j list the pairs in canonical order
+            return Graph(n, np.column_stack(np.divmod(keys, n)),
+                         family="random_regular", params={"d": d, "seed": seed})
+        except ValueError:  # the tag refuses a disconnected draw
+            pass
     raise GraphGenerationError(
         f"no simple connected {d}-regular pairing with n={n} in {RR_MAX_RETRIES} attempts"
     )
@@ -371,9 +378,14 @@ def check_flag(family: str, name: str, value):
         raise ValueError(f"missing required flag --{name}")
     builder, required = FAMILIES[family]
     kind = dict(zip(required, globals()[builder].__annotations__.values())).get(name)
-    if kind in JSON_TYPES and (isinstance(value, bool) or not isinstance(value, JSON_TYPES[kind])):
+    if kind in JSON_TYPES and not _has_type(value, kind):
         raise ValueError(f"flag --{name} of {family} must be {kind}, got {value!r}")
     return value
+
+
+def _has_type(value, kind: str) -> bool:
+    """True iff ``value`` is a JSON value of annotation ``kind``; a bool is no number."""
+    return not isinstance(value, bool) and isinstance(value, JSON_TYPES[kind])
 
 
 def build_family(family: str, **params) -> Graph:
@@ -433,20 +445,6 @@ def is_path(g: Graph) -> bool:
     return g.m == g.n - 1 and bool(np.all(np.diff(g.edges, axis=1) == 1))
 
 
-def is_grid(g: Graph, d, N) -> bool:
-    """True iff g is ``build_grid(d, N)`` (a hypercube for N = 2), read off the edges.
-
-    n = N^d, m = d N^(d-1) (N-1), and every edge steps by some N^a from a
-    vertex whose axis-a coordinate is below N - 1: m distinct grid edges.
-    """
-    if d is None or N is None or g.n != N**d or g.m != d * N ** (d - 1) * (N - 1):
-        return False
-    i, step = g.edges[:, 0], np.diff(g.edges, axis=1).ravel()
-    powers = N ** np.arange(d, dtype=np.int64)
-    axis = np.minimum(np.searchsorted(powers, step), d - 1)
-    return bool(np.all((powers[axis] == step) & ((i // step) % N < N - 1)))
-
-
 def is_connected(g: Graph) -> bool:
     """True iff the graph has a single connected component."""
     return bool(_components(g.n, g.edges[:, 0], g.edges[:, 1]).max() == 0)
@@ -474,7 +472,7 @@ def parse_edge_list(text: str, n: int | None = None) -> Graph:
         raise ValueError("edge list is empty")
     nv = n if n is not None else max(max(pair) for pair in pairs) + 1
     _check_size("custom graph", nv, len(pairs))
-    return Graph(nv, np.unique(_canonical_edges(pairs), axis=0), family="custom", params={})
+    return Graph(nv, np.unique(np.sort(pairs, axis=1), axis=0), family="custom", params={})
 
 
 def read_edge_list(path, n: int | None = None) -> Graph:

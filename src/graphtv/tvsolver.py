@@ -58,11 +58,11 @@ importing the package does not load ``scipy.optimize``.
 ``solver_for`` alone picks the taut string for a graph whose edges form
 the path 0 - 1 - ... - (n-1), the sort-plus-isotonic reduction for a
 complete graph and ``denoise`` for anything else.  It alone warns about a
-disconnected graph, and only for a custom graph or a bare matrix: the
-named families are connected by construction.  Both exact estimates are
-certified in closed form from y and theta alone (``_path_certificate``,
-``_complete_certificate``).  Every certificate counts an edge as a jump
-above ``JUMP_RTOL * (1 + ||y||_inf)`` (``_scale``).
+disconnected graph, and only for a custom graph or a bare matrix: a named
+family's tag, checked when its Graph is made, promises a connected graph.
+Both exact estimates are certified in closed form from y and theta alone
+(``_path_certificate``, ``_complete_certificate``).  Every certificate
+counts an edge as a jump above ``JUMP_RTOL * (1 + ||y||_inf)`` (``_scale``).
 
 On K_n, once theta is sorted into blocks of equal value, every edge
 between blocks carries the sign of its jump, and the in-block entries of
@@ -733,7 +733,8 @@ def solve(g, y, lam: float, opts: SolverOptions | None = None) -> DenoiseResult:
     and decide ``converged`` by the :func:`_verdict` of :func:`denoise`.
     For a custom Graph or a bare matrix a warning is attached when the
     rows ``a (theta_i - theta_j)`` of D leave the vertices disconnected,
-    since the oracle-inequality theory assumes a connected graph.
+    since the oracle-inequality theory assumes a connected graph (which a
+    named family's tag promises).
     """
     opts = opts or SolverOptions()
     solver = solver_for(g)
@@ -810,8 +811,7 @@ def check_json_fields(cls, d, what: str) -> None:
     for f in fields(cls):
         if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
             raise ValueError(f"missing {what} key {f.name!r}")
-        if f.name in d and (isinstance(d[f.name], bool)
-                            or not isinstance(d[f.name], G.JSON_TYPES[f.type])):
+        if f.name in d and not G._has_type(d[f.name], f.type):
             raise ValueError(f"{what} key {f.name!r} must be {f.type}, got {d[f.name]!r}")
 
 

@@ -444,6 +444,18 @@ class TestDenoiseCommand:
         rep = json.loads((tmp_path / "theta.txt.report.json").read_text())
         assert rep["lambda"] == pytest.approx(0.5 * family_lambda(16), rel=1e-12)
 
+    def test_y_a_directory_is_usage_error(self, tmp_path, capsys):
+        assert run(["denoise", "--graph", "path", "--n", "2", "--y", str(tmp_path),
+                    "--lambda-value", "0.1", "--out", str(tmp_path / "t.txt")]) == 2
+        assert capsys.readouterr().err.startswith("graphtv: [Errno")
+
+    def test_out_under_a_file_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        y = self._write_y(tmp_path, np.array([1.0, 2.0]))
+        assert run(["denoise", "--graph", "path", "--n", "2", "--y", str(y),
+                    "--lambda-value", "0.1", "--out", str(tmp_path / "file" / "x.txt")]) == 2
+        assert capsys.readouterr().err.startswith("graphtv: [Errno")
+
     def test_oracle_requires_path(self, tmp_path):
         yp = self._write_y(tmp_path, np.zeros(4))
         assert run(["denoise", "--graph", "grid", "--d", "2", "--N", "2",
@@ -548,6 +560,11 @@ class TestExperimentCommand:
 
     def test_needs_config_or_preset(self, tmp_path):
         assert run(["experiment", "--out", str(tmp_path / "x")]) == 2
+
+    def test_config_a_directory_is_usage_error(self, tmp_path, capsys):
+        assert run(["experiment", "--config", str(tmp_path), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("graphtv: [Errno")
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("change", [
         {"family": "hexagonal"},

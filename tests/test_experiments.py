@@ -328,6 +328,9 @@ class TestFamilyTable:
         ({"family": "grid", "family_params": {"d": 3}, "estimators": ("haar",),
           "signal": {"kind": "island", "params": {"k": 1, "l": 1}}},
          "haar estimator needs the 2-D grid"),
+        ({"family": "grid", "family_params": {"d": 2}, "sizes": [8, 12], "estimators": ("haar",),
+          "signal": {"kind": "island", "params": {"k": 1, "l": 1}}},
+         "haar estimator needs .* a side N that is a power of two"),
     ])
     def test_bad_family_fails_at_load(self, change, match):
         # the config refuses it: a seedless graph is built, and every flag checked, at load

@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphtv import graphs as G
 
@@ -141,7 +143,7 @@ class TestCompleteStar:
             g = G.build_complete(n)
             assert g.m == n * (n - 1) // 2 and "edges" not in g._derived
             edges = g.edges
-            expected = G._canonical_edges(np.column_stack(np.triu_indices(n, 1)))
+            expected = _canonical(np.column_stack(np.triu_indices(n, 1)))
             assert np.array_equal(edges, expected) and edges.dtype == expected.dtype == np.int64
             assert not edges.flags.writeable and g.edges is edges  # kept after the first read
             eager = G.Graph(n, expected.copy(), family="complete")
@@ -273,12 +275,27 @@ class TestRandomFamilies:
         assert peak < 20e6
 
     # sha256 of the little-endian int64 edge array, recorded when the ER
-    # builder still sorted its pairs with _canonical_edges
+    # builder still sorted its pairs
     @pytest.mark.parametrize("n,p,seed,m,digest", [
         (100, 0.16, 1, 814, "23b2066498c18d0a"), (200, 0.08, 7, 1562, "ad26fb36640d3f96"),
         (400, 0.04, 13, 3236, "53122c4fffeafa45"), (1500, 0.004, 2, 4606, "4f68299831334b83")])
     def test_er_edges_pinned(self, n, p, seed, m, digest):
         edges = G.build_erdos_renyi(n, p, seed).edges
+        assert len(edges) == m
+        assert hashlib.sha256(edges.astype("<i8").tobytes()).hexdigest()[:16] == digest
+
+    # the same digest, recorded when the lattice builders still sorted their
+    # pairs and is_grid checked a grid tag; (40, 36) is a complement draw
+    @pytest.mark.parametrize("family, params, m, digest", [
+        ("grid", {"d": 2, "N": 256}, 130560, "a918be1580d3f727"),
+        ("grid", {"d": 3, "N": 7}, 882, "c7cfcc51768628d5"),
+        ("hypercube", {"d": 10}, 5120, "907e734c20dc2a9c"),
+        ("cycle_power", {"n": 12, "k": 6}, 66, "c793f82a83bcdc24"),
+        ("cycle_power", {"n": 5000, "k": 8}, 40000, "b02884a1fd29ded2"),
+        ("random_regular", {"n": 2000, "d": 8, "seed": 0}, 8000, "cc4e93ccd98f8973"),
+        ("random_regular", {"n": 40, "d": 36, "seed": 1}, 720, "e2c0b97262a669f9")])
+    def test_edges_pinned(self, family, params, m, digest):
+        edges = G.build_family(family, **params).edges
         assert len(edges) == m
         assert hashlib.sha256(edges.astype("<i8").tobytes()).hexdigest()[:16] == digest
 
@@ -302,6 +319,18 @@ class TestRandomFamilies:
         assert np.all(G.degrees(g) == d)
         assert G.is_connected(g)
         assert np.array_equal(g.edges, G.build_random_regular(n, d, seed=1).edges)
+
+    @pytest.mark.parametrize("build, args, match", [
+        (G.build_erdos_renyi, (20, True, 0), "need a real p with 0 < p <= 1, got True"),
+        (G.build_erdos_renyi, (20, "0.5", 0), "need a real p"),
+        (G.build_random_regular, (12, True, 0), "need an integer d with 1 <= d < n, got d=True"),
+        (G.build_random_regular, (12, 3.0, 0), "need an integer d"),
+    ])
+    def test_mistyped_param_refused_before_a_draw(self, monkeypatch, build, args, match):
+        # the tag would refuse every draw, so the builder refuses the param itself
+        monkeypatch.setattr(G, "Graph", None)
+        with pytest.raises(ValueError, match=match):
+            build(*args)
 
     def test_regular_parity(self):
         with pytest.raises(ValueError):
@@ -428,18 +457,15 @@ class TestConnectivity:
 
 
 class TestShapeChecks:
-    """``is_path`` and ``is_grid`` read the edges, not the family tag."""
+    """``is_path`` reads the edges, not the family tag."""
 
     @pytest.mark.parametrize("family", list(G.FAMILIES))
     def test_builders(self, family):
         g = G.build_family(family, n=16, d=2, N=4, k=2, p=0.5, seed=3)
         assert G.is_path(g) == (family == "path")
-        assert G.is_grid(g, g.params.get("d"), g.params.get("N")) == (
-            family in ("grid", "hypercube"))
 
     def test_one_dimensional_grid_is_a_path(self):
-        assert G.is_path(G.build_grid(1, 7)) and G.is_grid(G.build_path(7), 1, 7)
-        assert G.is_grid(G.build_hypercube(4), 4, 2) and not G.is_grid(G.build_grid(2, 4), 4, 2)
+        assert G.is_path(G.build_grid(1, 7))
 
     @pytest.mark.parametrize("edges", [
         [(0, 1), (1, 2), (2, 4), (3, 4)],  # n - 1 edges, one of them not (i, i+1)
@@ -452,11 +478,37 @@ class TestShapeChecks:
             G.Graph(5, edges, family="path")
 
 
+def _canonical(pairs):
+    """int64 pairs (i, j) with i < j, sorted lexicographically: the order a Graph takes."""
+    e = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
+    return e[np.lexsort((e[:, 1], e[:, 0]))]
+
+
+def _old_grid_rule(n, edges, d, N):
+    """The arithmetic that decided a grid tag before the tag check compared
+    the edges with the grid builder's: n, m, and each edge's step and axis."""
+    if n != N**d or len(edges) != d * N ** (d - 1) * (N - 1):
+        return False
+    i, step = edges[:, 0], np.diff(edges, axis=1).ravel()
+    powers = N ** np.arange(d, dtype=np.int64)
+    axis = np.minimum(np.searchsorted(powers, step), d - 1)
+    return bool(np.all((powers[axis] == step) & ((i // step) % N < N - 1)))
+
+
+def _old_cycle_power_rule(n, edges, k):
+    """The count and distance rule that decided a cycle-power tag before: the nk
+    pairs within circular distance k, n/2 fewer at n = 2k."""
+    gap = np.diff(edges, axis=1)
+    return (k >= 1 and len(edges) == n * k - (n // 2 if 2 * k == n else 0)
+            and bool(np.all(np.minimum(gap, n - gap) <= k)))
+
+
 def _swapped_grid_edges():
     """The 4x4 grid with (0, 1) swapped for (3, 4), a step of 1 off the grid's last column."""
-    return G._canonical_edges([e for e in G.build_grid(2, 4).edges.tolist()
-                               if e != [0, 1]] + [[3, 4]])
+    return _canonical([e for e in G.build_grid(2, 4).edges.tolist() if e != [0, 1]] + [[3, 4]])
 
+
+TWO_TRIANGLES = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
 
 # Graphs whose tag their edges belie: (n, edges, family, params)
 BELIED = {
@@ -478,6 +530,22 @@ BELIED = {
                            {"d": 5, "seed": 0}),
     "edgeless-tagged-k-0": (5, [], "cycle_power", {"n": 5, "k": 0}),
     "edgeless-tagged-d-0": (5, [], "random_regular", {"d": 0, "seed": 0}),
+    "2d-grid-tagged-4d": (16, G.build_grid(2, 4).edges, "grid", {"d": 4, "N": 2}),
+    # an ER or random regular tag promises p in (0, 1] and a connected graph
+    "er-without-p": (3, [(0, 1), (1, 2)], "erdos_renyi", {}),
+    "er-p-0": (3, [(0, 1), (1, 2)], "erdos_renyi", {"p": 0, "seed": 0}),
+    "er-p-7": (3, [(0, 1), (1, 2)], "erdos_renyi", {"p": 7, "seed": 0}),
+    "two-triangles-tagged-er": (6, TWO_TRIANGLES, "erdos_renyi", {"p": 0.5, "seed": 0}),
+    "two-triangles-tagged-rr": (6, TWO_TRIANGLES, "random_regular", {"d": 2, "seed": 0}),
+    # params of another type than the builder takes
+    "grid-N-float": (16, G.build_grid(2, 4).edges, "grid", {"d": 2, "N": 4.0}),
+    "grid-d-float": (16, G.build_grid(2, 4).edges, "grid", {"d": 2.0, "N": 4}),
+    "path-tagged-grid-d-bool": (16, G.build_path(16).edges, "grid", {"d": True, "N": 16}),
+    "cycle-power-k-float": (12, G.build_cycle_power(12, 2).edges, "cycle_power",
+                            {"n": 12, "k": 2.0}),
+    "rr-d-float": (12, G.build_random_regular(12, 3, 0).edges, "random_regular",
+                   {"d": 3.0, "seed": 0}),
+    "er-p-string": (3, [(0, 1), (1, 2)], "erdos_renyi", {"p": "0.5", "seed": 0}),
 }
 
 
@@ -508,6 +576,58 @@ class TestTagChecks:
         with pytest.raises(ValueError, match=f"edges do not fit family tag '{family}' with params"):
             G.Graph(n, edges, family=family, params=params)
 
+    @pytest.mark.parametrize("family", list(G.FAMILIES))
+    def test_grid_tag_holds_on_grids_alone(self, family):
+        g = G.build_family(family, n=16, d=2, N=4, k=2, p=0.5, seed=3)
+        try:
+            G.Graph(g.n, g.edges, "grid", g.params)
+            holds = True
+        except ValueError:
+            holds = False
+        assert holds == (family in ("grid", "hypercube"))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_lattice_tags_hold_by_the_old_rules(self, data):
+        # a builder's edges, or one of them dropped, added or swapped for another
+        source = data.draw(st.sampled_from(["grid", "cycle_power", "path", "star"]))
+        if source == "grid":
+            d = data.draw(st.integers(1, 4))
+            g = G.build_grid(d, data.draw(st.integers(2, {1: 16, 2: 8, 3: 4, 4: 3}[d])))
+        elif source == "cycle_power":
+            n = data.draw(st.integers(3, 24))
+            g = G.build_cycle_power(n, data.draw(st.integers(1, n // 2)))
+        else:
+            g = G.build_family(source, n=data.draw(st.integers(2, 24)))
+        n, edges = g.n, {tuple(e) for e in g.edges.tolist()}
+        absent = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges]
+        change = data.draw(st.booleans()) and data.draw(st.sampled_from(["drop", "add", "swap"]))
+        if change in ("drop", "swap"):
+            edges.remove(data.draw(st.sampled_from(sorted(edges))))
+        if change in ("add", "swap") and absent:
+            edges.add(data.draw(st.sampled_from(absent)))
+        edges = _canonical(sorted(edges))
+        # a tag at params that fit the builder's n and m, or at any params in range
+        own = "cycle_power" if source == "cycle_power" else "grid"
+        family = data.draw(st.sampled_from([own, "grid", "hypercube", "cycle_power"]))
+        if family == "cycle_power":
+            fit = [k for k in range(1, n // 2 + 1) if g.m in (n * k, n * k - n // 2)]
+            k = data.draw(st.sampled_from(fit) if fit and data.draw(st.booleans())
+                          else st.integers(0, n // 2 + 1))
+            params, old = {"n": n, "k": k}, _old_cycle_power_rule(n, edges, k)
+        else:
+            fit = [(a, b) for a in range(1, 9) for b in range(2, 17) if b**a == n]
+            d, N = data.draw(st.sampled_from(fit) if fit and data.draw(st.booleans())
+                             else st.tuples(st.integers(1, 5), st.integers(2, 6)))
+            params = {"d": d, "N": N}
+            old = (family == "grid" or N == 2) and _old_grid_rule(n, edges, d, N)
+        try:
+            G.Graph(n, edges, family, params)
+            holds = True
+        except ValueError:
+            holds = False
+        assert holds == old
+
     def test_unknown_tag_is_refused(self):
         with pytest.raises(ValueError, match="edges do not fit family tag 'foo' with params {}"):
             G.Graph(3, [(0, 1), (1, 2)], family="foo")
@@ -530,6 +650,10 @@ class TestEdgeListFormat:
         g = G.parse_edge_list(text)
         assert g.n == 3
         assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
+
+    def test_duplicate_and_reversed_lines_merge(self):
+        g = G.parse_edge_list("1 2\n2 1\n1 2\n3 2\n")
+        assert g.n == 3 and g.edges.tolist() == [[0, 1], [1, 2]]
 
     def test_roundtrip(self, tmp_path):
         g = G.build_cycle_power(7, 2)

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_graphs import _swapped_grid_edges
 
 from graphtv import graphs as G
 from graphtv import spectral as S
@@ -301,10 +302,7 @@ class TestOneRoute:
         # S_5 centered at vertex 3 is still a star
         (G.Graph(5, [(0, 3), (1, 3), (2, 3), (3, 4)], family="star"), "closed_form"),
         (_refused(16, G.build_path(16).edges, "grid", {"d": 2, "N": 4}), "dense_pseudoinverse"),
-        # the 4x4 grid with (0, 1) swapped for (3, 4), a step of 1 off the grid's last column
-        (_refused(16, G._canonical_edges([e for e in G.build_grid(2, 4).edges.tolist()
-                                          if e != [0, 1]] + [[3, 4]]),
-                  "grid", {"d": 2, "N": 4}), "dense_pseudoinverse"),
+        (_refused(16, _swapped_grid_edges(), "grid", {"d": 2, "N": 4}), "dense_pseudoinverse"),
         (G.Graph(8, G.build_hypercube(3).edges, family="grid", params={"d": 3, "N": 2}),
          "eigensum_structured"),
     ], ids=["complete-minus-an-edge", "path-tagged-star", "star-minus-an-edge", "star-off-0",
